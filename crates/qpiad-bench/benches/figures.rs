@@ -7,21 +7,23 @@
 
 use std::time::Instant;
 
-use qpiad_bench::{bench_scale, run_experiment, EXPERIMENT_IDS};
+use qpiad_bench::bench_scale;
+use qpiad_eval::experiments::registry;
 
 fn main() {
     let scale = bench_scale();
     let total = Instant::now();
-    for id in EXPERIMENT_IDS {
+    let experiments = registry();
+    for (id, run) in &experiments {
         let start = Instant::now();
-        let report = run_experiment(id, &scale).expect("known id");
+        let report = run(&scale);
         let elapsed = start.elapsed();
         println!("{}", report.render_text());
         println!("[{id}] regenerated in {elapsed:.2?}\n");
     }
     println!(
         "all {} experiments regenerated in {:.2?}",
-        EXPERIMENT_IDS.len(),
+        experiments.len(),
         total.elapsed()
     );
 }

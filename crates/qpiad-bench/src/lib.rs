@@ -2,10 +2,10 @@
 //!
 //! Two kinds of targets live here:
 //!
-//! * **Experiment binaries** (`src/bin/exp_*.rs`) — one per table/figure of
-//!   the paper, each printing the regenerated rows/series at full scale.
-//!   `exp_all` runs the complete suite and emits the `EXPERIMENTS.md`
-//!   body.
+//! * **The experiment binary** (`src/bin/exp.rs`) — `exp <id>…` prints the
+//!   regenerated rows/series of the named tables/figures of the paper
+//!   (ids from [`experiments::registry`]) at full scale; `exp all` runs
+//!   the complete suite and emits the `EXPERIMENTS.md` body.
 //! * **Criterion-style benches** (`benches/`) — `figures` re-runs every
 //!   experiment at bench scale so `cargo bench` regenerates all paper
 //!   artifacts; `mining`, `rewriting` and `joins` measure the core
@@ -14,7 +14,7 @@
 //!   base-set-vs-sample rewriting, F-measure vs naïve orderings).
 
 use qpiad_eval::experiments::common::Scale;
-use qpiad_eval::experiments::{self};
+use qpiad_eval::experiments::{self, Runner};
 use qpiad_eval::Report;
 
 /// Scale used by `cargo bench` figure regeneration: large enough to be in
@@ -29,51 +29,54 @@ pub fn bench_scale() -> Scale {
     }
 }
 
-/// Runs one experiment by id at the given scale.
-///
-/// Ids: `table1`, `table3`, `fig3` … `fig13`.
+/// Runs one experiment by id at the given scale, looked up in the
+/// experiment registry ([`experiments::registry`]); `None` for an unknown
+/// id.
 pub fn run_experiment(id: &str, scale: &Scale) -> Option<Report> {
-    Some(match id {
-        "table1" => experiments::table1::run(scale),
-        "table3" => experiments::table3::run(scale),
-        "fig3" => experiments::fig3::run(scale),
-        "fig4" => experiments::fig4::run(scale),
-        "fig5" => experiments::fig5::run(scale),
-        "fig6" => experiments::fig6::run(scale),
-        "fig7" => experiments::fig7::run(scale),
-        "fig8" => experiments::fig8::run(scale),
-        "fig9" => experiments::fig9::run(scale),
-        "fig10" => experiments::fig10::run(scale),
-        "fig10census" => experiments::fig10::run_census(scale),
-        "fig11" => experiments::fig11::run(scale),
-        "fig12" => experiments::fig12::run(scale),
-        "fig13" => experiments::fig13::run(scale),
-        "fig13b" => experiments::fig13::run_query(scale, 1),
-        _ => return None,
-    })
+    runner(id).map(|run| run(scale))
 }
 
-/// All experiment ids, in paper order.
-pub const EXPERIMENT_IDS: [&str; 15] = [
-    "table1", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-    "fig10census", "fig11", "fig12", "fig13", "fig13b",
-];
+/// The registry's runner for `id`.
+fn runner(id: &str) -> Option<Runner> {
+    experiments::registry().into_iter().find(|(name, _)| *name == id).map(|(_, run)| run)
+}
 
-/// Entry point shared by the `exp_*` binaries: parse `--quick` / `--json`,
-/// run, print (text table by default, JSON with `--json`).
-pub fn experiment_main(id: &str) {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let json = std::env::args().any(|a| a == "--json");
-    let scale = if quick { Scale::quick() } else { Scale::full() };
-    let report = run_experiment(id, &scale).unwrap_or_else(|| {
-        eprintln!("unknown experiment id: {id}");
+/// Entry point of the `exp` binary: `exp <id>…|all [--quick] [--json]`.
+///
+/// Runs the named experiments in the order given (`all`: every registry
+/// experiment concurrently, printed in paper order) at full scale, or at
+/// reduced scale with `--quick`. Each report prints as a text table plus
+/// sparklines and a blank line, or as JSON with `--json`. An unknown id
+/// runs nothing and exits with status 2.
+pub fn experiment_main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let scale = if flag("--quick") { Scale::quick() } else { Scale::full() };
+    let ids: Vec<&str> = args.iter().map(String::as_str).filter(|a| !a.starts_with("--")).collect();
+    if let Some(bad) = ids.iter().find(|id| **id != "all" && runner(id).is_none()) {
+        eprintln!("unknown experiment id: {bad}");
         std::process::exit(2);
-    });
-    if json {
-        println!("{}", report.to_json());
+    }
+    if ids.is_empty() {
+        eprintln!("usage: exp <id>...|all [--quick] [--json]");
+        std::process::exit(2);
+    }
+    let print = |report: Report| {
+        if flag("--json") {
+            println!("{}", report.to_json());
+        } else {
+            println!("{}", report.render_text());
+            print!("{}", report.render_sparklines());
+            println!();
+        }
+    };
+    if ids.contains(&"all") {
+        eprintln!("running all experiments in parallel ...");
+        experiments::run_all_parallel(&scale).into_iter().for_each(print);
     } else {
-        println!("{}", report.render_text());
-        print!("{}", report.render_sparklines());
+        for id in ids {
+            print(run_experiment(id, &scale).expect("id resolved above"));
+        }
     }
 }
 
@@ -82,25 +85,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_id_resolves() {
+    fn every_registry_id_resolves_and_unknown_ids_do_not() {
         // Only resolve — running them all is the figures bench's job.
-        for id in EXPERIMENT_IDS {
-            // run_experiment at quick scale is exercised by eval's tests;
-            // here we just guard the id table against typos.
-            assert!(
-                ["table1", "table3"].contains(&id) || id.starts_with("fig"),
-                "unexpected id {id}"
-            );
+        for (id, _) in experiments::registry() {
+            assert!(runner(id).is_some(), "registry id {id} must resolve");
+            assert_ne!(id, "all", "`all` is reserved for the whole suite");
         }
+        assert!(runner("nope").is_none());
         assert!(run_experiment("nope", &Scale::quick()).is_none());
-    }
-
-    #[test]
-    fn id_table_matches_eval_registry() {
-        let registry_ids: Vec<&str> = qpiad_eval::experiments::registry()
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect();
-        assert_eq!(registry_ids, EXPERIMENT_IDS.to_vec());
     }
 }

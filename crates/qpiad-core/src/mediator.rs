@@ -452,18 +452,7 @@ impl Qpiad {
     /// Renders the admitted plan for `query` against `source` without
     /// issuing a single source query (EXPLAIN).
     pub fn explain(&self, source: &dyn AutonomousSource, query: &SelectQuery) -> String {
-        self.explain_in(source, query, &mut QueryContext::unbounded())
-    }
-
-    /// [`Self::explain`] under an explicit availability context, so breaker
-    /// and budget refusals show up as skip reasons.
-    pub fn explain_in(
-        &self,
-        source: &dyn AutonomousSource,
-        query: &SelectQuery,
-        ctx: &mut QueryContext,
-    ) -> String {
-        self.plan_speculative(source, query, ctx).render(source.schema())
+        self.plan_speculative(source, query, &mut QueryContext::unbounded()).render(source.schema())
     }
 
     /// Wraps a candidate list as an unadmitted plan (all supported entries

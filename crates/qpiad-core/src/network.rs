@@ -26,9 +26,14 @@
 //! order afterwards — so an Open member is skipped up front (its planned
 //! work charged to [`Degradation::breaker_skips`]) and all breaker
 //! decisions replay byte-identically at any thread count.
-//! [`MediatorNetwork::answer_budgeted`] additionally funds the pass from a
-//! caller-supplied [`QueryBudget`], and slow or recovering members get
-//! their rewrites **hedged** to the best correlated supporting member.
+//! [`MediatorNetwork::answer_under`] additionally funds the pass from a
+//! caller-supplied [`QueryBudget`] at an overload [`PressureLevel`], and
+//! slow or recovering members get their rewrites **hedged** to the best
+//! correlated supporting member.
+//!
+//! Answer and EXPLAIN share one sequential pass set-up (clock, knowledge
+//! pin, breaker views, hedge partners) and one per-member routing
+//! decision, so EXPLAIN always names the route the pass takes.
 //!
 //! The **knowledge lifecycle** closes the loop on mined statistics:
 //! members can be registered straight from a durable
@@ -48,9 +53,10 @@
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use qpiad_db::health::{
-    install_clock, BreakerProbe, BreakerState, BreakerView, HealthRegistry, MediationClock,
-    Observation, PressureLevel, QueryBudget,
+    install_clock, BreakerProbe, BreakerState, BreakerView, ClockGuard, HealthRegistry,
+    MediationClock, Observation, PressureLevel, QueryBudget,
 };
 use qpiad_db::par;
 use qpiad_db::{
@@ -98,11 +104,40 @@ struct PassKnowledge {
     versions: Vec<u64>,
 }
 
+/// The sequential pre-pass shared by an answer pass and EXPLAIN: the
+/// network clock installed for the pass, every member's pinned knowledge,
+/// the breaker snapshot, the hedge partners picked from it, and the
+/// overload rung the pass runs at.
+struct PassSetup {
+    _clock: ClockGuard,
+    pk: PassKnowledge,
+    views: Vec<BreakerView>,
+    hedges: Vec<Option<usize>>,
+    pressure: PressureLevel,
+}
+
+/// How one member is served for one query: the routing decision answer
+/// and EXPLAIN share.
+enum Route<'p> {
+    /// Binds every constrained attribute and has pinned statistics: direct
+    /// rewriting from the member's own knowledge (§4.2).
+    Direct(&'p SourceStats),
+    /// Binds every constrained attribute but has no statistics: certain
+    /// answers only.
+    CertainOnly,
+    /// Cannot bind the query: rewrites planned from correlated member
+    /// `j`'s statistics (§4.3, Definition 4) and issued to this member.
+    Correlated(usize, &'p SourceStats),
+    /// Cannot bind the query and no member correlates: an empty
+    /// contribution.
+    Unreachable,
+}
+
 /// One member's drift state for a single pass, snapshotted sequentially
 /// before the fan-out: the empty pass-local probe to fill and whether the
 /// sticky verdict already demotes this pass — demotion decisions must not
 /// depend on which worker finishes first.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct MemberDrift {
     probe: Option<DriftProbe>,
     demoted: bool,
@@ -192,13 +227,14 @@ pub struct SourceAnswers {
 }
 
 impl SourceAnswers {
-    fn failed(source: &dyn AutonomousSource, error: SourceError) -> Self {
+    /// A contribution with no answers, served directly.
+    fn empty(source: &dyn AutonomousSource, outcome: SourceOutcome) -> Self {
         SourceAnswers {
             source: source.name().to_string(),
             certain: Vec::new(),
             possible: Vec::new(),
             via_correlated: None,
-            outcome: SourceOutcome::Failed(error),
+            outcome,
         }
     }
 }
@@ -266,8 +302,8 @@ pub struct MediatorNetwork<'a> {
     plan_cache: Option<Arc<PlanCache>>,
     /// Network-scoped mediation clock, installed around every pass so
     /// retry backoff and injected latency sleep on *this* network's clock
-    /// rather than the process-global shim. `None` defers to whatever
-    /// clock the calling thread (or the process fallback) provides.
+    /// rather than another network's. `None` defers to whatever clock the
+    /// calling thread has installed (wall time if none).
     clock: Option<Arc<MediationClock>>,
 }
 
@@ -347,14 +383,18 @@ impl<'a> MediatorNetwork<'a> {
     /// a drift registry attached). Monotonic — any bump on either clock
     /// orphans the member's cached plans.
     pub fn member_knowledge_version(&self, name: &str) -> u64 {
-        let drift = self.drift.as_ref().map(|d| d.knowledge_version(name)).unwrap_or(0);
         let epoch = self
             .members
             .iter()
             .find(|m| m.source.name() == name)
-            .map(|m| m.knowledge.epoch())
-            .unwrap_or(0);
-        drift + epoch
+            .map_or(0, |m| m.knowledge.epoch());
+        self.knowledge_version(name, epoch)
+    }
+
+    /// The plan-cache knowledge version of member `name` at knowledge
+    /// `epoch`: the drift registry's counter plus the epoch.
+    fn knowledge_version(&self, name: &str, epoch: u64) -> u64 {
+        self.drift.as_ref().map_or(0, |d| d.knowledge_version(name)) + epoch
     }
 
     /// Every member's current knowledge epoch, in registration order: 0
@@ -398,14 +438,7 @@ impl<'a> MediatorNetwork<'a> {
             .members
             .iter()
             .zip(&pins)
-            .map(|(m, pin)| {
-                let drift = self
-                    .drift
-                    .as_ref()
-                    .map(|d| d.knowledge_version(m.source.name()))
-                    .unwrap_or(0);
-                drift + pin.epoch
-            })
+            .map(|(m, pin)| self.knowledge_version(m.source.name(), pin.epoch))
             .collect();
         PassKnowledge { pins, versions }
     }
@@ -451,12 +484,8 @@ impl<'a> MediatorNetwork<'a> {
         self.drift.as_ref()
     }
 
-    fn push_supporting(
-        mut self,
-        source: &'a dyn AutonomousSource,
-        stats: SourceStats,
-        stale: bool,
-    ) -> Self {
+    /// Registers a member that must bind every global attribute.
+    fn push_full(mut self, source: &'a dyn AutonomousSource, knowledge: MemberKnowledge) -> Self {
         let binding = SourceBinding::by_name(source.name(), &self.global, source.schema());
         for g in self.global.attr_ids() {
             assert!(
@@ -466,13 +495,22 @@ impl<'a> MediatorNetwork<'a> {
                 self.global.attr(g).name()
             );
         }
+        self.members.push(Member { source, binding, knowledge: KnowledgeCell::new(knowledge) });
+        self
+    }
+
+    fn push_supporting(
+        self,
+        source: &'a dyn AutonomousSource,
+        stats: SourceStats,
+        stale: bool,
+    ) -> Self {
         if let Some(d) = &self.drift {
             d.register(source.name(), &stats);
         }
         let knowledge =
             if stale { MemberKnowledge::restored(stats) } else { MemberKnowledge::mined(stats) };
-        self.members.push(Member { source, binding, knowledge: KnowledgeCell::new(knowledge) });
-        self
+        self.push_full(source, knowledge)
     }
 
     /// Registers a source that supports the full global schema, together
@@ -548,30 +586,13 @@ impl<'a> MediatorNetwork<'a> {
     /// Panics if the source's schema does not cover every global attribute
     /// by name (same contract as [`Self::add_supporting`]).
     pub fn add_supporting_from_store(
-        mut self,
+        self,
         source: &'a dyn AutonomousSource,
         store: &KnowledgeStore,
     ) -> Self {
         match store.load_for(source.name(), source.schema()) {
             Ok(snapshot) => self.push_supporting(source, snapshot.restore(), false),
-            Err(e) => {
-                let binding =
-                    SourceBinding::by_name(source.name(), &self.global, source.schema());
-                for g in self.global.attr_ids() {
-                    assert!(
-                        binding.supports(g),
-                        "source `{}` lacks global attribute `{}`; register it with add_deficient",
-                        source.name(),
-                        self.global.attr(g).name()
-                    );
-                }
-                self.members.push(Member {
-                    source,
-                    binding,
-                    knowledge: KnowledgeCell::new(MemberKnowledge::unavailable(e)),
-                });
-                self
-            }
+            Err(e) => self.push_full(source, MemberKnowledge::unavailable(e)),
         }
     }
 
@@ -606,11 +627,11 @@ impl<'a> MediatorNetwork<'a> {
     /// success the new statistics are persisted to `persist`'s store
     /// *first* (journal + temp-file + rename, so a crash never leaves a
     /// torn snapshot and the store stays loadable at the prior version),
-    /// the member's drift detector is re-seeded, and the new generation is
-    /// published into the member's [`KnowledgeCell`] — clearing any stale
-    /// / knowledge-unavailable degradation and bumping the member's
-    /// knowledge version so cached plans built on the old statistics can
-    /// never be served again. On *any* failure — mining or persistence —
+    /// the new generation is published into the member's
+    /// [`KnowledgeCell`] — clearing any stale / knowledge-unavailable
+    /// degradation and bumping the member's knowledge version so cached
+    /// plans built on the old statistics can never be served again — and
+    /// the member's drift detector is re-seeded. On *any* failure — mining or persistence —
     /// the old generation keeps serving, the failure is recorded against
     /// the member's breaker, and the source's refresh-failure meter is
     /// bumped: a refresh can fail, but it can never publish torn or empty
@@ -638,43 +659,16 @@ impl<'a> MediatorNetwork<'a> {
         persist: Option<(&KnowledgeStore, &MiningConfig)>,
         pass: Option<u64>,
     ) -> Result<(), SourceError> {
-        let idx = self
-            .members
-            .iter()
-            .position(|m| m.source.name() == name)
-            .ok_or_else(|| SourceError::Internal {
-                message: format!("no member named `{name}`"),
-            })?;
+        let idx = self.member_index(name)?;
         let source = self.members[idx].source;
         match mine(source) {
             Ok(stats) => {
-                if let Some((store, config)) = persist {
-                    let snapshot = StatsSnapshot::capture(&stats, config);
-                    if let Err(e) = store.save(name, &snapshot) {
-                        // Persist-first: a generation that is not durable
-                        // must never be published — a crash after the swap
-                        // would restart the mediator on the *old* snapshot
-                        // while caches were keyed by the new epoch.
-                        if let Some(h) = &self.health {
-                            h.absorb(name, &[Observation::Failure]);
-                        }
-                        source.note_refresh_failure();
-                        return Err(SourceError::Internal {
-                            message: format!(
-                                "persisting refreshed knowledge for `{name}`: {e}"
-                            ),
-                        });
+                let reseed = |stats: &SourceStats| {
+                    if let Some(d) = &self.drift {
+                        d.note_refreshed(name, stats);
                     }
-                }
-                if let Some(d) = &self.drift {
-                    d.note_refreshed(name, &stats);
-                }
-                let mut next = MemberKnowledge::mined(stats);
-                next.refreshed_at_pass = pass;
-                next.refresh_kind = Some(RefreshKind::Full);
-                self.members[idx].knowledge.publish(next);
-                source.note_refresh();
-                Ok(())
+                };
+                self.publish_persisted(idx, stats, RefreshKind::Full, persist, pass, reseed)
             }
             Err(e) => {
                 if e.is_failure() {
@@ -704,10 +698,10 @@ impl<'a> MediatorNetwork<'a> {
     ///   have changed, only a full re-mine can re-decide it. The streamed
     ///   rows stay queued; the full refresh that follows supersedes them.
     /// * Otherwise the fold publishes exactly like a full refresh:
-    ///   persist-first into `persist`'s store, drift detector re-seeded
-    ///   (consuming the folded rows up to the snapshot watermark), new
-    ///   generation published with [`RefreshKind::Incremental`], cached
-    ///   plans orphaned via the knowledge-version bump.
+    ///   persist-first into `persist`'s store, new generation published
+    ///   with [`RefreshKind::Incremental`] (cached plans orphaned via the
+    ///   knowledge-version bump), drift detector re-seeded (consuming the
+    ///   folded rows up to the snapshot watermark).
     pub fn refresh_member_incremental_at(
         &self,
         name: &str,
@@ -716,13 +710,7 @@ impl<'a> MediatorNetwork<'a> {
         bound: f64,
         pass: Option<u64>,
     ) -> Result<MemberFold, SourceError> {
-        let idx = self
-            .members
-            .iter()
-            .position(|m| m.source.name() == name)
-            .ok_or_else(|| SourceError::Internal {
-                message: format!("no member named `{name}`"),
-            })?;
+        let idx = self.member_index(name)?;
         let Some(drift) = &self.drift else {
             return Ok(MemberFold::NotApplicable { reason: "drift tracking disabled" });
         };
@@ -735,7 +723,6 @@ impl<'a> MediatorNetwork<'a> {
         };
         let folded_rows = rows.len();
         let fresh = Relation::new(stats.schema().clone(), rows);
-        let source = self.members[idx].source;
         match stats.fold(&fresh, config, bound) {
             // Streamed rows were arity-checked at probe time against the
             // same schema the bundle holds, so skew here means a logic
@@ -747,31 +734,65 @@ impl<'a> MediatorNetwork<'a> {
                 Ok(MemberFold::RemineRequired { max_delta, bound })
             }
             Ok(FoldOutcome::Folded { stats: folded, max_delta }) => {
-                if let Some((store, config)) = persist {
-                    let snapshot = StatsSnapshot::capture(&folded, config);
-                    if let Err(e) = store.save(name, &snapshot) {
-                        // Persist-first, exactly like the full path: a
-                        // generation that is not durable is never published.
-                        if let Some(h) = &self.health {
-                            h.absorb(name, &[Observation::Failure]);
-                        }
-                        source.note_refresh_failure();
-                        return Err(SourceError::Internal {
-                            message: format!(
-                                "persisting folded knowledge for `{name}`: {e}"
-                            ),
-                        });
-                    }
-                }
-                drift.note_folded(name, &folded, through);
-                let mut next = MemberKnowledge::mined(folded);
-                next.refreshed_at_pass = pass;
-                next.refresh_kind = Some(RefreshKind::Incremental);
-                self.members[idx].knowledge.publish(next);
-                source.note_refresh();
+                let reseed = |folded: &SourceStats| drift.note_folded(name, folded, through);
+                let kind = RefreshKind::Incremental;
+                self.publish_persisted(idx, folded, kind, persist, pass, reseed)?;
                 Ok(MemberFold::Folded { rows: folded_rows, max_delta })
             }
         }
+    }
+
+    /// The registration index of member `name`.
+    fn member_index(&self, name: &str) -> Result<usize, SourceError> {
+        self.members.iter().position(|m| m.source.name() == name).ok_or_else(|| {
+            SourceError::Internal { message: format!("no member named `{name}`") }
+        })
+    }
+
+    /// Publishes a refreshed generation of member `idx`'s knowledge,
+    /// persist-first: the snapshot is saved to `persist`'s store before
+    /// anything else moves. A generation that is not durable is never
+    /// published — a crash after the swap would restart the mediator on
+    /// the *old* snapshot while caches were keyed by the new epoch — so a
+    /// failed save records a breaker failure and a refresh failure and
+    /// keeps the old generation serving. On success the new generation is
+    /// published, then `reseed` re-seeds the member's drift detector
+    /// (bumping its knowledge version). In that order, a pass whose drift
+    /// probe carries the new version has pinned the new generation: passes
+    /// snapshot their probes before they pin.
+    fn publish_persisted(
+        &self,
+        idx: usize,
+        stats: SourceStats,
+        kind: RefreshKind,
+        persist: Option<(&KnowledgeStore, &MiningConfig)>,
+        pass: Option<u64>,
+        reseed: impl FnOnce(&SourceStats),
+    ) -> Result<(), SourceError> {
+        let source = self.members[idx].source;
+        let name = source.name();
+        if let Some((store, config)) = persist {
+            if let Err(e) = store.save(name, &StatsSnapshot::capture(&stats, config)) {
+                if let Some(h) = &self.health {
+                    h.absorb(name, &[Observation::Failure]);
+                }
+                source.note_refresh_failure();
+                let what = match kind {
+                    RefreshKind::Full => "refreshed",
+                    RefreshKind::Incremental => "folded",
+                };
+                return Err(SourceError::Internal {
+                    message: format!("persisting {what} knowledge for `{name}`: {e}"),
+                });
+            }
+        }
+        let mut next = MemberKnowledge::mined(stats.clone());
+        next.refreshed_at_pass = pass;
+        next.refresh_kind = Some(kind);
+        self.members[idx].knowledge.publish(next);
+        reseed(&stats);
+        source.note_refresh();
+        Ok(())
     }
 
     /// Number of registered sources.
@@ -791,14 +812,14 @@ impl<'a> MediatorNetwork<'a> {
     /// AFD confidence. A candidate missing an AFD for *any* constrained
     /// attribute is disqualified — ignoring the gap would inflate its
     /// minimum-confidence score.
-    fn correlated_for(
+    fn correlated_for<'p>(
         &self,
         target: usize,
         query: &SelectQuery,
-        pk: &PassKnowledge,
-    ) -> Option<usize> {
+        pk: &'p PassKnowledge,
+    ) -> Option<(usize, &'p SourceStats)> {
         let target_binding = &self.members[target].binding;
-        let mut best: Option<(f64, usize)> = None;
+        let mut best: Option<(f64, usize, &SourceStats)> = None;
         for (j, m) in self.members.iter().enumerate() {
             if j == target {
                 continue;
@@ -813,11 +834,27 @@ impl<'a> MediatorNetwork<'a> {
             // A drifted candidate's AFDs may no longer describe what it
             // returns: demote its score so an un-drifted alternative wins.
             let conf = conf * self.drift_weight(m.source.name());
-            if best.as_ref().map(|(c, _)| conf > *c).unwrap_or(true) {
-                best = Some((conf, j));
+            if best.as_ref().map(|(c, ..)| conf > *c).unwrap_or(true) {
+                best = Some((conf, j, stats));
             }
         }
-        best.map(|(_, j)| j)
+        best.map(|(_, j, stats)| (j, stats))
+    }
+
+    /// Routes member `index` for `query` under the pass's pinned
+    /// knowledge. Answer, EXPLAIN and hedge selection all take this one
+    /// decision, so EXPLAIN names the route the pass takes.
+    fn route<'p>(&self, index: usize, query: &SelectQuery, pk: &'p PassKnowledge) -> Route<'p> {
+        if Self::member_supports_all(&self.members[index], query) {
+            return match pk.pins[index].stats.as_ref() {
+                Some(stats) => Route::Direct(stats),
+                None => Route::CertainOnly,
+            };
+        }
+        match self.correlated_for(index, query, pk) {
+            Some((j, stats)) => Route::Correlated(j, stats),
+            None => Route::Unreachable,
+        }
     }
 
     /// The drift demotion factor for a source: 1.0 while its live
@@ -844,15 +881,14 @@ impl<'a> MediatorNetwork<'a> {
     /// snapshot and the meters' latency history. `partners[i]` is the
     /// member index whose source doubles member `i`'s rewrites, or `None`.
     ///
-    /// A member is hedge-*eligible* when it would run the direct QPIAD
-    /// pipeline for this query (it has statistics and binds every
-    /// constrained attribute) and is either recovering (breaker HalfOpen)
-    /// or slow — its mean metered latency per query sits in the slowest
-    /// decile of members with any latency history. The *partner* is the
-    /// best correlated supporting member (highest minimum AFD confidence
-    /// over the constrained attributes) whose breaker is Closed and whose
-    /// local schema aligns positionally with the member's, so the same
-    /// local rewrite is valid on both.
+    /// A member is hedge-*eligible* when it is routed direct for this
+    /// query ([`Route::Direct`]) and is either recovering (breaker
+    /// HalfOpen) or slow — its mean metered latency per query sits in the
+    /// slowest decile of members with any latency history. The *partner*
+    /// is the best correlated member (highest minimum AFD confidence over
+    /// the constrained attributes) that is itself routed direct, whose
+    /// breaker is Closed and whose local schema aligns positionally with
+    /// the member's, so the same local rewrite is valid on both.
     fn hedge_partners(
         &self,
         query: &SelectQuery,
@@ -885,15 +921,14 @@ impl<'a> MediatorNetwork<'a> {
             0 => u64::MAX,
             len => nonzero[((len - 1) * 9).div_ceil(10)],
         };
-        for (i, member) in self.members.iter().enumerate() {
-            if pk.pins[i].stats.is_none() || !Self::member_supports_all(member, query) {
-                continue;
-            }
-            let slow = avgs[i] > 0 && avgs[i] >= slow_floor;
+        for (i, avg) in avgs.iter().enumerate() {
+            let slow = *avg > 0 && *avg >= slow_floor;
             if views[i].state() != BreakerState::HalfOpen && !slow {
                 continue;
             }
-            partners[i] = self.hedge_partner_for(i, query, views, pk);
+            if matches!(self.route(i, query, pk), Route::Direct(_)) {
+                partners[i] = self.hedge_partner_for(i, query, views, pk);
+            }
         }
         partners
     }
@@ -910,15 +945,13 @@ impl<'a> MediatorNetwork<'a> {
         let target = &self.members[i];
         let mut best: Option<(f64, usize)> = None;
         for (j, m) in self.members.iter().enumerate() {
-            if j == i || views[j].state() != BreakerState::Closed {
-                continue;
-            }
-            let Some(stats) = pk.pins[j].stats.as_ref() else { continue };
-            if !Self::member_supports_all(m, query)
+            if j == i
+                || views[j].state() != BreakerState::Closed
                 || !schemas_aligned(target.source.schema(), m.source.schema())
             {
                 continue;
             }
+            let Route::Direct(stats) = self.route(j, query, pk) else { continue };
             let conf = min_afd_confidence(stats.afds(), &query.constrained_attrs())
                 .unwrap_or(0.0)
                 * self.drift_weight(m.source.name());
@@ -929,27 +962,54 @@ impl<'a> MediatorNetwork<'a> {
         best.map(|(_, j)| j)
     }
 
+    /// The sequential pre-pass of an answer or EXPLAIN pass: installs the
+    /// network clock (fan-out workers inherit it via `par`), pins every
+    /// member's knowledge generation, snapshots the breaker views and
+    /// picks hedge partners under the pressure gate. The knowledge pin is
+    /// the admission point of the epoch protocol: a refresh published
+    /// after it is invisible to this pass and fully visible to the next.
+    /// Only an answer pass ticks the breaker pass clock (`tick`,
+    /// half-opening cooled breakers), so EXPLAIN stays side-effect-free.
+    fn setup_pass(&self, query: &SelectQuery, pressure: PressureLevel, tick: bool) -> PassSetup {
+        let clock = install_clock(self.clock.clone().or_else(qpiad_db::health::current_clock));
+        if let (true, Some(h)) = (tick, &self.health) {
+            h.begin_pass();
+        }
+        let pk = self.pin_pass();
+        let views: Vec<BreakerView> = self
+            .members
+            .iter()
+            .map(|m| match &self.health {
+                Some(h) => h.view(m.source.name()),
+                None => BreakerView::disabled(),
+            })
+            .collect();
+        let hedges = if pressure.allows_hedging() {
+            self.hedge_partners(query, &views, &pk)
+        } else {
+            vec![None; self.members.len()]
+        };
+        PassSetup { _clock: clock, pk, views, hedges, pressure }
+    }
+
     /// Serves one member under the availability layer: an Open breaker
     /// skips it up front; otherwise a pass-local probe and a per-member
     /// copy of the budget gate every query. Returns the answer plus the
     /// probe's observation log and the drift probe's accumulated
     /// observations, both for the sequential absorb phase.
-    #[allow(clippy::too_many_arguments)] // one call site, all args are per-pass state
     fn answer_member(
         &self,
         index: usize,
         query: &SelectQuery,
-        view: BreakerView,
-        hedge: Option<usize>,
+        pass: &PassSetup,
         budget: QueryBudget,
-        pressure: PressureLevel,
         drift: MemberDrift,
         pass_cache: &Arc<PlanCache>,
-        pk: &PassKnowledge,
     ) -> (Result<SourceAnswers, SourceError>, Vec<Observation>, Option<DriftProbe>) {
         let MemberDrift { probe: drift_probe, demoted: drifted } = drift;
         let member = &self.members[index];
-        let knowledge = &pk.pins[index];
+        let knowledge = &pass.pk.pins[index];
+        let view = pass.views[index];
         if view.state() == BreakerState::Open {
             member.source.note_breaker_skip();
             let d = Degradation {
@@ -957,23 +1017,17 @@ impl<'a> MediatorNetwork<'a> {
                 last_error: Some(SourceError::CircuitOpen),
                 ..Degradation::default()
             };
-            let answers = SourceAnswers {
-                source: member.source.name().to_string(),
-                certain: Vec::new(),
-                possible: Vec::new(),
-                via_correlated: None,
-                outcome: SourceOutcome::Degraded(d),
-            };
+            let answers = SourceAnswers::empty(member.source, SourceOutcome::Degraded(d));
             return (Ok(answers), Vec::new(), drift_probe);
         }
         let mut ctx = QueryContext::unbounded()
             .with_budget(budget)
             .with_probe(BreakerProbe::new(view))
-            .with_pressure(pressure);
+            .with_pressure(pass.pressure);
         if let Some(probe) = drift_probe {
             ctx = ctx.with_drift(probe);
         }
-        let result = self.answer_member_in(index, query, hedge, &mut ctx, pass_cache, pk);
+        let result = self.answer_member_in(index, query, pass, &mut ctx, pass_cache);
         let observations = ctx.probe.take_observations();
         let drift_probe = ctx.drift.take();
         let result = result.map(|mut answers| {
@@ -1003,21 +1057,12 @@ impl<'a> MediatorNetwork<'a> {
     }
 
     /// The per-member mediator for one pass: the member's *pinned*
-    /// statistics under the network config, with the shared plan cache (if
-    /// any) attached at the pinned knowledge version.
-    fn member_qpiad(&self, stats: &SourceStats, version: u64) -> Qpiad {
-        let qpiad = Qpiad::new(stats.clone(), self.config);
-        match &self.plan_cache {
-            Some(cache) => qpiad.with_plan_cache(Arc::clone(cache), version),
-            None => qpiad,
-        }
-    }
-
-    /// [`Self::member_qpiad`] with the *pass-local* plan cache attached.
-    /// When the network has no configured cache, the pass cache is an
-    /// ephemeral one created per `answer` call, so a supporting member and
-    /// a deficient member served through it still plan each (source,
-    /// template) pair exactly once within the pass.
+    /// statistics under the network config, with the *pass-local* plan
+    /// cache attached at the pinned knowledge version. When the network
+    /// has no configured cache, the pass cache is an ephemeral one created
+    /// per `answer` call, so a supporting member and a deficient member
+    /// served through it still plan each (source, template) pair exactly
+    /// once within the pass.
     fn member_qpiad_in_pass(
         &self,
         index: usize,
@@ -1030,27 +1075,25 @@ impl<'a> MediatorNetwork<'a> {
     }
 
     /// The pre-availability-layer body of `answer_member`: serves one
-    /// member directly or through a correlated source, under the context's
-    /// probe and budget.
+    /// member along its [`Route`], under the context's probe and budget.
     fn answer_member_in(
         &self,
         index: usize,
         query: &SelectQuery,
-        hedge: Option<usize>,
+        pass: &PassSetup,
         ctx: &mut QueryContext,
         pass_cache: &Arc<PlanCache>,
-        pk: &PassKnowledge,
     ) -> Result<SourceAnswers, SourceError> {
         let member = &self.members[index];
-        let supports_all = Self::member_supports_all(member, query);
-        let answers = if supports_all {
-            if let Some(stats) = pk.pins[index].stats.as_ref() {
+        let pk = &pass.pk;
+        let answers = match self.route(index, query, pk) {
+            Route::Direct(stats) => {
                 // Direct QPIAD. Statistics and query share the global
                 // schema; supporting members map attributes 1:1. A hedged
                 // member's queries are doubled to the partner source.
                 let local = member.binding.translate_query(query)?;
                 let qpiad = self.member_qpiad_in_pass(index, stats, pass_cache, pk);
-                let set = match hedge {
+                let set = match pass.hedges[index] {
                     Some(j) => {
                         let hedged = HedgedSource {
                             primary: member.source,
@@ -1060,8 +1103,8 @@ impl<'a> MediatorNetwork<'a> {
                     }
                     None => qpiad.answer_in(member.source, &local, ctx)?,
                 };
+                let outcome = SourceOutcome::from_degradation(set.degraded);
                 SourceAnswers {
-                    source: member.source.name().to_string(),
                     certain: set.certain.iter().map(|t| member.binding.lift_tuple(t)).collect(),
                     possible: set
                         .possible
@@ -1071,13 +1114,13 @@ impl<'a> MediatorNetwork<'a> {
                             a
                         })
                         .collect(),
-                    via_correlated: None,
-                    outcome: SourceOutcome::from_degradation(set.degraded),
+                    ..SourceAnswers::empty(member.source, outcome)
                 }
-            } else {
-                // Supports the attributes but has no statistics: certain
-                // answers only, still under admission and validation —
-                // the same base gate the direct pipeline runs through.
+            }
+            Route::CertainOnly => {
+                // Certain answers only, still under admission and
+                // validation — the same base gate the direct pipeline runs
+                // through.
                 let local = member.binding.translate_query(query)?;
                 let mut d = Degradation::default();
                 let kept = plan::execute_base(
@@ -1089,64 +1132,41 @@ impl<'a> MediatorNetwork<'a> {
                     BaseGate::Guarded,
                 )?;
                 SourceAnswers {
-                    source: member.source.name().to_string(),
                     certain: kept.iter().map(|t| member.binding.lift_tuple(t)).collect(),
-                    possible: Vec::new(),
-                    via_correlated: None,
-                    outcome: SourceOutcome::from_degradation(d),
+                    ..SourceAnswers::empty(member.source, SourceOutcome::from_degradation(d))
                 }
             }
-        } else {
-            // Deficient for this query: try a correlated source. The
-            // context's probe tracks the *target* (this member); the
-            // correlated member's own breaker was vetted in its own pass.
-            match self.correlated_for(index, query, pk) {
-                Some(j) => {
-                    let correlated = &self.members[j];
-                    // `correlated_for` only returns members with statistics;
-                    // if that invariant ever breaks it must surface as a
-                    // recorded failure for this member, not a panic.
-                    let stats = pk.pins[j].stats.as_ref().ok_or_else(|| {
-                        SourceError::Internal {
-                            message: format!(
-                                "correlated member `{}` has no statistics",
-                                correlated.source.name()
-                            ),
-                        }
-                    })?;
-                    // Plan through the correlated member's own mediator:
-                    // if the supporting pass already planned this template
-                    // for the correlated source, the pass cache serves the
-                    // candidate list instead of regenerating it.
-                    let planner = self.member_qpiad_in_pass(j, stats, pass_cache, pk);
-                    let mut result = answer_from_correlated_planned(
-                        correlated.source,
-                        &planner,
+            Route::Correlated(j, stats) => {
+                // The context's probe tracks the *target* (this member);
+                // the correlated member's own breaker was vetted in its
+                // own pass. Plan through the correlated member's own
+                // mediator: if the supporting pass already planned this
+                // template for the correlated source, the pass cache
+                // serves the candidate list instead of regenerating it.
+                let correlated = &self.members[j];
+                let planner = self.member_qpiad_in_pass(j, stats, pass_cache, pk);
+                let mut result = answer_from_correlated_planned(
+                    correlated.source,
+                    &planner,
+                    member.source,
+                    &member.binding,
+                    query,
+                    &self.config.retry,
+                    ctx,
+                )?;
+                if pk.pins[j].stale {
+                    result.degraded.stale_knowledge = true;
+                }
+                SourceAnswers {
+                    possible: result.possible,
+                    via_correlated: Some(correlated.source.name().to_string()),
+                    ..SourceAnswers::empty(
                         member.source,
-                        &member.binding,
-                        query,
-                        &self.config.retry,
-                        ctx,
-                    )?;
-                    if pk.pins[j].stale {
-                        result.degraded.stale_knowledge = true;
-                    }
-                    SourceAnswers {
-                        source: member.source.name().to_string(),
-                        certain: Vec::new(),
-                        possible: result.possible,
-                        via_correlated: Some(correlated.source.name().to_string()),
-                        outcome: SourceOutcome::from_degradation(result.degraded),
-                    }
+                        SourceOutcome::from_degradation(result.degraded),
+                    )
                 }
-                None => SourceAnswers {
-                    source: member.source.name().to_string(),
-                    certain: Vec::new(),
-                    possible: Vec::new(),
-                    via_correlated: None,
-                    outcome: SourceOutcome::Healthy,
-                },
             }
+            Route::Unreachable => SourceAnswers::empty(member.source, SourceOutcome::Healthy),
         };
         Ok(answers)
     }
@@ -1169,10 +1189,11 @@ impl<'a> MediatorNetwork<'a> {
     /// always returned. The `Result` return type is kept for API stability;
     /// the current implementation always returns `Ok`.
     pub fn answer(&self, query: &SelectQuery) -> Result<NetworkAnswer, SourceError> {
-        self.answer_budgeted(query, QueryBudget::unlimited())
+        self.answer_under(query, QueryBudget::unlimited(), PressureLevel::Normal)
     }
 
-    /// [`Self::answer`] under a per-member [`QueryBudget`].
+    /// [`Self::answer`] under a per-member [`QueryBudget`] and an overload
+    /// [`PressureLevel`].
     ///
     /// Each member receives its own copy of the budget (members are
     /// interrogated concurrently, so a shared pool would make admission
@@ -1187,15 +1208,6 @@ impl<'a> MediatorNetwork<'a> {
     /// order. Mediator-side refusals ([`SourceError::CircuitOpen`] /
     /// [`SourceError::BudgetExhausted`]) degrade the member instead of
     /// failing it — no query reached the source.
-    pub fn answer_budgeted(
-        &self,
-        query: &SelectQuery,
-        budget: QueryBudget,
-    ) -> Result<NetworkAnswer, SourceError> {
-        self.answer_under(query, budget, PressureLevel::Normal)
-    }
-
-    /// [`Self::answer_budgeted`] under an overload [`PressureLevel`].
     ///
     /// The level is the serving layer's degradation ladder, applied
     /// uniformly to every member of this pass: a non-`Normal` level clamps
@@ -1212,42 +1224,25 @@ impl<'a> MediatorNetwork<'a> {
         budget: QueryBudget,
         pressure: PressureLevel,
     ) -> Result<NetworkAnswer, SourceError> {
-        // Scope every sleep in this pass (retry backoff, injected latency)
-        // to the network's own clock; fan-out workers inherit it via `par`.
-        let _clock = install_clock(self.clock.clone().or_else(qpiad_db::health::current_clock));
-        // Sequential pre-pass: tick the pass clock (half-opening cooled
-        // breakers), pin every member's knowledge generation, snapshot
-        // views, pick hedge partners, snapshot each member's drift state
-        // (an empty pass-local probe plus the sticky drifted flag —
-        // demotion decisions must not depend on which worker finishes
-        // first). The knowledge pin is the admission point of the epoch
-        // protocol: a refresh published after this line is invisible to
-        // this pass and fully visible to the next.
-        if let Some(h) = &self.health {
-            h.begin_pass();
-        }
-        let pk = self.pin_pass();
-        let views: Vec<BreakerView> = self
+        // Snapshot each member's drift state sequentially: an empty
+        // pass-local probe plus the sticky drifted flag — demotion
+        // decisions must not depend on which worker finishes first. Each
+        // worker takes its member's snapshot out of its slot. The snapshot
+        // precedes the knowledge pin: a refresh landing between the two
+        // then moves the knowledge version past the probe's stamp, and
+        // absorb drops the probe's statistic instead of pairing statistics
+        // this pass never saw with the reset detector.
+        let drift_states: Vec<Mutex<MemberDrift>> = self
             .members
             .iter()
-            .map(|m| match &self.health {
-                Some(h) => h.view(m.source.name()),
-                None => BreakerView::disabled(),
+            .map(|m| {
+                Mutex::new(MemberDrift {
+                    probe: self.drift.as_ref().and_then(|d| d.probe(m.source.name())),
+                    demoted: self.drift.as_ref().is_some_and(|d| d.is_drifted(m.source.name())),
+                })
             })
             .collect();
-        let hedges = if pressure.allows_hedging() {
-            self.hedge_partners(query, &views, &pk)
-        } else {
-            vec![None; self.members.len()]
-        };
-        let drift_states: Vec<MemberDrift> = self
-            .members
-            .iter()
-            .map(|m| MemberDrift {
-                probe: self.drift.as_ref().and_then(|d| d.probe(m.source.name())),
-                demoted: self.drift.as_ref().is_some_and(|d| d.is_drifted(m.source.name())),
-            })
-            .collect();
+        let pass = self.setup_pass(query, pressure, true);
 
         // The pass-local plan cache: the configured cache when one is
         // attached, an ephemeral one otherwise. Either way, a supporting
@@ -1261,33 +1256,10 @@ impl<'a> MediatorNetwork<'a> {
             None => Arc::new(PlanCache::new()),
         };
 
-        let n = self.members.len();
-        type MemberResult =
-            (Result<SourceAnswers, SourceError>, Vec<Observation>, Option<DriftProbe>);
-        let results: Vec<MemberResult> = if n > 1 && par::num_threads() > 1 {
-            par::parallel_map_indexed(n, |i| {
-                self.answer_member(
-                    i,
-                    query,
-                    views[i],
-                    hedges[i],
-                    budget,
-                    pressure,
-                    drift_states[i].clone(),
-                    &pass_cache,
-                    &pk,
-                )
-            })
-        } else {
-            (0..n)
-                .zip(drift_states)
-                .map(|(i, drift)| {
-                    self.answer_member(
-                        i, query, views[i], hedges[i], budget, pressure, drift, &pass_cache, &pk,
-                    )
-                })
-                .collect()
-        };
+        let results = par::parallel_map_indexed(self.members.len(), |i| {
+            let drift = std::mem::take(&mut *drift_states[i].lock());
+            self.answer_member(i, query, &pass, budget, drift, &pass_cache)
+        });
 
         // Sequential post-pass: absorb observation logs and drift probes
         // in registration order, then assemble contributions.
@@ -1328,17 +1300,11 @@ impl<'a> MediatorNetwork<'a> {
                         }
                     }
                     d.last_error = Some(e);
-                    SourceAnswers {
-                        source: member.source.name().to_string(),
-                        certain: Vec::new(),
-                        possible: Vec::new(),
-                        via_correlated: None,
-                        outcome: SourceOutcome::Degraded(d),
-                    }
+                    SourceAnswers::empty(member.source, SourceOutcome::Degraded(d))
                 }
                 Err(e) => {
                     member.source.note_degraded();
-                    SourceAnswers::failed(member.source, e)
+                    SourceAnswers::empty(member.source, SourceOutcome::Failed(e))
                 }
             });
         }
@@ -1348,14 +1314,14 @@ impl<'a> MediatorNetwork<'a> {
     /// Renders the network's full mediation plan for `query` — EXPLAIN —
     /// without issuing a single source query.
     ///
-    /// Mirrors one [`Self::answer`] pass: the same breaker snapshot (read
-    /// without ticking the pass clock, so explaining is side-effect-free),
-    /// the same hedge-partner selection, and per member either the direct
-    /// QPIAD plan (speculative: the base set is approximated from the
-    /// mined sample, and the plan cache is bypassed), a
-    /// certain-answers-only plan, or the plan a deficient member would be
-    /// served through its best correlated source. Breaker refusals show up
-    /// as per-entry skip reasons.
+    /// Mirrors one [`Self::answer`] pass: the same pass set-up (breaker
+    /// snapshot read without ticking the pass clock, so explaining is
+    /// side-effect-free; the same hedge partners) and the same per-member
+    /// route: the direct QPIAD plan (speculative: the base set is
+    /// approximated from the mined sample, and the plan cache is
+    /// bypassed), a certain-answers-only plan, the plan a deficient member
+    /// is served through its best correlated source, or an empty
+    /// contribution. Breaker refusals show up as per-entry skip reasons.
     pub fn explain(&self, query: &SelectQuery) -> String {
         self.explain_under(query, PressureLevel::Normal)
     }
@@ -1367,21 +1333,7 @@ impl<'a> MediatorNetwork<'a> {
     /// hedging — still issuing zero source queries.
     pub fn explain_under(&self, query: &SelectQuery, pressure: PressureLevel) -> String {
         use std::fmt::Write as _;
-        let _clock = install_clock(self.clock.clone().or_else(qpiad_db::health::current_clock));
-        let pk = self.pin_pass();
-        let views: Vec<BreakerView> = self
-            .members
-            .iter()
-            .map(|m| match &self.health {
-                Some(h) => h.view(m.source.name()),
-                None => BreakerView::disabled(),
-            })
-            .collect();
-        let hedges = if pressure.allows_hedging() {
-            self.hedge_partners(query, &views, &pk)
-        } else {
-            vec![None; self.members.len()]
-        };
+        let pass = self.setup_pass(query, pressure, false);
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -1400,38 +1352,37 @@ impl<'a> MediatorNetwork<'a> {
         }
         for i in 0..self.members.len() {
             let _ = writeln!(out);
-            out.push_str(&self.explain_member(i, query, views[i], hedges[i], pressure, &pk));
+            out.push_str(&self.explain_member(i, query, &pass));
         }
         out
     }
 
-    /// One member's section of [`Self::explain`].
-    fn explain_member(
-        &self,
-        index: usize,
-        query: &SelectQuery,
-        view: BreakerView,
-        hedge: Option<usize>,
-        pressure: PressureLevel,
-        pk: &PassKnowledge,
-    ) -> String {
+    /// One member's section of [`Self::explain`], along its [`Route`].
+    fn explain_member(&self, index: usize, query: &SelectQuery, pass: &PassSetup) -> String {
         use std::fmt::Write as _;
         let member = &self.members[index];
-        let knowledge = &pk.pins[index];
+        let knowledge = &pass.pk.pins[index];
         let name = member.source.name();
-        if Self::member_supports_all(member, query) {
-            let Ok(local) = member.binding.translate_query(query) else {
-                return format!(
-                    "plan for source `{name}` — query untranslatable to local schema\n"
+        let view = pass.views[index];
+        let mut ctx = QueryContext::unbounded()
+            .with_probe(BreakerProbe::new(view))
+            .with_pressure(pass.pressure);
+        let untranslatable =
+            || format!("plan for source `{name}` — query untranslatable to local schema\n");
+        match self.route(index, query, &pass.pk) {
+            Route::Direct(stats) => {
+                let Ok(local) = member.binding.translate_query(query) else {
+                    return untranslatable();
+                };
+                let mut plan = Qpiad::new(stats.clone(), self.config).plan_speculative(
+                    member.source,
+                    &local,
+                    &mut ctx,
                 );
-            };
-            if let Some(stats) = knowledge.stats.as_ref() {
-                let qpiad = self.member_qpiad(stats, pk.versions[index]);
-                let mut ctx = QueryContext::unbounded()
-                    .with_probe(BreakerProbe::new(view))
-                    .with_pressure(pressure);
-                let mut plan = qpiad.plan_speculative(member.source, &local, &mut ctx);
-                plan.hedge = hedge.map(|j| self.members[j].source.name().to_string());
+                // Name the cache key the pass plans under when the network
+                // shares a plan cache.
+                plan.knowledge_version = self.plan_cache.as_ref().map(|_| pass.pk.versions[index]);
+                plan.hedge = pass.hedges[index].map(|j| self.members[j].source.name().to_string());
                 let mut out = plan.render(member.source.schema());
                 if knowledge.stale {
                     let _ = writeln!(
@@ -1450,41 +1401,34 @@ impl<'a> MediatorNetwork<'a> {
                     }
                     let _ = writeln!(out);
                 }
-                return out;
+                out
             }
-            // No mined statistics: certain answers only — render the
-            // base-only plan with the same admission preview.
-            let mut base_plan =
-                MediationPlan::new(name, local, self.config.retry, AdmissionMode::PlanTime);
-            base_plan.cache = CacheStatus::Speculative;
-            base_plan.base_status = if view.state() == BreakerState::Open {
-                EntryStatus::Skipped(SkipReason::BreakerOpen)
-            } else {
-                EntryStatus::Admitted(self.config.retry)
-            };
-            let mut out = base_plan.render(member.source.schema());
-            let why = if knowledge.unavailable {
-                "knowledge unavailable"
-            } else {
-                "no mined statistics"
-            };
-            let _ = writeln!(out, "  note: certain answers only ({why}; nothing to rewrite with)");
-            return out;
-        }
-        // Deficient for this query: the plan lives on the correlated
-        // source's statistics; rewrites are issued to this member.
-        match self.correlated_for(index, query, pk) {
-            Some(j) => {
-                let correlated = &self.members[j];
-                let Some(stats) = pk.pins[j].stats.as_ref() else {
-                    return format!(
-                        "plan for source `{name}` — correlated member `{}` has no statistics\n",
-                        correlated.source.name()
-                    );
+            Route::CertainOnly => {
+                let Ok(local) = member.binding.translate_query(query) else {
+                    return untranslatable();
                 };
-                let mut ctx = QueryContext::unbounded()
-                    .with_probe(BreakerProbe::new(view))
-                    .with_pressure(pressure);
+                // Render the base-only plan with the same admission preview.
+                let mut base_plan =
+                    MediationPlan::new(name, local, self.config.retry, AdmissionMode::PlanTime);
+                base_plan.cache = CacheStatus::Speculative;
+                base_plan.base_status = if view.state() == BreakerState::Open {
+                    EntryStatus::Skipped(SkipReason::BreakerOpen)
+                } else {
+                    EntryStatus::Admitted(self.config.retry)
+                };
+                let mut out = base_plan.render(member.source.schema());
+                let why = if knowledge.unavailable {
+                    "knowledge unavailable"
+                } else {
+                    "no mined statistics"
+                };
+                let _ =
+                    writeln!(out, "  note: certain answers only ({why}; nothing to rewrite with)");
+                out
+            }
+            Route::Correlated(j, stats) => {
+                // The plan lives on the correlated source's statistics;
+                // rewrites are issued to this member.
                 let plan = plan_from_correlated_speculative(
                     stats,
                     name,
@@ -1497,12 +1441,12 @@ impl<'a> MediatorNetwork<'a> {
                 let mut out = format!(
                     "(member `{name}` cannot bind the query — plan built from correlated \
                      source `{}`'s statistics)\n",
-                    correlated.source.name()
+                    self.members[j].source.name()
                 );
                 out.push_str(&plan.render(&self.global));
                 out
             }
-            None => format!(
+            Route::Unreachable => format!(
                 "plan for source `{name}` — no usable correlated source; empty contribution\n"
             ),
         }
@@ -1541,7 +1485,7 @@ fn schemas_aligned(a: &Schema, b: &Schema) -> bool {
 
 /// A primary source doubled by a correlated fallback for one mediation
 /// pass (hedged queries). Every query is issued to *both* sources — in
-/// parallel when workers are available, sequentially otherwise, so meters
+/// parallel when workers are available, primary first otherwise, so meters
 /// accrue identically at any thread count — and the primary's response is
 /// preferred deterministically. Only when the primary *fails* (not a
 /// rejection) and the fallback serves does the fallback's response stand
@@ -1583,20 +1527,15 @@ impl AutonomousSource for HedgedSource<'_> {
             return self.primary.query(q);
         }
         let lost = || SourceError::Internal { message: "hedge fan-out lost a result".into() };
-        let (primary, fallback) = if par::num_threads() > 1 {
-            let mut results = par::parallel_map_indexed(2, |i| {
-                if i == 0 {
-                    self.primary.query(q)
-                } else {
-                    self.fallback.query(q)
-                }
-            });
-            let fallback = results.pop().unwrap_or_else(|| Err(lost()));
-            let primary = results.pop().unwrap_or_else(|| Err(lost()));
-            (primary, fallback)
-        } else {
-            (self.primary.query(q), self.fallback.query(q))
-        };
+        let mut results = par::parallel_map_indexed(2, |i| {
+            if i == 0 {
+                self.primary.query(q)
+            } else {
+                self.fallback.query(q)
+            }
+        });
+        let fallback = results.pop().unwrap_or_else(|| Err(lost()));
+        let primary = results.pop().unwrap_or_else(|| Err(lost()));
         match primary {
             Ok(tuples) => Ok(tuples),
             Err(e) if e.is_failure() => match fallback {

@@ -54,7 +54,7 @@ use parking_lot::Mutex;
 use qpiad_db::fault::{query_fingerprint, RetryPolicy};
 use qpiad_db::health::PressureLevel;
 use qpiad_db::validate::query_validated;
-use qpiad_db::{par, AutonomousSource, Schema, SelectQuery, SourceError, Tuple};
+use qpiad_db::{par, AutonomousSource, Schema, SelectQuery, SourceError, Tuple, ValidationReport};
 use qpiad_learn::knowledge::SourceStats;
 
 use crate::mediator::{Degradation, QueryContext};
@@ -429,7 +429,7 @@ pub fn execute_base(
 }
 
 /// Probe and quarantine bookkeeping for one validated response.
-fn settle(ctx: &mut QueryContext, degraded: &mut Degradation, report: &qpiad_db::ValidationReport) {
+fn settle(ctx: &mut QueryContext, degraded: &mut Degradation, report: &ValidationReport) {
     if report.is_clean() {
         ctx.probe.record_success();
     } else {
@@ -442,15 +442,17 @@ fn settle(ctx: &mut QueryContext, degraded: &mut Degradation, report: &qpiad_db:
 /// against `source` and hands each validated result to `absorb` in rank
 /// order.
 ///
-/// Against a budget-free source, a fully plan-time-admitted plan fans its
-/// retrievals out over the [`par`] worker pool — the *only* place in the
-/// codebase that does — and then absorbs sequentially in rank order, which
-/// makes the answer byte-identical to a single-threaded run. Budgeted
-/// sources, and plans with [`EntryStatus::Deferred`] entries (interleaved
-/// admission), always run strictly sequentially, because which queries are
-/// admitted depends on issue order.
+/// Against a budget-free source, a fully plan-time-admitted plan
+/// prefetches its retrievals over the [`par`] worker pool — the *only*
+/// place in the codebase that does — and then feeds them through the same
+/// sequential absorb loop in rank order, which makes the answer
+/// byte-identical to a single-threaded run. Budgeted sources, and plans
+/// with [`EntryStatus::Deferred`] entries (interleaved admission), issue
+/// each query inside that loop, because which queries are admitted
+/// depends on issue order; so does a one-worker pool, where queries and
+/// absorbs interleave.
 ///
-/// Error discipline, identical in both branches:
+/// Error discipline, in the one absorb loop:
 ///
 /// * a clean response records a probe success; a quarantined one counts
 ///   its dropped tuples and records a probe failure (repeated drift
@@ -498,36 +500,19 @@ pub fn execute<F>(
         && admitted.len() > 1
         && par::num_threads() > 1;
 
+    // Fan the admitted retrievals out (each worker retries its own query
+    // under its clamped policy); the loop below absorbs them in rank
+    // order. Probe outcomes are recorded there, so the observation log is
+    // identical to a sequential run.
+    let mut prefetched: Vec<Option<Result<ValidationReport, SourceError>>> = Vec::new();
     if concurrent {
-        // Fan the admitted retrievals out (each worker retries its own
-        // query under its clamped policy), then merge in rank order. Probe
-        // outcomes are recorded in the merge phase, so the observation log
-        // is identical to a sequential run.
+        prefetched.resize_with(plan.entries.len(), || None);
         let results = par::parallel_map(&admitted, |(_, entry, policy)| {
             query_validated(source, &entry.issue, policy)
         });
-        for (pos, result) in results.into_iter().enumerate() {
-            let (rank, entry, _) = admitted[pos];
-            match result {
-                Ok(report) => {
-                    settle(ctx, degraded, &report);
-                    absorb(rank, entry, report.kept, ctx);
-                }
-                Err(e @ SourceError::QueryLimitExceeded { .. }) => {
-                    for (_, tail, _) in &admitted[pos..] {
-                        degraded.record(tail.fmeasure, e.clone());
-                    }
-                    break;
-                }
-                Err(e) => {
-                    if e.is_failure() {
-                        ctx.probe.record_failure();
-                    }
-                    degraded.record(entry.fmeasure, e);
-                }
-            }
+        for ((rank, ..), result) in admitted.iter().zip(results) {
+            prefetched[*rank] = Some(result);
         }
-        return;
     }
 
     // Interleaved admission honors the same overload clamp as plan-time
@@ -566,7 +551,11 @@ pub fn execute<F>(
                 }
             }
         };
-        match query_validated(source, &entry.issue, &policy) {
+        let result = match prefetched.get_mut(rank).and_then(Option::take) {
+            Some(result) => result,
+            None => query_validated(source, &entry.issue, &policy),
+        };
+        match result {
             Ok(report) => {
                 settle(ctx, degraded, &report);
                 absorb(rank, entry, report.kept, ctx);

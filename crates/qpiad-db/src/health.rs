@@ -19,10 +19,10 @@
 //!   pass, decremented through the rewrite loop and clamped onto each
 //!   query's [`RetryPolicy`] so backoff never
 //!   overshoots the caller's deadline.
-//! * [`sleep`] / [`set_logical_time`] — an injectable **logical clock**.
-//!   Backoff and injected latency sleep through [`sleep`]; with logical
-//!   time enabled (tests, benches) the sleep advances a counter instead of
-//!   blocking a worker thread.
+//! * [`sleep`] / [`MediationClock`] — an injectable **logical clock**.
+//!   Backoff and injected latency sleep through [`sleep`]; on an installed
+//!   logical clock (tests, benches) the sleep advances that clock's
+//!   counter instead of blocking a worker thread.
 //!
 //! # Determinism
 //!
@@ -46,7 +46,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,10 +63,10 @@ use crate::fault::RetryPolicy;
 ///
 /// A `MediationClock` is either a **wall** clock (sleeps really block) or a
 /// **logical** clock (sleeps bump a per-clock counter instead of blocking a
-/// worker thread). Unlike the legacy [`set_logical_time`] shim, the state
-/// lives in the clock *instance*: each [`MediatorNetwork`] (or server, or
-/// test) owns its own `Arc<MediationClock>`, so one caller's pass
-/// advancement can never warp another's backoff schedule.
+/// worker thread). The state lives in the clock *instance*: each
+/// [`MediatorNetwork`] (or server, or test) owns its own
+/// `Arc<MediationClock>`, so one caller's pass advancement can never warp
+/// another's backoff schedule.
 ///
 /// The clock reaches the sleep sites through a thread-local slot: callers
 /// [`install_clock`] it for the duration of a pass (an RAII guard restores
@@ -134,8 +134,7 @@ impl Drop for ClockGuard {
 }
 
 /// Installs `clock` as the calling thread's mediation clock until the
-/// returned guard drops. `None` uninstalls, falling back to the process
-/// globals ([`set_logical_time`]).
+/// returned guard drops. `None` uninstalls, falling back to wall time.
 pub fn install_clock(clock: Option<Arc<MediationClock>>) -> ClockGuard {
     let previous = CURRENT_CLOCK.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), clock));
     ClockGuard { previous }
@@ -147,57 +146,29 @@ pub fn current_clock() -> Option<Arc<MediationClock>> {
     CURRENT_CLOCK.with(|slot| slot.borrow().clone())
 }
 
-static LOGICAL_TIME: AtomicBool = AtomicBool::new(false);
-static LOGICAL_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Switches the **process-wide fallback** clock between wall time (default)
-/// and logical time. Enabling resets the logical counter.
-///
-/// This is a test shim: it only governs threads with no installed
-/// [`MediationClock`] (see [`install_clock`]). Serving paths scope their
-/// clock per network and never consult these globals.
-pub fn set_logical_time(enabled: bool) {
-    if enabled {
-        LOGICAL_NANOS.store(0, Ordering::SeqCst);
-    }
-    LOGICAL_TIME.store(enabled, Ordering::SeqCst);
-}
-
-/// `true` iff sleeps on the calling thread are currently logical (installed
-/// clock first, process-wide fallback otherwise).
+/// `true` iff sleeps on the calling thread are logical: its installed
+/// clock is logical (a thread with no installed clock sleeps on wall time).
 pub fn logical_time_enabled() -> bool {
-    if let Some(clock) = current_clock() {
-        return clock.is_logical();
-    }
-    LOGICAL_TIME.load(Ordering::SeqCst)
+    current_clock().is_some_and(|clock| clock.is_logical())
 }
 
-/// Nanoseconds accumulated by logical sleeps on the calling thread's clock
-/// (installed clock first, process-wide fallback otherwise).
+/// Nanoseconds accumulated by logical sleeps on the calling thread's
+/// installed clock (0 with no installed clock).
 pub fn logical_nanos() -> u64 {
-    if let Some(clock) = current_clock() {
-        return clock.nanos();
-    }
-    LOGICAL_NANOS.load(Ordering::SeqCst)
+    current_clock().map_or(0, |clock| clock.nanos())
 }
 
-/// Sleeps for `d` on the active clock: the thread's installed
-/// [`MediationClock`] if any, else the process-wide fallback — a real
-/// [`std::thread::sleep`] under wall time, a counter bump under logical
-/// time. Every sleep in the mediation path (retry backoff, injected
-/// latency) goes through here.
+/// Sleeps for `d` on the calling thread's installed [`MediationClock`] — a
+/// counter bump on a logical clock, a real [`std::thread::sleep`] on a
+/// wall clock or with no clock installed. Every sleep in the mediation
+/// path (retry backoff, injected latency) goes through here.
 pub fn sleep(d: Duration) {
     if d.is_zero() {
         return;
     }
-    if let Some(clock) = current_clock() {
-        clock.sleep(d);
-        return;
-    }
-    if LOGICAL_TIME.load(Ordering::SeqCst) {
-        LOGICAL_NANOS.fetch_add(d.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::SeqCst);
-    } else {
-        std::thread::sleep(d);
+    match current_clock() {
+        Some(clock) => clock.sleep(d),
+        None => std::thread::sleep(d),
     }
 }
 
@@ -896,16 +867,15 @@ mod tests {
 
     #[test]
     fn logical_sleep_advances_the_counter_without_blocking() {
-        set_logical_time(true);
+        let clock = MediationClock::logical();
+        let _guard = install_clock(Some(clock.clone()));
         let before = std::time::Instant::now();
         sleep(Duration::from_millis(250));
         sleep(Duration::from_millis(250));
         let elapsed = before.elapsed();
-        let advanced = logical_nanos();
-        set_logical_time(false);
-        // >= rather than ==: the clock is process-global, so a concurrently
-        // running test's sleep may also land on the counter.
-        assert!(advanced >= 500_000_000, "counter must cover both sleeps, got {advanced}");
+        // The counter is the clock's own, so it saw exactly these sleeps.
+        assert_eq!(clock.nanos(), 500_000_000, "counter must cover both sleeps");
+        assert_eq!(logical_nanos(), 500_000_000);
         assert!(elapsed < Duration::from_millis(200), "logical sleep must not block");
     }
 

@@ -63,10 +63,6 @@ pub struct ServeConfig {
     /// Most batch-class mediation passes allowed to execute at once;
     /// further batch leaders queue. Interactive passes are never gated.
     pub batch_concurrency: usize,
-    /// Whether concurrent identical requests are coalesced onto one pass
-    /// (default: yes). Disabling is only useful for measuring what
-    /// coalescing saves.
-    pub coalesce: bool,
     /// Most batch-class requests allowed in flight at once (executing
     /// *or* queued on the batch gate); further batch work is refused with
     /// [`ServeError::Shed`] before any source fan-out. Default
@@ -110,7 +106,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             batch_concurrency: 2,
-            coalesce: true,
             batch_queue_limit: usize::MAX,
             pressure_capacity: 0,
             deadline: None,
@@ -126,12 +121,6 @@ impl ServeConfig {
     /// Overrides the batch concurrency cap (at least 1).
     pub fn with_batch_concurrency(mut self, n: usize) -> Self {
         self.batch_concurrency = n.max(1);
-        self
-    }
-
-    /// Enables or disables request coalescing.
-    pub fn with_coalesce(mut self, enabled: bool) -> Self {
-        self.coalesce = enabled;
         self
     }
 
@@ -596,27 +585,22 @@ impl<'a> QpiadServer<'a> {
             return Err(ServeError::DeadlineRefused);
         }
 
-        let result = if self.config.coalesce {
-            let key = FlightKey {
-                query: query.clone(),
-                epoch: self.network.knowledge_epoch(),
-                budget: budget.into(),
-                pressure,
-            };
-            match self.flights.join(
-                &key,
-                || MetricCells::bump(&self.metrics.coalesce_waiters),
-                || MetricCells::lower_gauge(&self.metrics.coalesce_waiters),
-            ) {
-                Role::Follower(result) => {
-                    MetricCells::bump(&self.metrics.coalesced);
-                    result
-                }
-                Role::Leader(flight) => self.lead(&key, &flight, &spec, query, budget, pressure),
+        let key = FlightKey {
+            query: query.clone(),
+            epoch: self.network.knowledge_epoch(),
+            budget: budget.into(),
+            pressure,
+        };
+        let result = match self.flights.join(
+            &key,
+            || MetricCells::bump(&self.metrics.coalesce_waiters),
+            || MetricCells::lower_gauge(&self.metrics.coalesce_waiters),
+        ) {
+            Role::Follower(result) => {
+                MetricCells::bump(&self.metrics.coalesced);
+                result
             }
-        } else {
-            MetricCells::bump(&self.metrics.leaders);
-            self.execute(&spec, query, budget, pressure)
+            Role::Leader(flight) => self.lead(&key, &flight, &spec, query, budget, pressure),
         };
 
         match result {
@@ -669,9 +653,10 @@ impl<'a> QpiadServer<'a> {
         self.flights.inflight_len()
     }
 
-    /// Runs the pass as the group's leader and publishes to every
-    /// follower; a panic along the way publishes an
-    /// [`SourceError::Internal`] instead of wedging them.
+    /// Runs one scheduled, budgeted mediation pass at the given ladder
+    /// rung as the group's leader and publishes it to every follower; a
+    /// panic along the way publishes an [`SourceError::Internal`] instead
+    /// of wedging them.
     fn lead(
         &self,
         key: &FlightKey,
@@ -683,19 +668,7 @@ impl<'a> QpiadServer<'a> {
     ) -> SharedAnswer {
         MetricCells::bump(&self.metrics.leaders);
         let mut publish = LeaderPublish { flights: &self.flights, key, flight, published: false };
-        let result = self.execute(spec, query, budget, pressure);
-        publish.publish(result)
-    }
-
-    /// One scheduled, budgeted mediation pass at the given ladder rung.
-    fn execute(
-        &self,
-        spec: &Tenant,
-        query: &SelectQuery,
-        budget: QueryBudget,
-        pressure: PressureLevel,
-    ) -> SharedAnswer {
-        let _permit = (spec.class() == TenantClass::Batch).then(|| {
+        let permit = (spec.class() == TenantClass::Batch).then(|| {
             self.batch_gate.acquire(self.config.batch_concurrency);
             MetricCells::raise_gauge(
                 &self.metrics.batch_in_flight,
@@ -703,7 +676,9 @@ impl<'a> QpiadServer<'a> {
             );
             BatchPermit { gate: &self.batch_gate, metrics: &self.metrics }
         });
-        self.network.answer_under(query, budget, pressure).map(Arc::new)
+        let result = self.network.answer_under(query, budget, pressure).map(Arc::new);
+        drop(permit);
+        publish.publish(result)
     }
 
     /// Admission-time validation: every constrained attribute must exist

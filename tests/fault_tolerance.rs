@@ -696,7 +696,11 @@ fn query_budget_truncates_the_plan_and_degrades_gracefully() {
         // Four single-attempt admissions: the base query plus the top three
         // rewrites; everything below the cut is budget-skipped.
         let capped = network
-            .answer_budgeted(&query, QueryBudget::unlimited().with_max_attempts(4))
+            .answer_under(
+                &query,
+                QueryBudget::unlimited().with_max_attempts(4),
+                health::PressureLevel::Normal,
+            )
             .expect("mediation never aborts");
         let part = &capped.per_source[0];
         let SourceOutcome::Degraded(d) = &part.outcome else {
@@ -794,22 +798,15 @@ fn snapshot_statistics_serve_when_mining_is_blocked() {
     assert_eq!(network.len(), 1);
 }
 
-/// Retry backoff and injected latency ride the logical clock when it is
-/// enabled: a plan whose cumulative backoff would block for many wall-clock
-/// seconds completes almost instantly, with the wait accounted on the
-/// logical counter instead.
+/// Retry backoff and injected latency ride an installed logical clock: a
+/// plan whose cumulative backoff would block for many wall-clock seconds
+/// completes almost instantly, with the wait accounted on the clock's
+/// counter instead.
 #[test]
 fn retry_backoff_rides_the_logical_clock() {
     let _pin = PinnedPool::acquire();
-    /// Re-arms real time even if an assertion fails.
-    struct WallClock;
-    impl Drop for WallClock {
-        fn drop(&mut self) {
-            health::set_logical_time(false);
-        }
-    }
-    let _wall = WallClock;
-    health::set_logical_time(true);
+    let clock = health::MediationClock::logical();
+    let _clock = health::install_clock(Some(clock.clone()));
 
     let f = fixture();
     let body = f.cars_ed.schema().expect_attr("body_style");
@@ -826,7 +823,7 @@ fn retry_backoff_rides_the_logical_clock() {
     let started = Instant::now();
     let (answer, meters) = run_network(&f, &query, retry, [flaky; 3]);
     let wall = started.elapsed();
-    let logical = Duration::from_nanos(health::logical_nanos());
+    let logical = Duration::from_nanos(clock.nanos());
 
     assert!(answer.fully_healthy(), "retries must absorb the flakiness");
     assert!(meters.iter().all(|m| m.retries > 0));

@@ -16,11 +16,14 @@
 //! 4. **EXPLAIN is free** — rendering the network's plan issues zero
 //!    source queries while still enumerating every admitted and skipped
 //!    rewrite.
+//! 5. **EXPLAIN names the route the pass takes** — direct, certain-only,
+//!    through a correlated member, or unreachable, per member, at any
+//!    thread count.
 
 use std::sync::Arc;
 
-use qpiad::core::network::MediatorNetwork;
-use qpiad::core::{AnswerSet, PlanCache, Qpiad, QpiadConfig};
+use qpiad::core::network::{MediatorNetwork, NetworkAnswer, SourceOutcome};
+use qpiad::core::{par, AnswerSet, PlanCache, Qpiad, QpiadConfig};
 use qpiad::data::cars::CarsConfig;
 use qpiad::data::corrupt::{corrupt, CorruptionConfig};
 use qpiad::data::sample::uniform_sample;
@@ -29,6 +32,7 @@ use qpiad::db::{
 };
 use qpiad::learn::drift::{DriftConfig, DriftRegistry};
 use qpiad::learn::knowledge::{MiningConfig, SourceStats};
+use qpiad::learn::store::KnowledgeStore;
 
 fn fixture() -> (Relation, SourceStats) {
     let ground = CarsConfig::default().with_rows(5_000).generate(91);
@@ -190,4 +194,105 @@ fn explain_issues_zero_source_queries() {
     assert_eq!(cars_meter.failures, 0);
     assert_eq!(yahoo_meter.queries, 0);
     assert_eq!(yahoo_meter.failures, 0);
+}
+
+/// How a member was served for one query.
+#[derive(Debug, Clone, PartialEq)]
+enum Route {
+    Direct,
+    CertainOnly,
+    Correlated(String),
+    Unreachable,
+}
+
+/// The route each member's EXPLAIN section names, in registration order.
+fn explained_routes(text: &str, members: usize) -> Vec<Route> {
+    let sections: Vec<&str> = text.split("\n\n").skip(1).collect();
+    assert_eq!(sections.len(), members, "one section per member:\n{text}");
+    sections
+        .into_iter()
+        .map(|section| {
+            if let Some(rest) = section.split("plan built from correlated source `").nth(1) {
+                Route::Correlated(rest.split('`').next().unwrap_or_default().to_string())
+            } else if section.contains("no usable correlated source") {
+                Route::Unreachable
+            } else if section.contains("note: certain answers only") {
+                Route::CertainOnly
+            } else {
+                assert!(section.contains("rewrites (rank order):"), "{section}");
+                Route::Direct
+            }
+        })
+        .collect()
+}
+
+/// The route each member's contribution to `answer` shows.
+fn answered_routes(answer: &NetworkAnswer) -> Vec<Route> {
+    answer
+        .per_source
+        .iter()
+        .map(|part| match &part.via_correlated {
+            Some(name) => {
+                assert!(part.certain.is_empty(), "a correlated member has no certain answers");
+                Route::Correlated(name.clone())
+            }
+            None if !part.possible.is_empty() => Route::Direct,
+            None if !part.certain.is_empty() => Route::CertainOnly,
+            None => Route::Unreachable,
+        })
+        .collect()
+}
+
+#[test]
+fn explain_names_the_route_the_pass_takes() {
+    let (ed, stats) = fixture();
+    let global = ed.schema().clone();
+    let keep: Vec<_> = global
+        .attr_ids()
+        .filter(|a| global.attr(*a).name() != "body_style")
+        .collect();
+    let yahoo_local =
+        CarsConfig::default().with_rows(5_000).generate(92).project_to("yahoo_autos", &keep);
+    let direct_rows = CarsConfig::default().with_rows(5_000).generate(93);
+    let store = {
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("target/test-plan-cache/explain-routes");
+        let _ = std::fs::remove_dir_all(&dir);
+        KnowledgeStore::open(dir).unwrap()
+    };
+    std::fs::write(store.path_for("carsdirect"), "not a snapshot at all").unwrap();
+    let body = global.expect_attr("body_style");
+    let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
+    let via_cars = Route::Correlated("cars.com".to_string());
+
+    for threads in [1, 8] {
+        par::set_thread_override(Some(threads));
+        let cars = WebSource::new("cars.com", ed.clone());
+        let yahoo = WebSource::new("yahoo_autos", yahoo_local.clone());
+        let direct = WebSource::new("carsdirect", direct_rows.clone());
+
+        // Supporting, deficient through `cars.com`, and store-failed.
+        let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
+            .add_supporting(&cars, stats.clone())
+            .add_deficient(&yahoo)
+            .add_supporting_from_store(&direct, &store);
+        let explained = explained_routes(&network.explain(&q), 3);
+        let answer = network.answer(&q).unwrap();
+        assert_eq!(explained, answered_routes(&answer), "at {threads} thread(s)");
+        assert_eq!(explained, [Route::Direct, via_cars.clone(), Route::CertainOnly]);
+        let SourceOutcome::Degraded(d) = &answer.per_source[2].outcome else {
+            panic!("a store-failed member serves degraded: {:?}", answer.per_source[2].outcome);
+        };
+        assert_eq!(d.knowledge_unavailable, 1);
+
+        // No member with statistics: the deficient one has no correlate.
+        let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
+            .add_deficient(&yahoo)
+            .add_supporting_from_store(&direct, &store);
+        let explained = explained_routes(&network.explain(&q), 2);
+        let answer = network.answer(&q).unwrap();
+        assert_eq!(explained, answered_routes(&answer), "at {threads} thread(s)");
+        assert_eq!(explained, [Route::Unreachable, Route::CertainOnly]);
+    }
+    par::set_thread_override(None);
 }
