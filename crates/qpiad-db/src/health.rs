@@ -146,18 +146,6 @@ pub fn current_clock() -> Option<Arc<MediationClock>> {
     CURRENT_CLOCK.with(|slot| slot.borrow().clone())
 }
 
-/// `true` iff sleeps on the calling thread are logical: its installed
-/// clock is logical (a thread with no installed clock sleeps on wall time).
-pub fn logical_time_enabled() -> bool {
-    current_clock().is_some_and(|clock| clock.is_logical())
-}
-
-/// Nanoseconds accumulated by logical sleeps on the calling thread's
-/// installed clock (0 with no installed clock).
-pub fn logical_nanos() -> u64 {
-    current_clock().map_or(0, |clock| clock.nanos())
-}
-
 /// Sleeps for `d` on the calling thread's installed [`MediationClock`] — a
 /// counter bump on a logical clock, a real [`std::thread::sleep`] on a
 /// wall clock or with no clock installed. Every sleep in the mediation
@@ -875,7 +863,7 @@ mod tests {
         let elapsed = before.elapsed();
         // The counter is the clock's own, so it saw exactly these sleeps.
         assert_eq!(clock.nanos(), 500_000_000, "counter must cover both sleeps");
-        assert_eq!(logical_nanos(), 500_000_000);
+        assert_eq!(current_clock().map(|c| c.nanos()), Some(500_000_000));
         assert!(elapsed < Duration::from_millis(200), "logical sleep must not block");
     }
 
@@ -886,8 +874,8 @@ mod tests {
         {
             let _guard = install_clock(Some(mine.clone()));
             sleep(Duration::from_millis(10));
-            assert!(logical_time_enabled());
-            assert_eq!(logical_nanos(), 10_000_000);
+            assert!(current_clock().is_some_and(|c| c.is_logical()));
+            assert_eq!(current_clock().map(|c| c.nanos()), Some(10_000_000));
         }
         {
             let _guard = install_clock(Some(theirs.clone()));

@@ -45,15 +45,18 @@
 //! their probe in isolation, and the network absorbs probes in
 //! registration order after the pass. The counts are integers and
 //! addition is commutative, so the statistic — and the pass on which a
-//! verdict fires — is byte-identical at any `QPIAD_THREADS`.
+//! verdict fires — is byte-identical at any `QPIAD_THREADS`. Both sides
+//! count into the crate's `counts` tables, the module the incremental
+//! fold ([`crate::stream`]) counts with too.
 
 use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
 use qpiad_db::version::KnowledgeVersionClock;
-use qpiad_db::{AttrId, Tuple, Value};
+use qpiad_db::{AttrId, Tuple};
 
+use crate::counts::{GroupCounts, ValueCounts};
 use crate::knowledge::SourceStats;
 use crate::stream::{SampleStream, StreamStats};
 
@@ -131,103 +134,68 @@ pub struct DriftVerdict {
     pub observed: u64,
 }
 
-/// What the probe tracks per attribute, extracted from mined stats: the
-/// schema arity and each attribute's best-AFD determining set.
-#[derive(Debug, Clone)]
-struct TrackedShape {
-    arity: usize,
-    /// Determining set per attribute, for attributes with a best AFD.
-    tracked: Vec<Option<Vec<AttrId>>>,
-}
-
-impl TrackedShape {
-    fn from_stats(stats: &SourceStats) -> Self {
-        let sample = stats.selectivity().sample();
-        let arity = sample.schema().arity();
-        let tracked = sample
-            .schema()
-            .attr_ids()
-            .map(|a| stats.afds().best(a).map(|afd| afd.lhs.clone()))
-            .collect();
-        TrackedShape { arity, tracked }
-    }
+/// What a probe tracks, extracted from mined stats: one entry per schema
+/// attribute, holding its best-AFD determining set if it has one.
+fn tracked_sets(stats: &SourceStats) -> Vec<Option<Vec<AttrId>>> {
+    let schema = stats.selectivity().sample().schema();
+    schema.attr_ids().map(|a| stats.afds().best(a).map(|afd| afd.lhs.clone())).collect()
 }
 
 /// One side of the paired comparison: per-attribute value counts plus
-/// AFD evidence (determining-set valuation → rhs value counts).
+/// AFD evidence (each tracked attribute's non-null values counted per
+/// determining-set group).
 #[derive(Debug, Clone, Default)]
 struct SideCounts {
-    attr_counts: Vec<BTreeMap<Value, u64>>,
-    afd_counts: Vec<BTreeMap<Vec<Value>, BTreeMap<Value, u64>>>,
+    values: Vec<ValueCounts>,
+    afds: Vec<GroupCounts>,
     rows: u64,
 }
 
 impl SideCounts {
     fn shaped(arity: usize) -> Self {
         SideCounts {
-            attr_counts: vec![BTreeMap::new(); arity],
-            afd_counts: vec![BTreeMap::new(); arity],
+            values: vec![ValueCounts::default(); arity],
+            afds: vec![GroupCounts::default(); arity],
             rows: 0,
         }
     }
 
-    fn accumulate(&mut self, tracked: &[Option<Vec<AttrId>>], tuples: &[Tuple]) {
-        let arity = self.attr_counts.len();
-        for t in tuples {
-            if t.arity() != arity {
-                continue;
-            }
+    fn add_rows(&mut self, tracked: &[Option<Vec<AttrId>>], tuples: &[Tuple]) {
+        let arity = self.values.len();
+        for t in tuples.iter().filter(|t| t.arity() == arity) {
             self.rows += 1;
-            for (i, v) in t.values().iter().enumerate() {
-                if !v.is_null() {
-                    *self.attr_counts[i].entry(v.clone()).or_insert(0u64) += 1;
-                }
+            for (counts, v) in self.values.iter_mut().zip(t.values()) {
+                counts.add(v);
             }
-            for (i, lhs) in tracked.iter().enumerate() {
+            for ((groups, lhs), rhs) in self.afds.iter_mut().zip(tracked).zip(t.values()) {
                 let Some(lhs) = lhs else { continue };
-                let rhs = &t.values()[i];
-                if rhs.is_null() || lhs.iter().any(|a| t.values()[a.index()].is_null()) {
-                    continue;
-                }
-                let key: Vec<Value> = lhs.iter().map(|a| t.values()[a.index()].clone()).collect();
-                *self
-                    .afd_counts[i]
-                    .entry(key)
-                    .or_default()
-                    .entry(rhs.clone())
-                    .or_insert(0u64) += 1;
-            }
-        }
-    }
-
-    fn merge_into(self, dst: &mut SideCounts) {
-        dst.rows += self.rows;
-        for (dst, src) in dst.attr_counts.iter_mut().zip(self.attr_counts) {
-            for (v, n) in src {
-                *dst.entry(v).or_insert(0) += n;
-            }
-        }
-        for (dst, src) in dst.afd_counts.iter_mut().zip(self.afd_counts) {
-            for (key, counts) in src {
-                let slot = dst.entry(key).or_default();
-                for (v, n) in counts {
-                    *slot.entry(v).or_insert(0) += n;
+                if !rhs.is_null() {
+                    groups.add(lhs, t, rhs);
                 }
             }
         }
     }
 
-    /// Support-weighted confidence of attribute `i`'s tracked determining
-    /// set over this side's counts, or `None` without evidence.
-    fn afd_confidence(&self, i: usize) -> Option<f64> {
-        let groups = &self.afd_counts[i];
-        let total: u64 = groups.values().flat_map(|m| m.values()).sum();
-        if total == 0 {
-            return None;
+    fn merge(&mut self, src: SideCounts) {
+        self.rows += src.rows;
+        for (dst, src) in self.values.iter_mut().zip(src.values) {
+            dst.merge(src);
         }
-        let agree: u64 = groups.values().map(|m| m.values().copied().max().unwrap_or(0)).sum();
-        Some(agree as f64 / total as f64)
+        for (dst, src) in self.afds.iter_mut().zip(src.afds) {
+            dst.merge(src);
+        }
     }
+}
+
+/// Support-weighted confidence of a tracked determining set over one
+/// side's AFD evidence, or `None` without evidence.
+fn afd_confidence(groups: &GroupCounts) -> Option<f64> {
+    let total: u64 = groups.groups().map(ValueCounts::non_null).sum();
+    if total == 0 {
+        return None;
+    }
+    let agree: u64 = groups.groups().map(ValueCounts::majority).sum();
+    Some(agree as f64 / total as f64)
 }
 
 /// A pass-local accumulator of **paired** observations: validated live
@@ -238,7 +206,7 @@ impl SideCounts {
 pub struct DriftProbe {
     live: SideCounts,
     reference: SideCounts,
-    /// Determining set per attribute (copied from the detector so the
+    /// Determining set per attribute (see [`tracked_sets`]; copied so the
     /// probe can accumulate without holding a detector borrow).
     tracked: Vec<Option<Vec<AttrId>>>,
     /// The source's knowledge version when this probe was snapshotted.
@@ -256,14 +224,14 @@ pub struct DriftProbe {
 }
 
 impl DriftProbe {
-    fn shaped(shape: &TrackedShape) -> Self {
+    fn shaped(tracked: Vec<Option<Vec<AttrId>>>, row_capacity: usize) -> Self {
         DriftProbe {
-            live: SideCounts::shaped(shape.arity),
-            reference: SideCounts::shaped(shape.arity),
-            tracked: shape.tracked.clone(),
+            live: SideCounts::shaped(tracked.len()),
+            reference: SideCounts::shaped(tracked.len()),
+            tracked,
             version: 0,
             live_rows: Vec::new(),
-            row_capacity: 0,
+            row_capacity,
         }
     }
 
@@ -283,10 +251,9 @@ impl DriftProbe {
     /// Tuples whose arity disagrees with the mined schema are skipped
     /// (validation already quarantines them; this is belt and braces).
     pub fn observe(&mut self, reference: &[Tuple], live: &[Tuple]) {
-        let tracked = std::mem::take(&mut self.tracked);
-        self.reference.accumulate(&tracked, reference);
-        self.live.accumulate(&tracked, live);
-        let arity = self.live.attr_counts.len();
+        self.reference.add_rows(&self.tracked, reference);
+        self.live.add_rows(&self.tracked, live);
+        let arity = self.live.values.len();
         for t in live {
             if self.live_rows.len() >= self.row_capacity {
                 break;
@@ -295,12 +262,11 @@ impl DriftProbe {
                 self.live_rows.push(t.clone());
             }
         }
-        self.tracked = tracked;
     }
 
     fn merge_into(mut self, dst: &mut DriftProbe) {
-        self.live.merge_into(&mut dst.live);
-        self.reference.merge_into(&mut dst.reference);
+        dst.live.merge(self.live);
+        dst.reference.merge(self.reference);
         let room = dst.row_capacity.saturating_sub(dst.live_rows.len());
         dst.live_rows.extend(self.live_rows.drain(..).take(room));
     }
@@ -329,33 +295,33 @@ pub struct DriftStatistic {
 /// probability stays tiny under L∞. The drift mode that actually poisons
 /// rewrites — a category collapsing or newly dominating — moves one
 /// value's probability by a large amount and is caught.
-fn value_shift(reference: &BTreeMap<Value, u64>, live: &BTreeMap<Value, u64>) -> f64 {
-    let ref_total: u64 = reference.values().sum();
-    let live_total: u64 = live.values().sum();
+fn value_shift(reference: &ValueCounts, live: &ValueCounts) -> f64 {
+    let ref_total = reference.non_null();
+    let live_total = live.non_null();
     if ref_total == 0 || live_total == 0 {
         return 0.0;
     }
     let mut worst = 0.0f64;
-    for (v, &rn) in reference {
+    for (v, rn) in reference.iter() {
         let rp = rn as f64 / ref_total as f64;
-        let lp = live.get(v).map_or(0.0, |&n| n as f64 / live_total as f64);
+        let lp = live.get(v) as f64 / live_total as f64;
         worst = worst.max((rp - lp).abs());
     }
-    for (v, &ln) in live {
-        if !reference.contains_key(v) {
+    for (v, ln) in live.iter() {
+        if reference.get(v) == 0 {
             worst = worst.max(ln as f64 / live_total as f64);
         }
     }
     worst
 }
 
-/// Drift state for one source: the tracked shape (from mined stats), the
-/// absorbed paired counts, and, once crossed, the sticky verdict.
+/// Drift state for one source: the absorbed paired counts (shaped by the
+/// mined stats) and, once crossed, the sticky verdict.
 #[derive(Debug)]
 pub struct DriftDetector {
     source: String,
     config: DriftConfig,
-    shape: TrackedShape,
+    /// Holds no live rows (capacity 0): absorbed rows go to the stream.
     accumulated: DriftProbe,
     verdict: Option<DriftVerdict>,
 }
@@ -363,16 +329,13 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// Builds a detector against a source's mined statistics.
     pub fn new(source: impl Into<String>, stats: &SourceStats, config: DriftConfig) -> Self {
-        let shape = TrackedShape::from_stats(stats);
-        let accumulated = DriftProbe::shaped(&shape);
-        DriftDetector { source: source.into(), config, shape, accumulated, verdict: None }
+        let accumulated = DriftProbe::shaped(tracked_sets(stats), 0);
+        DriftDetector { source: source.into(), config, accumulated, verdict: None }
     }
 
     /// An empty pass-local probe shaped like this detector's statistics.
     pub fn probe(&self) -> DriftProbe {
-        let mut probe = DriftProbe::shaped(&self.shape);
-        probe.row_capacity = self.config.stream_capacity;
-        probe
+        DriftProbe::shaped(self.accumulated.tracked.clone(), self.config.stream_capacity)
     }
 
     /// Merges a pass-local probe and re-evaluates the statistic; returns
@@ -408,24 +371,16 @@ impl DriftDetector {
         let live = &self.accumulated.live;
 
         let mut value_divergence = 0.0;
-        for (ref_counts, live_counts) in reference.attr_counts.iter().zip(&live.attr_counts) {
-            if ref_counts.is_empty() || live_counts.is_empty() {
-                continue;
-            }
+        for (ref_counts, live_counts) in reference.values.iter().zip(&live.values) {
             value_divergence = value_shift(ref_counts, live_counts).max(value_divergence);
         }
 
+        // Untracked attributes have no AFD evidence on either side.
         let mut afd_divergence = 0.0;
-        for (i, lhs) in self.shape.tracked.iter().enumerate() {
-            if lhs.is_none() {
-                continue;
+        for (ref_groups, live_groups) in reference.afds.iter().zip(&live.afds) {
+            if let (Some(r), Some(l)) = (afd_confidence(ref_groups), afd_confidence(live_groups)) {
+                afd_divergence = (r - l).abs().max(afd_divergence);
             }
-            let (Some(ref_conf), Some(live_conf)) =
-                (reference.afd_confidence(i), live.afd_confidence(i))
-            else {
-                continue;
-            };
-            afd_divergence = (ref_conf - live_conf).abs().max(afd_divergence);
         }
 
         DriftStatistic {
@@ -459,8 +414,7 @@ impl DriftDetector {
     /// the accumulated counts and the verdict — called after a successful
     /// re-mine.
     pub fn reset(&mut self, stats: &SourceStats) {
-        self.shape = TrackedShape::from_stats(stats);
-        self.accumulated = DriftProbe::shaped(&self.shape);
+        self.accumulated = DriftProbe::shaped(tracked_sets(stats), 0);
         self.verdict = None;
     }
 }
@@ -696,6 +650,241 @@ mod tests {
         let sample = uniform_sample(&ed, 0.15, 7);
         let stats = SourceStats::mine(&sample, ed.len(), &MiningConfig::default());
         (ed, stats)
+    }
+
+    /// The drift counting as it stood before the shared count tables: a
+    /// naive transcription of the statistic that the proptest below pins
+    /// the detector against bit for bit.
+    mod naive {
+        use std::collections::BTreeMap;
+
+        use qpiad_db::{AttrId, Tuple, Value};
+
+        /// One side of the paired comparison: per-attribute value counts plus
+        /// AFD evidence (determining-set valuation → rhs value counts).
+        #[derive(Debug, Clone, Default)]
+        pub(super) struct SideCounts {
+            attr_counts: Vec<BTreeMap<Value, u64>>,
+            afd_counts: Vec<BTreeMap<Vec<Value>, BTreeMap<Value, u64>>>,
+            rows: u64,
+        }
+
+        impl SideCounts {
+            pub(super) fn shaped(arity: usize) -> Self {
+                SideCounts {
+                    attr_counts: vec![BTreeMap::new(); arity],
+                    afd_counts: vec![BTreeMap::new(); arity],
+                    rows: 0,
+                }
+            }
+
+            pub(super) fn accumulate(&mut self, tracked: &[Option<Vec<AttrId>>], tuples: &[Tuple]) {
+                let arity = self.attr_counts.len();
+                for t in tuples {
+                    if t.arity() != arity {
+                        continue;
+                    }
+                    self.rows += 1;
+                    for (i, v) in t.values().iter().enumerate() {
+                        if !v.is_null() {
+                            *self.attr_counts[i].entry(v.clone()).or_insert(0u64) += 1;
+                        }
+                    }
+                    for (i, lhs) in tracked.iter().enumerate() {
+                        let Some(lhs) = lhs else { continue };
+                        let rhs = &t.values()[i];
+                        if rhs.is_null() || lhs.iter().any(|a| t.values()[a.index()].is_null()) {
+                            continue;
+                        }
+                        let key: Vec<Value> = lhs.iter().map(|a| t.values()[a.index()].clone()).collect();
+                        *self
+                            .afd_counts[i]
+                            .entry(key)
+                            .or_default()
+                            .entry(rhs.clone())
+                            .or_insert(0u64) += 1;
+                    }
+                }
+            }
+
+            pub(super) fn merge_into(self, dst: &mut SideCounts) {
+                dst.rows += self.rows;
+                for (dst, src) in dst.attr_counts.iter_mut().zip(self.attr_counts) {
+                    for (v, n) in src {
+                        *dst.entry(v).or_insert(0) += n;
+                    }
+                }
+                for (dst, src) in dst.afd_counts.iter_mut().zip(self.afd_counts) {
+                    for (key, counts) in src {
+                        let slot = dst.entry(key).or_default();
+                        for (v, n) in counts {
+                            *slot.entry(v).or_insert(0) += n;
+                        }
+                    }
+                }
+            }
+
+            /// Support-weighted confidence of attribute `i`'s tracked determining
+            /// set over this side's counts, or `None` without evidence.
+            fn afd_confidence(&self, i: usize) -> Option<f64> {
+                let groups = &self.afd_counts[i];
+                let total: u64 = groups.values().flat_map(|m| m.values()).sum();
+                if total == 0 {
+                    return None;
+                }
+                let agree: u64 = groups.values().map(|m| m.values().copied().max().unwrap_or(0)).sum();
+                Some(agree as f64 / total as f64)
+            }
+        }
+
+        /// Worst single-value probability shift between two (unnormalized) count
+        /// maps — the L∞ distance between the empirical distributions.
+        fn value_shift(reference: &BTreeMap<Value, u64>, live: &BTreeMap<Value, u64>) -> f64 {
+            let ref_total: u64 = reference.values().sum();
+            let live_total: u64 = live.values().sum();
+            if ref_total == 0 || live_total == 0 {
+                return 0.0;
+            }
+            let mut worst = 0.0f64;
+            for (v, &rn) in reference {
+                let rp = rn as f64 / ref_total as f64;
+                let lp = live.get(v).map_or(0.0, |&n| n as f64 / live_total as f64);
+                worst = worst.max((rp - lp).abs());
+            }
+            for (v, &ln) in live {
+                if !reference.contains_key(v) {
+                    worst = worst.max(ln as f64 / live_total as f64);
+                }
+            }
+            worst
+        }
+
+        /// `(value_divergence, afd_divergence, statistic)` over two
+        /// accumulated sides, as `DriftDetector::statistic` computed it.
+        pub(super) fn statistic(
+            tracked: &[Option<Vec<AttrId>>],
+            reference: &SideCounts,
+            live: &SideCounts,
+        ) -> (f64, f64, f64) {
+            let mut value_divergence = 0.0;
+            for (ref_counts, live_counts) in reference.attr_counts.iter().zip(&live.attr_counts) {
+                if ref_counts.is_empty() || live_counts.is_empty() {
+                    continue;
+                }
+                value_divergence = value_shift(ref_counts, live_counts).max(value_divergence);
+            }
+            let mut afd_divergence = 0.0;
+            for (i, lhs) in tracked.iter().enumerate() {
+                if lhs.is_none() {
+                    continue;
+                }
+                let (Some(ref_conf), Some(live_conf)) =
+                    (reference.afd_confidence(i), live.afd_confidence(i))
+                else {
+                    continue;
+                };
+                afd_divergence = (ref_conf - live_conf).abs().max(afd_divergence);
+            }
+            (value_divergence, afd_divergence, value_divergence.max(afd_divergence))
+        }
+    }
+
+    /// One generated row: a sampled tuple with some attributes swapped for a
+    /// donor tuple's and some nulled (or, with `novel`, set to a value the
+    /// sample never holds); one row in six has the wrong arity.
+    type RowSpec = (usize, usize, u64, u64, u8);
+
+    fn spec_row(ed: &Relation, (base, donor, nulls, swaps, shape): RowSpec, novel: bool) -> Tuple {
+        let tuples = ed.tuples();
+        let donor = tuples[donor % tuples.len()].values();
+        let mut values = tuples[base % tuples.len()].values().to_vec();
+        for (a, v) in values.iter_mut().enumerate() {
+            if (swaps >> (2 * a)) & 3 == 0 {
+                *v = donor[a].clone();
+            }
+            match (nulls >> (2 * a)) & 3 {
+                0 => *v = qpiad_db::Value::Null,
+                1 if novel => *v = qpiad_db::Value::str("novel"),
+                _ => {}
+            }
+        }
+        match shape % 12 {
+            0 => {
+                values.pop();
+            }
+            1 => values.push(qpiad_db::Value::int(7)),
+            _ => {}
+        }
+        Tuple::new(qpiad_db::TupleId(base as u32), values)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The detector's statistic is bit-equal to the naive transcription
+        /// over random paired batches (nulls and wrong-arity rows included),
+        /// however the observations are split into probes.
+        #[test]
+        fn statistic_matches_the_naive_transcription(
+            reference in proptest::collection::vec(
+                (0usize..2_000, 0usize..2_000, proptest::prelude::any::<u64>(),
+                 proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()),
+                0..160,
+            ),
+            live in proptest::collection::vec(
+                (0usize..2_000, 0usize..2_000, proptest::prelude::any::<u64>(),
+                 proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()),
+                0..160,
+            ),
+            chunks in proptest::collection::vec(1usize..48, 1..6),
+            per_probe in 1usize..4,
+            novel_live in proptest::prelude::any::<bool>(),
+        ) {
+            static WORLD: std::sync::OnceLock<(Relation, SourceStats)> = std::sync::OnceLock::new();
+            let (ed, stats) = WORLD.get_or_init(mined);
+            let reference: Vec<Tuple> =
+                reference.into_iter().map(|s| spec_row(ed, s, false)).collect();
+            let live: Vec<Tuple> = live.into_iter().map(|s| spec_row(ed, s, novel_live)).collect();
+
+            // Chunk both sides with the same cycled sizes into paired
+            // observations, then group consecutive observations into probes.
+            let mut observations: Vec<(&[Tuple], &[Tuple])> = Vec::new();
+            let (mut r, mut l) = (&reference[..], &live[..]);
+            for size in chunks.iter().cycle() {
+                if r.is_empty() && l.is_empty() {
+                    break;
+                }
+                let (rc, rr) = r.split_at((*size).min(r.len()));
+                let (lc, lr) = l.split_at((*size).min(l.len()));
+                observations.push((rc, lc));
+                (r, l) = (rr, lr);
+            }
+
+            let mut detector = DriftDetector::new("s", stats, DriftConfig::default());
+            let tracked = detector.accumulated.tracked.clone();
+            let arity = tracked.len();
+            let mut naive_ref = naive::SideCounts::shaped(arity);
+            let mut naive_live = naive::SideCounts::shaped(arity);
+            for probe_obs in observations.chunks(per_probe) {
+                let mut probe = detector.probe();
+                let mut probe_ref = naive::SideCounts::shaped(arity);
+                let mut probe_live = naive::SideCounts::shaped(arity);
+                for (rc, lc) in probe_obs {
+                    probe.observe(rc, lc);
+                    probe_ref.accumulate(&tracked, rc);
+                    probe_live.accumulate(&tracked, lc);
+                }
+                detector.absorb(probe);
+                probe_ref.merge_into(&mut naive_ref);
+                probe_live.merge_into(&mut naive_live);
+            }
+
+            let got = detector.statistic();
+            let (value, afd, stat) = naive::statistic(&tracked, &naive_ref, &naive_live);
+            proptest::prop_assert_eq!(got.value_divergence.to_bits(), value.to_bits());
+            proptest::prop_assert_eq!(got.afd_divergence.to_bits(), afd.to_bits());
+            proptest::prop_assert_eq!(got.statistic.to_bits(), stat.to_bits());
+        }
     }
 
     #[test]

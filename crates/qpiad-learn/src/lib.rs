@@ -48,6 +48,7 @@
 pub mod afd;
 pub mod assoc;
 pub mod cache;
+mod counts;
 pub mod drift;
 pub mod epoch;
 pub mod knowledge;

@@ -9,8 +9,8 @@
 //! from scratch. This module keeps them:
 //!
 //! * [`SampleStream`] queues validated rows per source (deduplicated by
-//!   tuple id, weighted by how often an id re-appears, capacity-bounded)
-//!   until a maintenance pass folds them into the mined sample.
+//!   tuple id, capacity-bounded) until a maintenance pass folds them into
+//!   the mined sample.
 //! * `FoldState` is the crate-internal count state that makes the mined
 //!   artifacts *delta-maintainable*: per-AFD determining-set group counts
 //!   (exactly the integers behind the `g3` error), per-AKey valuation
@@ -36,15 +36,17 @@
 //! * The final confidence is computed with the same float expression in
 //!   the same order (`1.0 − removals as f64 / n_rows as f64`).
 //!
-//! All state lives in `BTreeMap`s keyed by values, so shard-parallel
-//! accumulation merged in shard order is canonical: byte-identical at any
-//! `QPIAD_THREADS`.
+//! All counts live in the crate's `counts` tables — the module the drift
+//! probe counts with too — whose entries are ordered by value, so
+//! shard-parallel accumulation merged in shard order is canonical:
+//! byte-identical at any `QPIAD_THREADS`.
 
 use std::collections::BTreeMap;
 
 use qpiad_db::{AttrId, Relation, Tuple, TupleId, Value};
 
 use crate::afd::{AKey, Afd, AfdSet};
+use crate::counts::{GroupCounts, ValueCounts};
 
 /// Rows per shard for the parallel initial count build. Fixed (not a
 /// function of the thread count) so the shard boundaries — and therefore
@@ -59,9 +61,6 @@ const SHARD_ROWS: usize = 4096;
 #[derive(Debug, Clone)]
 struct StreamedRow {
     tuple: Tuple,
-    /// How many times this id was pushed (re-observations replace the
-    /// stored tuple and raise the weight).
-    weight: u64,
     /// Arrival order of the id's *first* observation — the fold merges
     /// rows in this order, mirroring probe order in `SourceStats::refresh`.
     seq: u64,
@@ -75,9 +74,8 @@ struct StreamedRow {
 ///
 /// Pushing an id already queued replaces the stored tuple (latest
 /// observation wins, exactly like the probe merge in
-/// [`SourceStats::refresh`](crate::knowledge::SourceStats::refresh)) and
-/// raises its weight; the weight is diagnostic — a folded row enters the
-/// sample once regardless of how often it was re-observed.
+/// [`SourceStats::refresh`](crate::knowledge::SourceStats::refresh)); a
+/// folded row enters the sample once however often it was re-observed.
 #[derive(Debug)]
 pub struct SampleStream {
     rows: BTreeMap<TupleId, StreamedRow>,
@@ -141,13 +139,12 @@ impl SampleStream {
     pub fn push(&mut self, tuple: Tuple, salvaged: bool) -> bool {
         if let Some(row) = self.rows.get_mut(&tuple.id()) {
             row.tuple = tuple;
-            row.weight += 1;
             row.touched = self.next_seq;
             self.next_seq += 1;
         } else if self.rows.len() < self.capacity {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.rows.insert(tuple.id(), StreamedRow { tuple, weight: 1, seq, touched: seq });
+            self.rows.insert(tuple.id(), StreamedRow { tuple, seq, touched: seq });
         } else {
             self.dropped += 1;
             return false;
@@ -212,53 +209,48 @@ impl SampleStream {
 // Count state
 // ---------------------------------------------------------------------------
 
-fn inc(map: &mut BTreeMap<Value, u64>, key: &Value) {
-    *map.entry(key.clone()).or_insert(0) += 1;
+/// One mined artifact's count structure: how a row enters and leaves it,
+/// and how shard partials combine.
+trait Counted: Clone + Send + Sync {
+    fn add_row(&mut self, t: &Tuple);
+    fn remove_row(&mut self, t: &Tuple);
+    fn merge(&mut self, src: Self);
 }
 
-fn dec(map: &mut BTreeMap<Value, u64>, key: &Value) {
-    if let Some(n) = map.get_mut(key) {
-        *n -= 1;
-        if *n == 0 {
-            map.remove(key);
+/// Merges `src[i]` into `dst[i]` for every structure.
+fn merge_each<C: Counted>(dst: &mut [C], src: Vec<C>) {
+    for (dst, src) in dst.iter_mut().zip(src) {
+        dst.merge(src);
+    }
+}
+
+/// Every structure cloned and replayed through the delta across the
+/// [`crate::par`] worker pool: `changed` rows swap old for new in place,
+/// `appended` rows are new ids.
+fn replay_each<C: Counted>(all: &[C], changed: &[&(Tuple, Tuple)], appended: &[Tuple]) -> Vec<C> {
+    crate::par::parallel_map(all, |counts| {
+        let mut counts = counts.clone();
+        for (old, new) in changed {
+            counts.remove_row(old);
+            counts.add_row(new);
         }
-    } else {
-        debug_assert!(false, "removed a row that was never counted");
-    }
+        for t in appended {
+            counts.add_row(t);
+        }
+        counts
+    })
 }
 
-fn merge_counts(dst: &mut BTreeMap<Value, u64>, src: BTreeMap<Value, u64>) {
-    for (v, n) in src {
-        *dst.entry(v).or_insert(0) += n;
-    }
-}
-
-/// The rows of one determining-set valuation, counted by rhs value.
-#[derive(Debug, Clone, Default)]
-struct AfdGroup {
-    by_value: BTreeMap<Value, u64>,
-    null_rhs: u64,
-}
-
-impl AfdGroup {
-    fn len(&self) -> u64 {
-        self.by_value.values().sum::<u64>() + self.null_rhs
-    }
-
-    fn is_empty(&self) -> bool {
-        self.by_value.is_empty() && self.null_rhs == 0
-    }
-}
-
-/// Count state of one mined AFD `lhs ⇝ rhs`.
-#[derive(Debug, Clone)]
+/// Count state of one mined AFD `lhs ⇝ rhs`: rhs value counts per
+/// determining-set group, null rhs values included.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AfdCounts {
     pub(crate) lhs: Vec<AttrId>,
     pub(crate) rhs: AttrId,
     /// Confidence at the last full TANE run — the anchor the re-mine
     /// bound compares folded confidences against.
     pub(crate) base_confidence: f64,
-    groups: BTreeMap<Vec<Value>, AfdGroup>,
+    groups: GroupCounts,
 }
 
 impl AfdCounts {
@@ -267,55 +259,7 @@ impl AfdCounts {
             lhs: afd.lhs.clone(),
             rhs: afd.rhs,
             base_confidence: afd.confidence,
-            groups: BTreeMap::new(),
-        }
-    }
-
-    fn key_of(&self, t: &Tuple) -> Option<Vec<Value>> {
-        let mut key = Vec::with_capacity(self.lhs.len());
-        for a in &self.lhs {
-            let v = t.value(*a);
-            if v.is_null() {
-                return None; // stripped: a null matches nothing
-            }
-            key.push(v.clone());
-        }
-        Some(key)
-    }
-
-    fn add_row(&mut self, t: &Tuple) {
-        let Some(key) = self.key_of(t) else { return };
-        let group = self.groups.entry(key).or_default();
-        let rhs = t.value(self.rhs);
-        if rhs.is_null() {
-            group.null_rhs += 1;
-        } else {
-            inc(&mut group.by_value, rhs);
-        }
-    }
-
-    fn remove_row(&mut self, t: &Tuple) {
-        let Some(key) = self.key_of(t) else { return };
-        let Some(group) = self.groups.get_mut(&key) else {
-            debug_assert!(false, "removed a row that was never grouped");
-            return;
-        };
-        let rhs = t.value(self.rhs);
-        if rhs.is_null() {
-            group.null_rhs -= 1;
-        } else {
-            dec(&mut group.by_value, rhs);
-        }
-        if group.is_empty() {
-            self.groups.remove(&key);
-        }
-    }
-
-    fn merge(&mut self, src: AfdCounts) {
-        for (key, group) in src.groups {
-            let dst = self.groups.entry(key).or_default();
-            dst.null_rhs += group.null_rhs;
-            merge_counts(&mut dst.by_value, group.by_value);
+            groups: GroupCounts::default(),
         }
     }
 
@@ -326,22 +270,34 @@ impl AfdCounts {
         if n_rows == 0 {
             return 1.0;
         }
-        let mut removals = 0u64;
-        for group in self.groups.values() {
-            let majority = group.by_value.values().copied().max().unwrap_or(0);
-            let keep = majority.max(u64::from(group.null_rhs > 0 && majority == 0));
-            removals += group.len() - keep;
-        }
+        // Every group holds a row, so one whose rhs values are all null
+        // keeps one of them: `keep = max(majority, 1)`.
+        let removals: u64 = self.groups.groups().map(|g| g.rows() - g.majority().max(1)).sum();
         1.0 - removals as f64 / n_rows as f64
     }
 }
 
-/// Count state of one mined approximate key.
-#[derive(Debug, Clone)]
+impl Counted for AfdCounts {
+    fn add_row(&mut self, t: &Tuple) {
+        self.groups.add(&self.lhs, t, t.value(self.rhs));
+    }
+
+    fn remove_row(&mut self, t: &Tuple) {
+        self.groups.remove(&self.lhs, t, t.value(self.rhs));
+    }
+
+    fn merge(&mut self, src: Self) {
+        self.groups.merge(src.groups);
+    }
+}
+
+/// Count state of one mined approximate key. A key group has no target:
+/// each row counts as a null, so a group's `rows()` is its size.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct KeyCounts {
     pub(crate) attrs: Vec<AttrId>,
     pub(crate) base_confidence: f64,
-    groups: BTreeMap<Vec<Value>, u64>,
+    groups: GroupCounts,
 }
 
 impl KeyCounts {
@@ -349,44 +305,7 @@ impl KeyCounts {
         KeyCounts {
             attrs: akey.attrs.clone(),
             base_confidence: akey.confidence,
-            groups: BTreeMap::new(),
-        }
-    }
-
-    fn key_of(&self, t: &Tuple) -> Option<Vec<Value>> {
-        let mut key = Vec::with_capacity(self.attrs.len());
-        for a in &self.attrs {
-            let v = t.value(*a);
-            if v.is_null() {
-                return None;
-            }
-            key.push(v.clone());
-        }
-        Some(key)
-    }
-
-    fn add_row(&mut self, t: &Tuple) {
-        if let Some(key) = self.key_of(t) {
-            *self.groups.entry(key).or_insert(0) += 1;
-        }
-    }
-
-    fn remove_row(&mut self, t: &Tuple) {
-        if let Some(key) = self.key_of(t) {
-            if let Some(n) = self.groups.get_mut(&key) {
-                *n -= 1;
-                if *n == 0 {
-                    self.groups.remove(&key);
-                }
-            } else {
-                debug_assert!(false, "removed a row that was never keyed");
-            }
-        }
-    }
-
-    fn merge(&mut self, src: KeyCounts) {
-        for (key, n) in src.groups {
-            *self.groups.entry(key).or_insert(0) += n;
+            groups: GroupCounts::default(),
         }
     }
 
@@ -396,8 +315,22 @@ impl KeyCounts {
         if n_rows == 0 {
             return 1.0;
         }
-        let dups: u64 = self.groups.values().map(|c| c - 1).sum();
+        let dups: u64 = self.groups.groups().map(|g| g.rows() - 1).sum();
         1.0 - dups as f64 / n_rows as f64
+    }
+}
+
+impl Counted for KeyCounts {
+    fn add_row(&mut self, t: &Tuple) {
+        self.groups.add(&self.attrs, t, &Value::Null);
+    }
+
+    fn remove_row(&mut self, t: &Tuple) {
+        self.groups.remove(&self.attrs, t, &Value::Null);
+    }
+
+    fn merge(&mut self, src: Self) {
+        self.groups.merge(src.groups);
     }
 }
 
@@ -410,37 +343,30 @@ pub(crate) type NbcTables = (Vec<Value>, Vec<f64>, Vec<Vec<(Value, Vec<f64>)>>);
 
 /// Count state of one attribute's single-NBC classifier: exactly the
 /// integer counts [`NaiveBayes::train`](crate::nbc::NaiveBayes::train)
-/// accumulates, kept updatable.
-#[derive(Debug, Clone)]
+/// accumulates, kept updatable. Rows with a null target are not training
+/// examples and are not counted.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct NbcCounts {
     pub(crate) target: AttrId,
     pub(crate) features: Vec<AttrId>,
-    /// Non-null target occurrences per class value.
-    class_counts: BTreeMap<Value, u64>,
-    /// Per feature: feature value → class value → co-occurrence count.
-    /// An entry exists iff the pair co-occurred at least once — the same
-    /// membership rule batch training uses, which is what keeps the
-    /// smoothing domain size identical.
-    cond: Vec<BTreeMap<Value, BTreeMap<Value, u64>>>,
+    /// Target occurrences per class value.
+    class_counts: ValueCounts,
+    /// Per feature: class counts per feature value. An entry exists iff
+    /// the pair co-occurred at least once — the same membership rule batch
+    /// training uses, which is what keeps the smoothing domain size
+    /// identical.
+    cond: Vec<GroupCounts>,
 }
 
-impl NbcCounts {
-    fn shaped(target: AttrId, features: Vec<AttrId>) -> Self {
-        let cond = features.iter().map(|_| BTreeMap::new()).collect();
-        NbcCounts { target, features, class_counts: BTreeMap::new(), cond }
-    }
-
+impl Counted for NbcCounts {
     fn add_row(&mut self, t: &Tuple) {
         let tv = t.value(self.target);
         if tv.is_null() {
-            return; // null target: not a training example
+            return;
         }
-        inc(&mut self.class_counts, tv);
-        for (fi, f) in self.features.iter().enumerate() {
-            let fv = t.value(*f);
-            if !fv.is_null() {
-                inc(self.cond[fi].entry(fv.clone()).or_default(), tv);
-            }
+        self.class_counts.add(tv);
+        for (cond, f) in self.cond.iter_mut().zip(&self.features) {
+            cond.add(std::slice::from_ref(f), t, tv);
         }
     }
 
@@ -449,30 +375,24 @@ impl NbcCounts {
         if tv.is_null() {
             return;
         }
-        dec(&mut self.class_counts, tv);
-        for (fi, f) in self.features.iter().enumerate() {
-            let fv = t.value(*f);
-            if fv.is_null() {
-                continue;
-            }
-            if let Some(classes) = self.cond[fi].get_mut(fv) {
-                dec(classes, tv);
-                if classes.is_empty() {
-                    self.cond[fi].remove(fv);
-                }
-            } else {
-                debug_assert!(false, "removed a co-occurrence that was never counted");
-            }
+        self.class_counts.remove(tv);
+        for (cond, f) in self.cond.iter_mut().zip(&self.features) {
+            cond.remove(std::slice::from_ref(f), t, tv);
         }
     }
 
-    fn merge(&mut self, src: NbcCounts) {
-        merge_counts(&mut self.class_counts, src.class_counts);
+    fn merge(&mut self, src: Self) {
+        self.class_counts.merge(src.class_counts);
         for (dst, src) in self.cond.iter_mut().zip(src.cond) {
-            for (fv, classes) in src {
-                merge_counts(dst.entry(fv).or_default(), classes);
-            }
+            dst.merge(src);
         }
+    }
+}
+
+impl NbcCounts {
+    fn shaped(target: AttrId, features: Vec<AttrId>) -> Self {
+        let cond = vec![GroupCounts::default(); features.len()];
+        NbcCounts { target, features, class_counts: ValueCounts::default(), cond }
     }
 
     /// Builds counts over a whole sample in one pass (used when a fold
@@ -496,24 +416,20 @@ impl NbcCounts {
         for t in sample.tuples() {
             let tv = t.value(self.target);
             if !tv.is_null() && !index.contains_key(tv) {
+                index.insert(tv, classes.len());
                 classes.push(tv.clone());
-            }
-            if !tv.is_null() {
-                let next = classes.len() - 1;
-                index.entry(tv).or_insert(next);
             }
         }
         debug_assert_eq!(
             classes.len(),
-            self.class_counts.len(),
+            self.class_counts.iter().count(),
             "delta class set must match the merged sample's"
         );
         let class_counts: Vec<f64> = classes
             .iter()
-            .map(|c| self.class_counts.get(c).copied().unwrap_or(0) as f64)
+            .map(|c| self.class_counts.get(c) as f64)
             .collect();
         let k = classes.len();
-        let idx_of = |v: &Value| index.get(v).copied();
         let cond: Vec<Vec<(Value, Vec<f64>)>> = self
             .cond
             .iter()
@@ -522,12 +438,12 @@ impl NbcCounts {
                     .iter()
                     .map(|(fv, by_class)| {
                         let mut row = vec![0f64; k];
-                        for (cv, n) in by_class {
-                            if let Some(c) = idx_of(cv) {
-                                row[c] = *n as f64;
+                        for (cv, n) in by_class.iter() {
+                            if let Some(&c) = index.get(cv) {
+                                row[c] = n as f64;
                             }
                         }
-                        (fv.clone(), row)
+                        (fv[0].clone(), row)
                     })
                     .collect()
             })
@@ -537,7 +453,7 @@ impl NbcCounts {
 }
 
 /// The full delta-maintainable count state of one mined bundle.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FoldState {
     /// Rows in the retained sample — the `g3` denominator.
     n_rows: u64,
@@ -571,30 +487,18 @@ impl FoldState {
         }
     }
 
-    fn accumulate(&mut self, rows: &[Tuple]) {
-        for t in rows {
-            self.add_row(t);
-        }
-    }
-
     fn merge(&mut self, src: FoldState) {
         self.n_rows += src.n_rows;
-        for (dst, src) in self.afds.iter_mut().zip(src.afds) {
-            dst.merge(src);
-        }
-        for (dst, src) in self.akeys.iter_mut().zip(src.akeys) {
-            dst.merge(src);
-        }
-        for (dst, src) in self.nbc.iter_mut().zip(src.nbc) {
-            dst.merge(src);
-        }
+        merge_each(&mut self.afds, src.afds);
+        merge_each(&mut self.akeys, src.akeys);
+        merge_each(&mut self.nbc, src.nbc);
     }
 
     /// Builds the count state over a sample, shard-parallel: fixed-size
     /// row shards accumulate partial counts across the [`crate::par`]
-    /// worker pool and merge sequentially in shard order. Integer adds
-    /// into ordered maps commute, so the result is byte-identical at any
-    /// thread count.
+    /// worker pool and merge sequentially in shard order (a sample of one
+    /// shard spawns no worker). Integer adds into ordered maps commute, so
+    /// the result is byte-identical at any thread count.
     pub(crate) fn build(
         sample: &Relation,
         afds: &AfdSet,
@@ -602,19 +506,16 @@ impl FoldState {
         nbc_specs: &[(AttrId, Vec<AttrId>)],
     ) -> Self {
         let template = FoldState::shaped(afds, akeys, nbc_specs);
-        let rows = sample.tuples();
-        if rows.len() <= SHARD_ROWS {
-            let mut state = template;
-            state.accumulate(rows);
-            return state;
-        }
-        let shards: Vec<&[Tuple]> = rows.chunks(SHARD_ROWS).collect();
-        let partials = crate::par::parallel_map(&shards, |shard| {
+        let shards: Vec<&[Tuple]> = sample.tuples().chunks(SHARD_ROWS).collect();
+        let mut partials = crate::par::parallel_map(&shards, |shard| {
             let mut partial = template.clone();
-            partial.accumulate(shard);
+            for t in *shard {
+                partial.add_row(t);
+            }
             partial
-        });
-        let mut state = FoldState::shaped(afds, akeys, nbc_specs);
+        })
+        .into_iter();
+        let mut state = partials.next().unwrap_or(template);
         for partial in partials {
             state.merge(partial);
         }
@@ -633,44 +534,11 @@ impl FoldState {
     /// unchanged rows, so this skips the bulk of the replay.
     pub(crate) fn applied(&self, replaced: &[(Tuple, Tuple)], appended: &[Tuple]) -> FoldState {
         let changed: Vec<&(Tuple, Tuple)> = replaced.iter().filter(|(o, n)| o != n).collect();
-        let replay_afd = |counts: &AfdCounts| {
-            let mut counts = counts.clone();
-            for (old, new) in &changed {
-                counts.remove_row(old);
-                counts.add_row(new);
-            }
-            for t in appended {
-                counts.add_row(t);
-            }
-            counts
-        };
-        let replay_key = |counts: &KeyCounts| {
-            let mut counts = counts.clone();
-            for (old, new) in &changed {
-                counts.remove_row(old);
-                counts.add_row(new);
-            }
-            for t in appended {
-                counts.add_row(t);
-            }
-            counts
-        };
-        let replay_nbc = |counts: &NbcCounts| {
-            let mut counts = counts.clone();
-            for (old, new) in &changed {
-                counts.remove_row(old);
-                counts.add_row(new);
-            }
-            for t in appended {
-                counts.add_row(t);
-            }
-            counts
-        };
         FoldState {
             n_rows: self.n_rows + appended.len() as u64,
-            afds: crate::par::parallel_map(&self.afds, replay_afd),
-            akeys: crate::par::parallel_map(&self.akeys, replay_key),
-            nbc: crate::par::parallel_map(&self.nbc, replay_nbc),
+            afds: replay_each(&self.afds, &changed, appended),
+            akeys: replay_each(&self.akeys, &changed, appended),
+            nbc: replay_each(&self.nbc, &changed, appended),
         }
     }
 
@@ -819,6 +687,57 @@ mod tests {
         assert_eq!(ca, cb);
         assert_eq!(na, nb);
         assert_eq!(conda, condb);
+    }
+
+    #[test]
+    fn sharded_build_equals_one_sequential_accumulation() {
+        // Three full shards and a partial one, with nulls on every
+        // attribute, so every shard boundary and the short tail matter.
+        let n = 3 * SHARD_ROWS + 123;
+        let schema = Schema::of(
+            "t",
+            &[
+                ("x", AttrType::Categorical),
+                ("y", AttrType::Categorical),
+                ("z", AttrType::Categorical),
+            ],
+        );
+        let cell = |i: usize, salt: usize, domain: usize| {
+            let h = i.wrapping_mul(2_654_435_761).wrapping_add(salt * 97) % 1_000;
+            if h.is_multiple_of(11) { Value::Null } else { Value::str(format!("v{}", h % domain)) }
+        };
+        let tuples = (0..n)
+            .map(|i| {
+                let values = vec![cell(i, 1, 7), cell(i / 3, 2, 5), cell(i, 3, 13)];
+                Tuple::new(TupleId(i as u32), values)
+            })
+            .collect();
+        let r = Relation::new(schema, tuples);
+        let afds = AfdSet::new(vec![
+            Afd::new(vec![AttrId(0)], AttrId(1), 0.0),
+            Afd::new(vec![AttrId(0), AttrId(2)], AttrId(1), 0.0),
+        ]);
+        let akeys = [AKey::new(vec![AttrId(0), AttrId(2)], 0.0)];
+        let specs = vec![(AttrId(1), vec![AttrId(0), AttrId(2)])];
+
+        let mut sequential = FoldState::shaped(&afds, &akeys, &specs);
+        for t in r.tuples() {
+            sequential.add_row(t);
+        }
+
+        struct PoolReset;
+        impl Drop for PoolReset {
+            fn drop(&mut self) {
+                crate::par::set_thread_override(None);
+            }
+        }
+        let _reset = PoolReset;
+        for threads in [1, 8] {
+            crate::par::set_thread_override(Some(threads));
+            let sharded = FoldState::build(&r, &afds, &akeys, &specs);
+            assert_eq!(sharded, sequential, "sharded build at {threads} threads");
+        }
+        assert_eq!(sequential.n_rows(), n as u64);
     }
 
     #[test]
