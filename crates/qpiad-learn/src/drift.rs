@@ -43,20 +43,37 @@
 //! protocol as `qpiad_db::health`: each mediation pass takes an empty
 //! [`DriftProbe`] per source (sequentially, before fan-out), workers fill
 //! their probe in isolation, and the network absorbs probes in
-//! registration order after the pass. The counts are integers and
-//! addition is commutative, so the statistic — and the pass on which a
-//! verdict fires — is byte-identical at any `QPIAD_THREADS`. Both sides
-//! count into the crate's `counts` tables, the module the incremental
-//! fold ([`crate::stream`]) counts with too.
+//! registration order after the pass. Both sides count into the crate's
+//! `counts` tables, the module the incremental fold ([`crate::stream`])
+//! counts with too. They are hash tables, but every number the statistic
+//! reads off them is an integer count reduced by an order-free `max` or
+//! `sum`, so the statistic — and the pass on which a verdict fires — is
+//! byte-identical at any `QPIAD_THREADS`, whatever order the tables
+//! iterate in.
+//!
+//! ## Interned counting
+//!
+//! A probe counts dense `ValueId`s, not values. Each cell is interned once,
+//! through the dictionary of the mined sample's columnar image
+//! (`stats.selectivity().sample().columnar()`), which the detector shares
+//! with every probe it hands out. A value the sample never held gets a
+//! probe-local id numbered past the dictionary's end; absorbing the probe
+//! renames those ids into the detector's own. Determining-set groups are
+//! keyed by inline id arrays, so counting a row clones no value and
+//! allocates nothing once its groups exist. Ids from two samples'
+//! dictionaries name different values, so a detector takes no counts from
+//! a probe shaped against another sample's — one taken before a
+//! [`DriftDetector::reset`] to re-mined statistics, say.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use qpiad_db::version::KnowledgeVersionClock;
-use qpiad_db::{AttrId, Tuple};
+use qpiad_db::{AttrId, ColumnarRelation, Dictionary, Tuple, Value, ValueId};
 
-use crate::counts::{GroupCounts, ValueCounts};
+use crate::counts::{IdGroupCounts, ValueCounts};
 use crate::knowledge::SourceStats;
 use crate::stream::{SampleStream, StreamStats};
 
@@ -134,62 +151,117 @@ pub struct DriftVerdict {
     pub observed: u64,
 }
 
-/// What a probe tracks, extracted from mined stats: one entry per schema
-/// attribute, holding its best-AFD determining set if it has one.
-fn tracked_sets(stats: &SourceStats) -> Vec<Option<Vec<AttrId>>> {
-    let schema = stats.selectivity().sample().schema();
-    schema.attr_ids().map(|a| stats.afds().best(a).map(|afd| afd.lhs.clone())).collect()
+/// The id space a probe counts in: the mined sample's dictionary ids,
+/// then ids for values the sample never held, numbered on from the
+/// dictionary's end in the order the probe first saw them. Ids from two
+/// samples' dictionaries are not comparable, and a probe's novel ids are
+/// its own: [`DriftProbe::merge_into`] renames them into the destination's.
+#[derive(Debug, Clone)]
+struct ValueIds {
+    sample: Arc<ColumnarRelation>,
+    /// Values the sample never held: id `base() + i − 1` is
+    /// `novel.values()[i]` (slot 0 is the dictionary's reserved null).
+    novel: Dictionary,
+}
+
+impl Default for ValueIds {
+    fn default() -> Self {
+        ValueIds::over(Arc::new(ColumnarRelation::build(0, &[])))
+    }
+}
+
+impl ValueIds {
+    fn over(sample: Arc<ColumnarRelation>) -> Self {
+        ValueIds { sample, novel: Dictionary::new() }
+    }
+
+    /// The first id past the sample dictionary's.
+    fn base(&self) -> u32 {
+        self.sample.dict().len() as u32
+    }
+
+    /// `v`'s id, handing out the next novel id on a novel value's first
+    /// sight. Null is [`ValueId::NULL`].
+    fn id(&mut self, v: &Value) -> ValueId {
+        match self.sample.dict().lookup(v) {
+            Some(id) => id,
+            None => ValueId(self.base() - 1 + self.novel.intern(v).0),
+        }
+    }
+
+    /// Takes `src`'s novel values into this space, which must be over the
+    /// same sample, and returns the renaming of `src`'s ids into it.
+    fn adopt(&mut self, src: &ValueIds) -> impl Fn(ValueId) -> ValueId {
+        let base = self.base();
+        let novel: Vec<ValueId> = src.novel.values()[1..].iter().map(|v| self.id(v)).collect();
+        move |id| if id.0 < base { id } else { novel[(id.0 - base) as usize] }
+    }
 }
 
 /// One side of the paired comparison: per-attribute value counts plus
 /// AFD evidence (each tracked attribute's non-null values counted per
-/// determining-set group).
+/// determining-set group), all over interned ids.
 #[derive(Debug, Clone, Default)]
 struct SideCounts {
-    values: Vec<ValueCounts>,
-    afds: Vec<GroupCounts>,
+    values: Vec<ValueCounts<ValueId>>,
+    /// Per attribute, AFD evidence for its tracked set (empty if untracked).
+    afds: Vec<IdGroupCounts>,
     rows: u64,
 }
 
 impl SideCounts {
-    fn shaped(arity: usize) -> Self {
+    fn shaped(tracked: &[Option<Vec<AttrId>>]) -> Self {
         SideCounts {
-            values: vec![ValueCounts::default(); arity],
-            afds: vec![GroupCounts::default(); arity],
+            values: vec![ValueCounts::default(); tracked.len()],
+            afds: tracked
+                .iter()
+                .map(|lhs| IdGroupCounts::over(lhs.as_deref().unwrap_or(&[])))
+                .collect(),
             rows: 0,
         }
     }
 
-    fn add_rows(&mut self, tracked: &[Option<Vec<AttrId>>], tuples: &[Tuple]) {
+    /// Counts the tuples of the counted arity, interning each cell once
+    /// into `ids`; `row` is scratch space for one row's ids.
+    fn add_rows(
+        &mut self,
+        tracked: &[Option<Vec<AttrId>>],
+        ids: &mut ValueIds,
+        row: &mut Vec<ValueId>,
+        tuples: &[Tuple],
+    ) {
         let arity = self.values.len();
         for t in tuples.iter().filter(|t| t.arity() == arity) {
             self.rows += 1;
-            for (counts, v) in self.values.iter_mut().zip(t.values()) {
-                counts.add(v);
+            row.clear();
+            row.extend(t.values().iter().map(|v| ids.id(v)));
+            for (counts, id) in self.values.iter_mut().zip(row.iter()) {
+                counts.add(id);
             }
-            for ((groups, lhs), rhs) in self.afds.iter_mut().zip(tracked).zip(t.values()) {
+            for ((groups, lhs), rhs) in self.afds.iter_mut().zip(tracked).zip(row.iter()) {
                 let Some(lhs) = lhs else { continue };
                 if !rhs.is_null() {
-                    groups.add(lhs, t, rhs);
+                    groups.add(lhs, row, *rhs);
                 }
             }
         }
     }
 
-    fn merge(&mut self, src: SideCounts) {
+    /// Adds `src`'s counts to these, its ids renamed by `rename`.
+    fn merge(&mut self, src: SideCounts, rename: impl Fn(ValueId) -> ValueId + Copy) {
         self.rows += src.rows;
         for (dst, src) in self.values.iter_mut().zip(src.values) {
-            dst.merge(src);
+            dst.merge_mapped(src, rename);
         }
         for (dst, src) in self.afds.iter_mut().zip(src.afds) {
-            dst.merge(src);
+            dst.merge_renamed(src, rename);
         }
     }
 }
 
 /// Support-weighted confidence of a tracked determining set over one
 /// side's AFD evidence, or `None` without evidence.
-fn afd_confidence(groups: &GroupCounts) -> Option<f64> {
+fn afd_confidence(groups: &IdGroupCounts) -> Option<f64> {
     let total: u64 = groups.groups().map(ValueCounts::non_null).sum();
     if total == 0 {
         return None;
@@ -206,9 +278,14 @@ fn afd_confidence(groups: &GroupCounts) -> Option<f64> {
 pub struct DriftProbe {
     live: SideCounts,
     reference: SideCounts,
-    /// Determining set per attribute (see [`tracked_sets`]; copied so the
-    /// probe can accumulate without holding a detector borrow).
+    /// Determining set per attribute: each attribute's best mined AFD's,
+    /// if it has one (copied so the probe can accumulate without holding a
+    /// detector borrow).
     tracked: Vec<Option<Vec<AttrId>>>,
+    /// The id space both sides count in.
+    ids: ValueIds,
+    /// One row's ids, reused so counting a row allocates nothing.
+    row: Vec<ValueId>,
     /// The source's knowledge version when this probe was snapshotted.
     /// [`DriftRegistry::absorb`] drops the probe if the version has moved
     /// since: its reference side was paired against statistics that a
@@ -224,15 +301,34 @@ pub struct DriftProbe {
 }
 
 impl DriftProbe {
-    fn shaped(tracked: Vec<Option<Vec<AttrId>>>, row_capacity: usize) -> Self {
+    fn shaped(
+        tracked: Vec<Option<Vec<AttrId>>>,
+        sample: Arc<ColumnarRelation>,
+        row_capacity: usize,
+    ) -> Self {
         DriftProbe {
-            live: SideCounts::shaped(tracked.len()),
-            reference: SideCounts::shaped(tracked.len()),
+            live: SideCounts::shaped(&tracked),
+            reference: SideCounts::shaped(&tracked),
             tracked,
+            ids: ValueIds::over(sample),
+            row: Vec::new(),
             version: 0,
             live_rows: Vec::new(),
             row_capacity,
         }
+    }
+
+    /// A detector's accumulator for `stats`, counting in its sample's id
+    /// space. It holds no live rows (capacity 0): absorbed rows go to the
+    /// stream.
+    fn accumulator(stats: &SourceStats) -> Self {
+        let sample = stats.selectivity().sample();
+        let tracked = sample
+            .schema()
+            .attr_ids()
+            .map(|a| stats.afds().best(a).map(|afd| afd.lhs.clone()))
+            .collect();
+        DriftProbe::shaped(tracked, Arc::clone(sample.columnar()), 0)
     }
 
     /// Whether this probe has accumulated nothing.
@@ -251,8 +347,8 @@ impl DriftProbe {
     /// Tuples whose arity disagrees with the mined schema are skipped
     /// (validation already quarantines them; this is belt and braces).
     pub fn observe(&mut self, reference: &[Tuple], live: &[Tuple]) {
-        self.reference.add_rows(&self.tracked, reference);
-        self.live.add_rows(&self.tracked, live);
+        self.reference.add_rows(&self.tracked, &mut self.ids, &mut self.row, reference);
+        self.live.add_rows(&self.tracked, &mut self.ids, &mut self.row, live);
         let arity = self.live.values.len();
         for t in live {
             if self.live_rows.len() >= self.row_capacity {
@@ -264,9 +360,16 @@ impl DriftProbe {
         }
     }
 
+    /// Whether `other` counts the same tracked sets in the same id space,
+    /// so its counts may merge into these.
+    fn shaped_like(&self, other: &DriftProbe) -> bool {
+        Arc::ptr_eq(&self.ids.sample, &other.ids.sample) && self.tracked == other.tracked
+    }
+
     fn merge_into(mut self, dst: &mut DriftProbe) {
-        dst.live.merge(self.live);
-        dst.reference.merge(self.reference);
+        let rename = dst.ids.adopt(&self.ids);
+        dst.live.merge(self.live, &rename);
+        dst.reference.merge(self.reference, &rename);
         let room = dst.row_capacity.saturating_sub(dst.live_rows.len());
         dst.live_rows.extend(self.live_rows.drain(..).take(room));
     }
@@ -295,7 +398,7 @@ pub struct DriftStatistic {
 /// probability stays tiny under L∞. The drift mode that actually poisons
 /// rewrites — a category collapsing or newly dominating — moves one
 /// value's probability by a large amount and is caught.
-fn value_shift(reference: &ValueCounts, live: &ValueCounts) -> f64 {
+fn value_shift(reference: &ValueCounts<ValueId>, live: &ValueCounts<ValueId>) -> f64 {
     let ref_total = reference.non_null();
     let live_total = live.non_null();
     if ref_total == 0 || live_total == 0 {
@@ -329,19 +432,29 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// Builds a detector against a source's mined statistics.
     pub fn new(source: impl Into<String>, stats: &SourceStats, config: DriftConfig) -> Self {
-        let accumulated = DriftProbe::shaped(tracked_sets(stats), 0);
+        let accumulated = DriftProbe::accumulator(stats);
         DriftDetector { source: source.into(), config, accumulated, verdict: None }
     }
 
     /// An empty pass-local probe shaped like this detector's statistics.
     pub fn probe(&self) -> DriftProbe {
-        DriftProbe::shaped(self.accumulated.tracked.clone(), self.config.stream_capacity)
+        let tracked = self.accumulated.tracked.clone();
+        let sample = Arc::clone(&self.accumulated.ids.sample);
+        DriftProbe::shaped(tracked, sample, self.config.stream_capacity)
     }
 
     /// Merges a pass-local probe and re-evaluates the statistic; returns
     /// the verdict if this absorption is the one that crossed the
     /// threshold (verdicts fire once and stay until [`DriftDetector::reset`]).
+    ///
+    /// A probe shaped against another sample or other tracked sets than
+    /// this detector's — one taken before a [`DriftDetector::reset`] to
+    /// statistics mined from another sample, say — contributes no counts:
+    /// ids from another sample's dictionary name other values.
     pub fn absorb(&mut self, probe: DriftProbe) -> Option<DriftVerdict> {
+        if !probe.shaped_like(&self.accumulated) {
+            return None;
+        }
         probe.merge_into(&mut self.accumulated);
         if self.verdict.is_some() || self.accumulated.live.rows < self.config.min_observations {
             return None;
@@ -414,7 +527,7 @@ impl DriftDetector {
     /// the accumulated counts and the verdict — called after a successful
     /// re-mine.
     pub fn reset(&mut self, stats: &SourceStats) {
-        self.accumulated = DriftProbe::shaped(tracked_sets(stats), 0);
+        self.accumulated = DriftProbe::accumulator(stats);
         self.verdict = None;
     }
 }
@@ -642,14 +755,37 @@ mod tests {
     use qpiad_data::cars::CarsConfig;
     use qpiad_data::corrupt::{corrupt, CorruptionConfig};
     use qpiad_data::sample::uniform_sample;
-    use qpiad_db::Relation;
+    use qpiad_db::{Relation, Value};
 
     fn mined() -> (Relation, SourceStats) {
+        mined_with(7, &MiningConfig::default())
+    }
+
+    /// Knowledge mined from the same corrupted cars source, over the
+    /// sample drawn with `sample_seed`.
+    fn mined_with(sample_seed: u64, config: &MiningConfig) -> (Relation, SourceStats) {
         let ground = CarsConfig::default().with_rows(2_000).generate(23);
         let (ed, _) = corrupt(&ground, &CorruptionConfig::default());
-        let sample = uniform_sample(&ed, 0.15, 7);
-        let stats = SourceStats::mine(&sample, ed.len(), &MiningConfig::default());
+        let sample = uniform_sample(&ed, 0.15, sample_seed);
+        let stats = SourceStats::mine(&sample, ed.len(), config);
         (ed, stats)
+    }
+
+    /// Knowledge mined with determining sets of up to four attributes,
+    /// neither near-key suppression nor a minimality margin, so some
+    /// tracked sets are wider than the inline group keys.
+    fn mined_wide() -> (Relation, SourceStats) {
+        let mut config = MiningConfig::default();
+        config.tane.max_lhs = 4;
+        config.tane.minimality_epsilon = 0.0;
+        config.tane.near_key_conf = f64::INFINITY;
+        let world = mined_with(7, &config);
+        let tracked = DriftDetector::new("s", &world.1, DriftConfig::default()).accumulated.tracked;
+        assert!(
+            tracked.iter().flatten().any(|lhs| lhs.len() > crate::counts::INLINE_LHS),
+            "the wide world must track a set wider than the inline keys: {tracked:?}"
+        );
+        world
     }
 
     /// The drift counting as it stood before the shared count tables: a
@@ -790,21 +926,31 @@ mod tests {
     }
 
     /// One generated row: a sampled tuple with some attributes swapped for a
-    /// donor tuple's and some nulled (or, with `novel`, set to a value the
-    /// sample never holds); one row in six has the wrong arity.
+    /// donor tuple's and some nulled (or, with `novel`, set to one of a few
+    /// values no sample holds, on any attribute, determining-set positions
+    /// included); one row in six has the wrong arity.
     type RowSpec = (usize, usize, u64, u64, u8);
+
+    /// The values no mined sample holds: strings and integers, so novel
+    /// ids reach attributes of both types.
+    fn novel_value(k: usize) -> Value {
+        match k % 6 {
+            k @ 0..=3 => Value::str(format!("novel-{k}")),
+            k => Value::int(-(k as i64)),
+        }
+    }
 
     fn spec_row(ed: &Relation, (base, donor, nulls, swaps, shape): RowSpec, novel: bool) -> Tuple {
         let tuples = ed.tuples();
-        let donor = tuples[donor % tuples.len()].values();
+        let donor_values = tuples[donor % tuples.len()].values();
         let mut values = tuples[base % tuples.len()].values().to_vec();
         for (a, v) in values.iter_mut().enumerate() {
             if (swaps >> (2 * a)) & 3 == 0 {
-                *v = donor[a].clone();
+                *v = donor_values[a].clone();
             }
             match (nulls >> (2 * a)) & 3 {
-                0 => *v = qpiad_db::Value::Null,
-                1 if novel => *v = qpiad_db::Value::str("novel"),
+                0 => *v = Value::Null,
+                1 if novel => *v = novel_value(donor + a),
                 _ => {}
             }
         }
@@ -812,18 +958,56 @@ mod tests {
             0 => {
                 values.pop();
             }
-            1 => values.push(qpiad_db::Value::int(7)),
+            1 => values.push(Value::int(7)),
             _ => {}
         }
         Tuple::new(qpiad_db::TupleId(base as u32), values)
+    }
+
+    /// The detector's statistic and the naive transcription's
+    /// `(value, afd, statistic)` after absorbing `probes`, each a list of
+    /// paired `(reference, live)` observations.
+    fn against_naive(
+        stats: &SourceStats,
+        probes: &[Vec<(&[Tuple], &[Tuple])>],
+    ) -> (DriftStatistic, (f64, f64, f64)) {
+        let mut detector = DriftDetector::new("s", stats, DriftConfig::default());
+        let tracked = detector.accumulated.tracked.clone();
+        let arity = tracked.len();
+        let mut naive_ref = naive::SideCounts::shaped(arity);
+        let mut naive_live = naive::SideCounts::shaped(arity);
+        for observations in probes {
+            let mut probe = detector.probe();
+            let mut probe_ref = naive::SideCounts::shaped(arity);
+            let mut probe_live = naive::SideCounts::shaped(arity);
+            for (rc, lc) in observations {
+                probe.observe(rc, lc);
+                probe_ref.accumulate(&tracked, rc);
+                probe_live.accumulate(&tracked, lc);
+            }
+            detector.absorb(probe);
+            probe_ref.merge_into(&mut naive_ref);
+            probe_live.merge_into(&mut naive_live);
+        }
+        (detector.statistic(), naive::statistic(&tracked, &naive_ref, &naive_live))
+    }
+
+    fn assert_bit_equal(got: DriftStatistic, (value, afd, stat): (f64, f64, f64)) {
+        assert_eq!(got.value_divergence.to_bits(), value.to_bits());
+        assert_eq!(got.afd_divergence.to_bits(), afd.to_bits());
+        assert_eq!(got.statistic.to_bits(), stat.to_bits());
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         /// The detector's statistic is bit-equal to the naive transcription
-        /// over random paired batches (nulls and wrong-arity rows included),
-        /// however the observations are split into probes.
+        /// over random paired batches (nulls, wrong-arity rows and novel
+        /// values on either side included), however the observations are
+        /// split into probes, and whether the tracked sets fit the inline
+        /// group keys or not. Novel values fall on random rows, so probes
+        /// see them first in different orders and hand them different
+        /// probe-local ids.
         #[test]
         fn statistic_matches_the_naive_transcription(
             reference in proptest::collection::vec(
@@ -838,12 +1022,17 @@ mod tests {
             ),
             chunks in proptest::collection::vec(1usize..48, 1..6),
             per_probe in 1usize..4,
-            novel_live in proptest::prelude::any::<bool>(),
+            // Bit 0: novel values on the reference side; bit 1: on the live
+            // side; bit 2: the world with wide determining sets.
+            flags in 0u8..8,
         ) {
+            let (novel_ref, novel_live, wide) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
             static WORLD: std::sync::OnceLock<(Relation, SourceStats)> = std::sync::OnceLock::new();
-            let (ed, stats) = WORLD.get_or_init(mined);
+            static WIDE: std::sync::OnceLock<(Relation, SourceStats)> = std::sync::OnceLock::new();
+            let (ed, stats) =
+                if wide { WIDE.get_or_init(mined_wide) } else { WORLD.get_or_init(mined) };
             let reference: Vec<Tuple> =
-                reference.into_iter().map(|s| spec_row(ed, s, false)).collect();
+                reference.into_iter().map(|s| spec_row(ed, s, novel_ref)).collect();
             let live: Vec<Tuple> = live.into_iter().map(|s| spec_row(ed, s, novel_live)).collect();
 
             // Chunk both sides with the same cycled sizes into paired
@@ -859,32 +1048,56 @@ mod tests {
                 observations.push((rc, lc));
                 (r, l) = (rr, lr);
             }
+            let probes: Vec<Vec<(&[Tuple], &[Tuple])>> =
+                observations.chunks(per_probe).map(<[_]>::to_vec).collect();
 
-            let mut detector = DriftDetector::new("s", stats, DriftConfig::default());
-            let tracked = detector.accumulated.tracked.clone();
-            let arity = tracked.len();
-            let mut naive_ref = naive::SideCounts::shaped(arity);
-            let mut naive_live = naive::SideCounts::shaped(arity);
-            for probe_obs in observations.chunks(per_probe) {
-                let mut probe = detector.probe();
-                let mut probe_ref = naive::SideCounts::shaped(arity);
-                let mut probe_live = naive::SideCounts::shaped(arity);
-                for (rc, lc) in probe_obs {
-                    probe.observe(rc, lc);
-                    probe_ref.accumulate(&tracked, rc);
-                    probe_live.accumulate(&tracked, lc);
-                }
-                detector.absorb(probe);
-                probe_ref.merge_into(&mut naive_ref);
-                probe_live.merge_into(&mut naive_live);
-            }
-
-            let got = detector.statistic();
-            let (value, afd, stat) = naive::statistic(&tracked, &naive_ref, &naive_live);
+            let (got, (value, afd, stat)) = against_naive(stats, &probes);
             proptest::prop_assert_eq!(got.value_divergence.to_bits(), value.to_bits());
             proptest::prop_assert_eq!(got.afd_divergence.to_bits(), afd.to_bits());
             proptest::prop_assert_eq!(got.statistic.to_bits(), stat.to_bits());
         }
+    }
+
+    #[test]
+    fn novel_values_seen_in_opposite_orders_merge_by_value() {
+        // Two probes meet the same three novel makes in opposite orders,
+        // so each hands them the same probe-local ids for different
+        // values; the detector must count them by value.
+        let (ed, stats) = mined();
+        let make = ed.schema().expect_attr("make");
+        let rows: Vec<Tuple> = ed.tuples().iter().take(90).cloned().collect();
+        let relabel = |order: [usize; 3]| -> Vec<Tuple> {
+            rows.iter()
+                .enumerate()
+                .map(|(i, t)| t.with_value(make, novel_value(order[i * 3 / rows.len()])))
+                .collect()
+        };
+        let (forward, backward) = (relabel([0, 1, 2]), relabel([2, 1, 0]));
+        let probes = vec![vec![(&rows[..], &forward[..])], vec![(&rows[..], &backward[..])]];
+        let (got, naive) = against_naive(&stats, &probes);
+        assert!(got.value_divergence > 0.0);
+        assert_bit_equal(got, naive);
+    }
+
+    #[test]
+    fn statistic_over_wide_determining_sets_matches_the_naive_transcription() {
+        // Rows re-delivered with a wide set's target changed to novel
+        // values: the wide groups now disagree, and the novel ids land in
+        // wide keys and targets alike, first seen by the second probe.
+        let (ed, stats) = mined_wide();
+        let tracked = DriftDetector::new("s", &stats, DriftConfig::default()).accumulated.tracked;
+        let target = tracked
+            .iter()
+            .position(|lhs| lhs.as_ref().is_some_and(|lhs| lhs.len() > crate::counts::INLINE_LHS))
+            .map(AttrId)
+            .expect("a wide set");
+        let rows = &ed.tuples()[..400];
+        let changed: Vec<Tuple> =
+            rows.iter().enumerate().map(|(i, t)| t.with_value(target, novel_value(i))).collect();
+        let probes = vec![vec![(rows, rows)], vec![(rows, &changed[..])]];
+        let (got, naive) = against_naive(&stats, &probes);
+        assert!(got.afd_divergence > 0.0);
+        assert_bit_equal(got, naive);
     }
 
     #[test]
@@ -990,6 +1203,40 @@ mod tests {
         assert!(!detector.is_drifted());
         assert_eq!(detector.observed_rows(), 0);
         assert_eq!(detector.weight(), 1.0);
+    }
+
+    #[test]
+    fn a_probe_over_another_sample_adds_no_counts() {
+        let (ed, stats) = mined();
+        let make = ed.schema().expect_attr("make");
+        let config = DriftConfig::default().with_threshold(0.2).with_min_observations(5);
+        let mut detector = DriftDetector::new("cars.com", &stats, config);
+        let reference: Vec<_> = ed.tuples().iter().take(100).cloned().collect();
+        let skewed: Vec<_> =
+            reference.iter().map(|t| t.with_value(make, Value::str("Monopoly"))).collect();
+
+        // Taken, then outlived by a reset to knowledge mined from another
+        // sample: its ids index the old sample's dictionary.
+        let mut stale = detector.probe();
+        stale.observe(&reference, &skewed);
+        let (_, remined) = mined_with(8, &MiningConfig::default());
+        detector.reset(&remined);
+        assert!(detector.absorb(stale).is_none());
+        assert_eq!(detector.observed_rows(), 0);
+        assert_eq!(detector.statistic().statistic, 0.0);
+
+        // A probe from another detector over the new sample counts: the
+        // guard compares the sample image, not the detector.
+        let mut foreign = DriftDetector::new("cars.com", &remined, config).probe();
+        foreign.observe(&reference, &skewed);
+        assert!(detector.absorb(foreign).is_some());
+        assert_eq!(detector.observed_rows(), 100);
+
+        // So does a probe from the detector itself.
+        let mut fresh = detector.probe();
+        fresh.observe(&reference, &skewed);
+        assert!(detector.absorb(fresh).is_none(), "the verdict already fired");
+        assert_eq!(detector.observed_rows(), 200);
     }
 
     #[test]

@@ -37,16 +37,19 @@
 //!   the same order (`1.0 − removals as f64 / n_rows as f64`).
 //!
 //! All counts live in the crate's `counts` tables — the module the drift
-//! probe counts with too — whose entries are ordered by value, so
-//! shard-parallel accumulation merged in shard order is canonical:
-//! byte-identical at any `QPIAD_THREADS`.
+//! probe counts with too — keyed by `Value`, because this state outlives
+//! every sample dictionary. The tables are hash tables: two that counted
+//! the same rows are equal whatever order they were counted and merged
+//! in, and every confidence and classifier table is built from integer
+//! counts by order-free sums, maxima and lookups, so shard-parallel
+//! accumulation is byte-identical at any `QPIAD_THREADS`.
 
 use std::collections::BTreeMap;
 
 use qpiad_db::{AttrId, Relation, Tuple, TupleId, Value};
 
 use crate::afd::{AKey, Afd, AfdSet};
-use crate::counts::{GroupCounts, ValueCounts};
+use crate::counts::{GroupCounts, Valuation, ValueCounts};
 
 /// Rows per shard for the parallel initial count build. Fixed (not a
 /// function of the thread count) so the shard boundaries — and therefore
@@ -279,11 +282,11 @@ impl AfdCounts {
 
 impl Counted for AfdCounts {
     fn add_row(&mut self, t: &Tuple) {
-        self.groups.add(&self.lhs, t, t.value(self.rhs));
+        self.groups.add(Valuation::of(&self.lhs, t), t.value(self.rhs));
     }
 
     fn remove_row(&mut self, t: &Tuple) {
-        self.groups.remove(&self.lhs, t, t.value(self.rhs));
+        self.groups.remove(Valuation::of(&self.lhs, t), t.value(self.rhs));
     }
 
     fn merge(&mut self, src: Self) {
@@ -322,11 +325,11 @@ impl KeyCounts {
 
 impl Counted for KeyCounts {
     fn add_row(&mut self, t: &Tuple) {
-        self.groups.add(&self.attrs, t, &Value::Null);
+        self.groups.add(Valuation::of(&self.attrs, t), &Value::Null);
     }
 
     fn remove_row(&mut self, t: &Tuple) {
-        self.groups.remove(&self.attrs, t, &Value::Null);
+        self.groups.remove(Valuation::of(&self.attrs, t), &Value::Null);
     }
 
     fn merge(&mut self, src: Self) {
@@ -366,7 +369,7 @@ impl Counted for NbcCounts {
         }
         self.class_counts.add(tv);
         for (cond, f) in self.cond.iter_mut().zip(&self.features) {
-            cond.add(std::slice::from_ref(f), t, tv);
+            cond.add(Valuation::of(std::slice::from_ref(f), t), tv);
         }
     }
 
@@ -377,7 +380,7 @@ impl Counted for NbcCounts {
         }
         self.class_counts.remove(tv);
         for (cond, f) in self.cond.iter_mut().zip(&self.features) {
-            cond.remove(std::slice::from_ref(f), t, tv);
+            cond.remove(Valuation::of(std::slice::from_ref(f), t), tv);
         }
     }
 
@@ -443,7 +446,7 @@ impl NbcCounts {
                                 row[c] = n as f64;
                             }
                         }
-                        (fv[0].clone(), row)
+                        (fv.values()[0].clone(), row)
                     })
                     .collect()
             })
@@ -497,8 +500,8 @@ impl FoldState {
     /// Builds the count state over a sample, shard-parallel: fixed-size
     /// row shards accumulate partial counts across the [`crate::par`]
     /// worker pool and merge sequentially in shard order (a sample of one
-    /// shard spawns no worker). Integer adds into ordered maps commute, so
-    /// the result is byte-identical at any thread count.
+    /// shard spawns no worker). Integer count adds commute, so the result
+    /// is byte-identical at any thread count.
     pub(crate) fn build(
         sample: &Relation,
         afds: &AfdSet,
