@@ -1,26 +1,25 @@
 //! Row counting shared by drift detection (`drift`: per-attribute value
 //! distributions and AFD evidence) and the incremental fold (`stream`:
 //! `g3` group counts and NBC co-occurrences) — the one place rows are
-//! counted. [`ValueCounts`] counts one attribute's values; [`GroupCounts`]
-//! counts a target's values per determining-set valuation. Both are hash
-//! tables generic over their key, and a `ValueCounts` holding a single
-//! value keeps it inline: about half of all determining-set groups see one
-//! target, and those allocate no table of their own.
+//! counted. Both count interned [`ValueId`]s, never values:
 //!
-//! * The fold keys by [`Value`] and [`Valuation`], because its count state
-//!   outlives every sample dictionary. [`Valuation::of`] clones the
-//!   determining values on every add and remove (a reference-count bump
-//!   per string value, plus a boxed slice for a multi-attribute set).
-//! * The drift probe keys by interned [`ValueId`]s, through
-//!   [`IdGroupCounts`]: ids of the mined sample's dictionary, then ids the
-//!   probe hands out to values the sample never held. Absorbing a probe
-//!   renames its ids into the detector's ([`ValueCounts::merge_mapped`],
-//!   [`IdGroupCounts::merge_renamed`]). A determining set of up to
-//!   [`INLINE_LHS`] attributes is keyed by an inline id array, so counting
+//! * [`ValueIds`] is the id space a count state counts in: the ids of the
+//!   mined sample's dictionary, then ids handed out to values the sample
+//!   never held, numbered on from the dictionary's end. A drift probe
+//!   counts in a space of its own, renamed into the detector's when it is
+//!   absorbed ([`ValueIds::adopt`]). The fold carries one space from
+//!   generation to generation: each fold interns its delta rows into a copy
+//!   whose novel part alone is cloned, and a re-mine starts a fresh space
+//!   over the new sample's dictionary.
+//! * [`ValueCounts`] counts one attribute's ids; [`GroupCounts`] counts a
+//!   target's ids per determining-set group. [`IdGroupCounts`] keys a set
+//!   of up to [`INLINE_LHS`] attributes by an inline id array, so counting
 //!   a row clones no value, and allocates nothing once its groups and
-//!   values have been counted.
+//!   values have been counted. A `ValueCounts` holding a single id keeps it
+//!   inline: about half of all determining-set groups see one target, and
+//!   those allocate no table of their own.
 //!
-//! An entry exists iff its count is positive, and a table holds its values
+//! An entry exists iff its count is positive, and a table holds its ids
 //! inline iff it holds exactly one, so two tables that counted the same
 //! multiset of rows are equal whatever order the adds, removes and merges
 //! came in. Everything read off a table is an integer count, reduced by an
@@ -29,90 +28,122 @@
 //! probes stay byte-identical at any `QPIAD_THREADS`.
 
 use std::hash::Hash;
+use std::sync::Arc;
 
-use qpiad_db::{AttrId, FastHashMap, Tuple, Value, ValueId};
+use qpiad_db::{AttrId, ColumnarRelation, Dictionary, FastHashMap, Tuple, Value, ValueId};
 
-/// A counted value: hashable, with a null that is tallied apart.
-pub(crate) trait CountKey: Clone + Eq + Hash {
-    fn is_null(&self) -> bool;
+/// An id space over a mined sample: the ids of its columnar image's
+/// dictionary, then ids for values the sample never held, numbered on
+/// from the dictionary's end in the order they were first interned. Ids
+/// from two samples' dictionaries are not comparable.
+#[derive(Debug, Clone)]
+pub(crate) struct ValueIds {
+    sample: Arc<ColumnarRelation>,
+    /// Values the sample never held: id `base() + i − 1` is
+    /// `novel.values()[i]` (slot 0 is the dictionary's reserved null).
+    novel: Dictionary,
 }
 
-impl CountKey for Value {
-    fn is_null(&self) -> bool {
-        Value::is_null(self)
+impl Default for ValueIds {
+    fn default() -> Self {
+        ValueIds::over(Arc::new(ColumnarRelation::build(0, &[])))
     }
 }
 
-impl CountKey for ValueId {
-    fn is_null(&self) -> bool {
-        ValueId::is_null(*self)
+/// Two spaces are equal iff they extend the same sample with the same
+/// novel values in the same order, so they give every value the same id.
+impl PartialEq for ValueIds {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.sample, &other.sample) && self.novel.values() == other.novel.values()
     }
 }
 
-/// One row's valuation of a determining set, by value. A single-attribute
-/// set (every NBC feature, most AFDs) stores its value without a heap
-/// allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Valuation {
-    One(Value),
-    Many(Box<[Value]>),
-}
+impl ValueIds {
+    /// The space of `sample`'s dictionary, with no novel value yet.
+    pub(crate) fn over(sample: Arc<ColumnarRelation>) -> Self {
+        ValueIds { sample, novel: Dictionary::new() }
+    }
 
-impl Valuation {
-    /// `t`'s valuation of `attrs`, or `None` if any of them is null.
-    pub(crate) fn of(attrs: &[AttrId], t: &Tuple) -> Option<Self> {
-        if attrs.iter().any(|a| t.value(*a).is_null()) {
-            return None;
+    /// The sample whose dictionary this space extends.
+    pub(crate) fn sample(&self) -> &Arc<ColumnarRelation> {
+        &self.sample
+    }
+
+    /// The first id past the sample dictionary's.
+    fn base(&self) -> u32 {
+        self.sample.dict().len() as u32
+    }
+
+    /// `v`'s id, handing out the next novel id on a novel value's first
+    /// sight. Null is [`ValueId::NULL`].
+    pub(crate) fn id(&mut self, v: &Value) -> ValueId {
+        match self.sample.dict().lookup(v) {
+            Some(id) => id,
+            None => ValueId(self.base() - 1 + self.novel.intern(v).0),
         }
-        Some(match attrs {
-            [a] => Valuation::One(t.value(*a).clone()),
-            _ => Valuation::Many(attrs.iter().map(|a| t.value(*a).clone()).collect()),
-        })
     }
 
-    pub(crate) fn values(&self) -> &[Value] {
-        match self {
-            Valuation::One(v) => std::slice::from_ref(v),
-            Valuation::Many(vs) => vs,
+    /// `v`'s id, if the space holds it.
+    pub(crate) fn lookup(&self, v: &Value) -> Option<ValueId> {
+        self.sample
+            .dict()
+            .lookup(v)
+            .or_else(|| self.novel.lookup(v).map(|id| ValueId(self.base() - 1 + id.0)))
+    }
+
+    /// The value `id` names in this space.
+    pub(crate) fn value(&self, id: ValueId) -> &Value {
+        let base = self.base();
+        if id.0 < base {
+            self.sample.dict().resolve(id)
+        } else {
+            self.novel.resolve(ValueId(id.0 - base + 1))
         }
+    }
+
+    /// Appends the ids of `t`'s cells, in attribute order, to `row`.
+    pub(crate) fn intern_row(&mut self, t: &Tuple, row: &mut Vec<ValueId>) {
+        row.extend(t.values().iter().map(|v| self.id(v)));
+    }
+
+    /// Takes `src`'s novel values into this space, which must be over the
+    /// same sample, and returns the renaming of `src`'s ids into it.
+    pub(crate) fn adopt(&mut self, src: &ValueIds) -> impl Fn(ValueId) -> ValueId {
+        let base = self.base();
+        let novel: Vec<ValueId> = src.novel.values()[1..].iter().map(|v| self.id(v)).collect();
+        move |id| if id.0 < base { id } else { novel[(id.0 - base) as usize] }
     }
 }
 
-/// Occurrence counts of one attribute's values.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ValueCounts<K: CountKey = Value> {
-    /// The only non-null value counted, while there is exactly one; with
-    /// two or more they all live in `by_value`, which stays unallocated
-    /// until then.
-    only: Option<(K, u64)>,
-    by_value: FastHashMap<K, u64>,
+/// Occurrence counts of one attribute's ids.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct ValueCounts {
+    /// The only non-null id counted, while there is exactly one; with two
+    /// or more they all live in `by_value`, which stays unallocated until
+    /// then.
+    only: Option<(ValueId, u64)>,
+    by_value: FastHashMap<ValueId, u64>,
     nulls: u64,
 }
 
-impl<K: CountKey> Default for ValueCounts<K> {
-    fn default() -> Self {
-        ValueCounts { only: None, by_value: FastHashMap::default(), nulls: 0 }
-    }
-}
-
-impl<K: CountKey> ValueCounts<K> {
+impl ValueCounts {
     /// Counts one occurrence of `v`.
-    pub(crate) fn add(&mut self, v: &K) {
+    pub(crate) fn add(&mut self, v: ValueId) {
         if v.is_null() {
             self.nulls += 1;
             return;
         }
         match &mut self.only {
-            Some((only, n)) if only == v => *n += 1,
-            _ => match self.by_value.get_mut(v) {
+            Some((only, n)) if *only == v => *n += 1,
+            _ => match self.by_value.get_mut(&v) {
                 Some(n) => *n += 1,
-                None => self.count(v.clone(), 1),
+                None => self.count(v, 1),
             },
         }
     }
 
     /// Counts `n` occurrences of the non-null `v`.
-    fn count(&mut self, v: K, n: u64) {
+    fn count(&mut self, v: ValueId, n: u64) {
         if !self.by_value.is_empty() {
             *self.by_value.entry(v).or_insert(0) += n;
             return;
@@ -128,18 +159,18 @@ impl<K: CountKey> ValueCounts<K> {
     }
 
     /// Uncounts one occurrence of `v`, which must have been counted.
-    pub(crate) fn remove(&mut self, v: &K) {
+    pub(crate) fn remove(&mut self, v: ValueId) {
         if v.is_null() {
             self.nulls -= 1;
-        } else if let Some((_, n)) = self.only.as_mut().filter(|(only, _)| only == v) {
+        } else if let Some((_, n)) = self.only.as_mut().filter(|(only, _)| *only == v) {
             *n -= 1;
             if *n == 0 {
                 self.only = None;
             }
-        } else if let Some(n) = self.by_value.get_mut(v) {
+        } else if let Some(n) = self.by_value.get_mut(&v) {
             *n -= 1;
             if *n == 0 {
-                self.by_value.remove(v);
+                self.by_value.remove(&v);
                 if self.by_value.len() == 1 {
                     self.only = self.by_value.drain().next();
                 }
@@ -154,9 +185,9 @@ impl<K: CountKey> ValueCounts<K> {
         self.merge_mapped(src, |v| v);
     }
 
-    /// Adds `src`'s counts to these, each of its values renamed by
-    /// `rename` — a one-to-one map from `src`'s id space into this one's.
-    pub(crate) fn merge_mapped(&mut self, src: Self, rename: impl Fn(K) -> K) {
+    /// Adds `src`'s counts to these, each of its ids renamed by `rename` —
+    /// a one-to-one map from `src`'s id space into this one's.
+    pub(crate) fn merge_mapped(&mut self, src: Self, rename: impl Fn(ValueId) -> ValueId) {
         self.nulls += src.nulls;
         for (v, n) in src.only.into_iter().chain(src.by_value) {
             self.count(rename(v), n);
@@ -173,24 +204,24 @@ impl<K: CountKey> ValueCounts<K> {
         self.iter().map(|(_, n)| n).sum()
     }
 
-    /// The largest single-value count (0 without a non-null value).
+    /// The largest single-id count (0 without a non-null id).
     pub(crate) fn majority(&self) -> u64 {
         self.iter().map(|(_, n)| n).max().unwrap_or(0)
     }
 
     /// Occurrences of `v` (0 if never counted).
-    pub(crate) fn get(&self, v: &K) -> u64 {
+    pub(crate) fn get(&self, v: ValueId) -> u64 {
         match &self.only {
-            Some((only, n)) if only == v => *n,
+            Some((only, n)) if *only == v => *n,
             Some(_) => 0,
-            None => self.by_value.get(v).copied().unwrap_or(0),
+            None => self.by_value.get(&v).copied().unwrap_or(0),
         }
     }
 
-    /// The non-null values with their counts, in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, u64)> + '_ {
-        let only = self.only.iter().map(|(v, n)| (v, *n));
-        only.chain(self.by_value.iter().map(|(v, n)| (v, *n)))
+    /// The non-null ids with their counts, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ValueId, u64)> + '_ {
+        let only = self.only.iter().copied();
+        only.chain(self.by_value.iter().map(|(v, n)| (*v, *n)))
     }
 
     fn is_empty(&self) -> bool {
@@ -199,34 +230,28 @@ impl<K: CountKey> ValueCounts<K> {
 }
 
 /// Rows grouped by their valuation of a determining set, each group
-/// counting a target value. Every key passed to one table values the same
-/// determining set; a row with a null on it has no key (`None`) and joins
-/// no group.
+/// counting a target id. Every key passed to one table values the same
+/// determining set; a row with a null on it has no key and joins no group.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct GroupCounts<G: Eq + Hash = Valuation, K: CountKey = Value> {
-    groups: FastHashMap<G, ValueCounts<K>>,
+pub(crate) struct GroupCounts<G: Eq + Hash> {
+    groups: FastHashMap<G, ValueCounts>,
 }
 
-impl<G: Eq + Hash, K: CountKey> Default for GroupCounts<G, K> {
+impl<G: Eq + Hash> Default for GroupCounts<G> {
     fn default() -> Self {
         GroupCounts { groups: FastHashMap::default() }
     }
 }
 
-impl<G: Eq + Hash, K: CountKey> GroupCounts<G, K> {
+impl<G: Eq + Hash> GroupCounts<G> {
     /// Counts `target` in the group keyed `key`.
-    pub(crate) fn add(&mut self, key: Option<G>, target: &K) {
-        if let Some(key) = key {
-            self.groups.entry(key).or_default().add(target);
-        }
+    pub(crate) fn add(&mut self, key: G, target: ValueId) {
+        self.groups.entry(key).or_default().add(target);
     }
 
     /// Uncounts `target` from the group keyed `key`, where it must have
     /// been counted; a group left without rows is dropped.
-    pub(crate) fn remove(&mut self, key: Option<G>, target: &K) {
-        let Some(key) = key else {
-            return;
-        };
+    pub(crate) fn remove(&mut self, key: G, target: ValueId) {
         let Some(group) = self.groups.get_mut(&key) else {
             debug_assert!(false, "removed a row that was never grouped");
             return;
@@ -243,13 +268,13 @@ impl<G: Eq + Hash, K: CountKey> GroupCounts<G, K> {
     }
 
     /// Adds `src`'s groups to these, renaming its keys by `rename_key` and
-    /// its target values by `rename` (one-to-one maps from `src`'s id
-    /// space into this one's).
+    /// its target ids by `rename` (one-to-one maps from `src`'s id space
+    /// into this one's).
     pub(crate) fn merge_mapped(
         &mut self,
         src: Self,
         rename_key: impl Fn(G) -> G,
-        rename: impl Fn(K) -> K + Copy,
+        rename: impl Fn(ValueId) -> ValueId + Copy,
     ) {
         for (key, counts) in src.groups {
             self.groups.entry(rename_key(key)).or_default().merge_mapped(counts, rename);
@@ -257,12 +282,12 @@ impl<G: Eq + Hash, K: CountKey> GroupCounts<G, K> {
     }
 
     /// Each group's target counts, in no particular order.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = &ValueCounts<K>> + '_ {
+    pub(crate) fn groups(&self) -> impl Iterator<Item = &ValueCounts> + '_ {
         self.groups.values()
     }
 
     /// Each group's key with its target counts, in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&G, &ValueCounts<K>)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&G, &ValueCounts)> + '_ {
         self.groups.iter()
     }
 }
@@ -272,15 +297,35 @@ impl<G: Eq + Hash, K: CountKey> GroupCounts<G, K> {
 /// configured wider.
 pub(crate) const INLINE_LHS: usize = 3;
 
-/// [`GroupCounts`] over interned ids, for one determining set. A set of up
-/// to [`INLINE_LHS`] attributes is keyed by an inline array whose unused
-/// slots hold [`ValueId::NULL`] (never a real component: a row with a null
-/// on the set joins no group), so building a key allocates nothing; a
-/// wider set is keyed by a boxed slice.
+/// [`GroupCounts`] for one determining set. A set of up to [`INLINE_LHS`]
+/// attributes is keyed by an inline array whose unused slots hold
+/// [`ValueId::NULL`] (never a real component: a row with a null on the set
+/// joins no group), so building a key allocates nothing; a wider set is
+/// keyed by a boxed slice.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum IdGroupCounts {
-    Inline(GroupCounts<[ValueId; INLINE_LHS], ValueId>),
-    Wide(GroupCounts<Box<[ValueId]>, ValueId>),
+    Inline(GroupCounts<[ValueId; INLINE_LHS]>),
+    Wide(GroupCounts<Box<[ValueId]>>),
+}
+
+/// `row`'s valuation of `attrs` as an inline key, or `None` with a null
+/// among them.
+fn inline_key(attrs: &[AttrId], row: &[ValueId]) -> Option<[ValueId; INLINE_LHS]> {
+    let mut key = [ValueId::NULL; INLINE_LHS];
+    for (slot, a) in key.iter_mut().zip(attrs) {
+        *slot = row[a.index()];
+        if slot.is_null() {
+            return None;
+        }
+    }
+    Some(key)
+}
+
+/// `row`'s valuation of `attrs` as a boxed key, or `None` with a null
+/// among them.
+fn wide_key(attrs: &[AttrId], row: &[ValueId]) -> Option<Box<[ValueId]>> {
+    let id = |a: &AttrId| row[a.index()];
+    (!attrs.iter().any(|a| id(a).is_null())).then(|| attrs.iter().map(id).collect())
 }
 
 impl IdGroupCounts {
@@ -297,22 +342,41 @@ impl IdGroupCounts {
     /// set this table is over), where `row` holds a row's ids in attribute
     /// order.
     pub(crate) fn add(&mut self, attrs: &[AttrId], row: &[ValueId], target: ValueId) {
-        let id = |a: &AttrId| row[a.index()];
-        if attrs.iter().any(|a| id(a).is_null()) {
-            return;
-        }
         match self {
             IdGroupCounts::Inline(groups) => {
-                let mut key = [ValueId::NULL; INLINE_LHS];
-                for (slot, a) in key.iter_mut().zip(attrs) {
-                    *slot = id(a);
+                if let Some(key) = inline_key(attrs, row) {
+                    groups.add(key, target);
                 }
-                groups.add(Some(key), &target);
             }
             IdGroupCounts::Wide(groups) => {
-                groups.add(Some(attrs.iter().map(id).collect()), &target);
+                if let Some(key) = wide_key(attrs, row) {
+                    groups.add(key, target);
+                }
             }
         }
+    }
+
+    /// Uncounts `target` from the group of `row`'s valuation of `attrs`,
+    /// where [`IdGroupCounts::add`] counted it.
+    pub(crate) fn remove(&mut self, attrs: &[AttrId], row: &[ValueId], target: ValueId) {
+        match self {
+            IdGroupCounts::Inline(groups) => {
+                if let Some(key) = inline_key(attrs, row) {
+                    groups.remove(key, target);
+                }
+            }
+            IdGroupCounts::Wide(groups) => {
+                if let Some(key) = wide_key(attrs, row) {
+                    groups.remove(key, target);
+                }
+            }
+        }
+    }
+
+    /// Adds `src`'s groups, counted over the same set in the same id
+    /// space, to these.
+    pub(crate) fn merge(&mut self, src: Self) {
+        self.merge_renamed(src, |id| id);
     }
 
     /// Adds `src`'s groups, counted over the same set, to these, every id
@@ -334,7 +398,7 @@ impl IdGroupCounts {
     }
 
     /// Each group's target counts, in no particular order.
-    pub(crate) fn groups(&self) -> Box<dyn Iterator<Item = &ValueCounts<ValueId>> + '_> {
+    pub(crate) fn groups(&self) -> Box<dyn Iterator<Item = &ValueCounts> + '_> {
         match self {
             IdGroupCounts::Inline(groups) => Box::new(groups.groups()),
             IdGroupCounts::Wide(groups) => Box::new(groups.groups()),
@@ -363,9 +427,7 @@ mod tests {
     }
 
     /// Each group's `(rows, non-null rows, majority)`, sorted.
-    fn totals<'a, K: CountKey + 'a>(
-        groups: impl Iterator<Item = &'a ValueCounts<K>>,
-    ) -> Vec<(u64, u64, u64)> {
+    fn totals<'a>(groups: impl Iterator<Item = &'a ValueCounts>) -> Vec<(u64, u64, u64)> {
         let mut totals: Vec<_> = groups.map(|g| (g.rows(), g.non_null(), g.majority())).collect();
         totals.sort_unstable();
         totals
@@ -378,14 +440,16 @@ mod tests {
         key.iter().all(|id| !id.is_null()).then_some(key)
     }
 
-    type Tables = (ValueCounts<ValueId>, GroupCounts<[ValueId; 2], ValueId>);
+    type Tables = (ValueCounts, GroupCounts<[ValueId; 2]>);
 
     fn count(rows: impl Iterator<Item = usize>) -> Tables {
         let mut tables = Tables::default();
         for i in rows {
             let (ids, target) = ROWS[i];
-            tables.0.add(&ValueId(ids[0]));
-            tables.1.add(key(ids), &ValueId(target));
+            tables.0.add(ValueId(ids[0]));
+            if let Some(key) = key(ids) {
+                tables.1.add(key, ValueId(target));
+            }
         }
         tables
     }
@@ -403,29 +467,29 @@ mod tests {
 
         // With a row counted and uncounted again: no empty entry stays.
         let mut churned = count(0..ROWS.len());
-        churned.0.add(&ValueId(9));
-        churned.0.remove(&ValueId(9));
-        churned.1.add(key([9, 9, 0, 0]), &ValueId(9));
-        churned.1.remove(key([9, 9, 0, 0]), &ValueId(9));
+        churned.0.add(ValueId(9));
+        churned.0.remove(ValueId(9));
+        churned.1.add([ValueId(9), ValueId(9)], ValueId(9));
+        churned.1.remove([ValueId(9), ValueId(9)], ValueId(9));
         assert_eq!(churned, forward);
     }
 
     #[test]
     fn a_single_value_is_held_inline_however_the_table_got_there() {
-        let table = |steps: &[(i64, bool)]| {
-            let mut t = ValueCounts::<Value>::default();
+        let table = |steps: &[(u32, bool)]| {
+            let mut t = ValueCounts::default();
             for &(v, add) in steps {
                 if add {
-                    t.add(&Value::int(v));
+                    t.add(ValueId(v));
                 } else {
-                    t.remove(&Value::int(v));
+                    t.remove(ValueId(v));
                 }
             }
             t
         };
         let one = table(&[(1, true), (1, true)]);
         assert!(one.by_value.is_empty());
-        assert_eq!((one.non_null(), one.majority(), one.get(&Value::int(1))), (2, 2, 2));
+        assert_eq!((one.non_null(), one.majority(), one.get(ValueId(1))), (2, 2, 2));
         // Spilled into the table and back: the same state, inline again.
         let back = table(&[(1, true), (2, true), (1, true), (2, false)]);
         assert_eq!(back, one);
@@ -436,22 +500,42 @@ mod tests {
         assert_eq!(merged, one);
         merged.merge(table(&[(3, true)]));
         assert_eq!(merged, table(&[(3, true), (1, true), (1, true)]));
-        assert_eq!((merged.rows(), merged.majority(), merged.get(&Value::int(3))), (3, 2, 1));
+        assert_eq!((merged.rows(), merged.majority(), merged.get(ValueId(3))), (3, 2, 1));
         // Emptied entirely, nulls aside.
         let mut emptied = table(&[(1, true), (1, false)]);
-        emptied.add(&Value::Null);
+        emptied.add(ValueId::NULL);
         assert_eq!((emptied.rows(), emptied.non_null(), emptied.iter().count()), (1, 0, 0));
         assert_eq!(emptied.only, None);
     }
 
     #[test]
     fn groups_count_nulls_as_rows_but_never_as_majority() {
-        let mut groups = GroupCounts::<[ValueId; 1], ValueId>::default();
+        let mut groups = GroupCounts::<[ValueId; 1]>::default();
         for (ids, target) in ROWS {
-            groups.add(Some([ValueId(ids[0])]), &ValueId(target));
+            groups.add([ValueId(ids[0])], ValueId(target));
         }
         // Group 1: targets 5, 6, 5, 5, 5; group 7: null, 5, 6.
         assert_eq!(totals(groups.groups()), vec![(3, 2, 1), (5, 5, 4)]);
+    }
+
+    #[test]
+    fn id_groups_uncount_what_they_counted() {
+        // An inline and a wide set; rows with a null on the set join no
+        // group, so removing them is a no-op too.
+        for attrs in [&[AttrId(0), AttrId(1)][..], &[AttrId(0), AttrId(1), AttrId(2), AttrId(3)]] {
+            let mut all = IdGroupCounts::over(attrs);
+            let mut front = IdGroupCounts::over(attrs);
+            for (i, (ids, target)) in ROWS.into_iter().enumerate() {
+                all.add(attrs, &row(ids), ValueId(target));
+                if i < 3 {
+                    front.add(attrs, &row(ids), ValueId(target));
+                }
+            }
+            for (ids, target) in &ROWS[3..] {
+                all.remove(attrs, &row(*ids), ValueId(*target));
+            }
+            assert_eq!(all, front, "over {attrs:?}");
+        }
     }
 
     #[test]
@@ -503,5 +587,39 @@ mod tests {
         assert_eq!(totals(wide.groups()), totals(inline.groups()));
         // The row with a null in the set joins no group.
         assert_eq!(totals(wide.groups()), vec![(2, 1, 1), (4, 4, 3)]);
+    }
+
+    #[test]
+    fn value_ids_extend_the_sample_dictionary() {
+        let sample = [Tuple::new(qpiad_db::TupleId(0), vec![Value::str("a"), Value::int(1)])];
+        let sample = Arc::new(ColumnarRelation::build(2, &sample));
+        let mut ids = ValueIds::over(Arc::clone(&sample));
+        // Sample values keep their dictionary ids; novel ones number on
+        // from its end, in first-sight order, and resolve back.
+        assert_eq!(ids.id(&Value::str("a")), sample.dict().lookup(&Value::str("a")).unwrap());
+        assert_eq!(ids.id(&Value::Null), ValueId::NULL);
+        let (b, c) = (ids.id(&Value::str("b")), ids.id(&Value::int(2)));
+        assert_eq!((b.0, c.0), (3, 4));
+        assert_eq!(ids.id(&Value::str("b")), b);
+        assert_eq!((ids.value(b), ids.value(c)), (&Value::str("b"), &Value::int(2)));
+        assert_eq!(ids.value(ValueId(1)), &Value::str("a"));
+        assert_eq!(ids.lookup(&Value::int(2)), Some(c));
+        assert_eq!(ids.lookup(&Value::int(3)), None);
+
+        // A copy carries the novel ids forward, and equal spaces name
+        // every value alike.
+        let mut next = ids.clone();
+        assert_eq!(next, ids);
+        let mut row = Vec::new();
+        let t = Tuple::new(qpiad_db::TupleId(1), vec![Value::str("b"), Value::int(9)]);
+        next.intern_row(&t, &mut row);
+        assert_eq!(row, vec![b, ValueId(5)]);
+        assert_ne!(next, ids);
+
+        // Adopting another space's novel values renames its ids.
+        let mut other = ValueIds::over(Arc::clone(&sample));
+        let (o9, ob) = (other.id(&Value::int(9)), other.id(&Value::str("b")));
+        let rename = next.adopt(&other);
+        assert_eq!((rename(o9), rename(ob), rename(ValueId(1))), (ValueId(5), b, ValueId(1)));
     }
 }

@@ -53,8 +53,9 @@
 //!
 //! ## Interned counting
 //!
-//! A probe counts dense `ValueId`s, not values. Each cell is interned once,
-//! through the dictionary of the mined sample's columnar image
+//! A probe counts dense `ValueId`s, not values, in an id space of the kind
+//! the fold counts in too (`counts::ValueIds`). Each cell is interned
+//! once, through the dictionary of the mined sample's columnar image
 //! (`stats.selectivity().sample().columnar()`), which the detector shares
 //! with every probe it hands out. A value the sample never held gets a
 //! probe-local id numbered past the dictionary's end; absorbing the probe
@@ -71,9 +72,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use qpiad_db::version::KnowledgeVersionClock;
-use qpiad_db::{AttrId, ColumnarRelation, Dictionary, Tuple, Value, ValueId};
+use qpiad_db::{AttrId, ColumnarRelation, Tuple, ValueId};
 
-use crate::counts::{IdGroupCounts, ValueCounts};
+use crate::counts::{IdGroupCounts, ValueCounts, ValueIds};
 use crate::knowledge::SourceStats;
 use crate::stream::{SampleStream, StreamStats};
 
@@ -151,59 +152,12 @@ pub struct DriftVerdict {
     pub observed: u64,
 }
 
-/// The id space a probe counts in: the mined sample's dictionary ids,
-/// then ids for values the sample never held, numbered on from the
-/// dictionary's end in the order the probe first saw them. Ids from two
-/// samples' dictionaries are not comparable, and a probe's novel ids are
-/// its own: [`DriftProbe::merge_into`] renames them into the destination's.
-#[derive(Debug, Clone)]
-struct ValueIds {
-    sample: Arc<ColumnarRelation>,
-    /// Values the sample never held: id `base() + i − 1` is
-    /// `novel.values()[i]` (slot 0 is the dictionary's reserved null).
-    novel: Dictionary,
-}
-
-impl Default for ValueIds {
-    fn default() -> Self {
-        ValueIds::over(Arc::new(ColumnarRelation::build(0, &[])))
-    }
-}
-
-impl ValueIds {
-    fn over(sample: Arc<ColumnarRelation>) -> Self {
-        ValueIds { sample, novel: Dictionary::new() }
-    }
-
-    /// The first id past the sample dictionary's.
-    fn base(&self) -> u32 {
-        self.sample.dict().len() as u32
-    }
-
-    /// `v`'s id, handing out the next novel id on a novel value's first
-    /// sight. Null is [`ValueId::NULL`].
-    fn id(&mut self, v: &Value) -> ValueId {
-        match self.sample.dict().lookup(v) {
-            Some(id) => id,
-            None => ValueId(self.base() - 1 + self.novel.intern(v).0),
-        }
-    }
-
-    /// Takes `src`'s novel values into this space, which must be over the
-    /// same sample, and returns the renaming of `src`'s ids into it.
-    fn adopt(&mut self, src: &ValueIds) -> impl Fn(ValueId) -> ValueId {
-        let base = self.base();
-        let novel: Vec<ValueId> = src.novel.values()[1..].iter().map(|v| self.id(v)).collect();
-        move |id| if id.0 < base { id } else { novel[(id.0 - base) as usize] }
-    }
-}
-
 /// One side of the paired comparison: per-attribute value counts plus
 /// AFD evidence (each tracked attribute's non-null values counted per
 /// determining-set group), all over interned ids.
 #[derive(Debug, Clone, Default)]
 struct SideCounts {
-    values: Vec<ValueCounts<ValueId>>,
+    values: Vec<ValueCounts>,
     /// Per attribute, AFD evidence for its tracked set (empty if untracked).
     afds: Vec<IdGroupCounts>,
     rows: u64,
@@ -234,9 +188,9 @@ impl SideCounts {
         for t in tuples.iter().filter(|t| t.arity() == arity) {
             self.rows += 1;
             row.clear();
-            row.extend(t.values().iter().map(|v| ids.id(v)));
+            ids.intern_row(t, row);
             for (counts, id) in self.values.iter_mut().zip(row.iter()) {
-                counts.add(id);
+                counts.add(*id);
             }
             for ((groups, lhs), rhs) in self.afds.iter_mut().zip(tracked).zip(row.iter()) {
                 let Some(lhs) = lhs else { continue };
@@ -363,7 +317,7 @@ impl DriftProbe {
     /// Whether `other` counts the same tracked sets in the same id space,
     /// so its counts may merge into these.
     fn shaped_like(&self, other: &DriftProbe) -> bool {
-        Arc::ptr_eq(&self.ids.sample, &other.ids.sample) && self.tracked == other.tracked
+        Arc::ptr_eq(self.ids.sample(), other.ids.sample()) && self.tracked == other.tracked
     }
 
     fn merge_into(mut self, dst: &mut DriftProbe) {
@@ -398,7 +352,7 @@ pub struct DriftStatistic {
 /// probability stays tiny under L∞. The drift mode that actually poisons
 /// rewrites — a category collapsing or newly dominating — moves one
 /// value's probability by a large amount and is caught.
-fn value_shift(reference: &ValueCounts<ValueId>, live: &ValueCounts<ValueId>) -> f64 {
+fn value_shift(reference: &ValueCounts, live: &ValueCounts) -> f64 {
     let ref_total = reference.non_null();
     let live_total = live.non_null();
     if ref_total == 0 || live_total == 0 {
@@ -439,7 +393,7 @@ impl DriftDetector {
     /// An empty pass-local probe shaped like this detector's statistics.
     pub fn probe(&self) -> DriftProbe {
         let tracked = self.accumulated.tracked.clone();
-        let sample = Arc::clone(&self.accumulated.ids.sample);
+        let sample = Arc::clone(self.accumulated.ids.sample());
         DriftProbe::shaped(tracked, sample, self.config.stream_capacity)
     }
 

@@ -15,7 +15,7 @@ use crate::selectivity::SelectivityEstimator;
 use crate::strategy::{
     feature_choice, AttrPredictor, FeatureChoice, FeatureStrategy, ValuePredictor,
 };
-use crate::stream::{FoldState, NbcCounts};
+use crate::stream::FoldState;
 use crate::tane::{discover, TaneConfig};
 
 /// Why a refresh or fold could not use a probe. Classified (instead of the
@@ -244,12 +244,14 @@ impl SourceStats {
         let old = self.selectivity().sample();
         let (merged, replaced, appended) = merge_probe(old, fresh)?;
         let mut fold = self.inner.fold.applied(&replaced, &appended);
-        let max_delta = fold.max_confidence_delta();
+        // One confidence per AFD and AKey, read by both the bound and the
+        // rebuild.
+        let (afd_confidences, key_confidences) = fold.confidences();
+        let max_delta = fold.max_confidence_delta(&afd_confidences, &key_confidences);
         if max_delta > bound {
             return Ok(FoldOutcome::RemineRequired { max_delta, bound });
         }
         let merged = Relation::new(old.schema().clone(), merged);
-        let n = fold.n_rows();
 
         // Same membership, folded confidences. `AfdSet::new` re-sorts each
         // attribute's list, so a confidence update can change which AFD is
@@ -257,20 +259,22 @@ impl SourceStats {
         let afds = AfdSet::new(
             fold.afds
                 .iter()
-                .map(|c| Afd::new(c.lhs.clone(), c.rhs, c.confidence(n)))
+                .zip(afd_confidences)
+                .map(|(c, confidence)| Afd::new(c.lhs.clone(), c.rhs, confidence))
                 .collect(),
         );
         let akeys: Vec<AKey> = fold
             .akeys
             .iter()
-            .map(|c| AKey::new(c.attrs.clone(), c.confidence(n)))
+            .zip(key_confidences)
+            .map(|(c, confidence)| AKey::new(c.attrs.clone(), confidence))
             .collect();
 
         // Rebuild the per-attribute classifiers: count-table rebuild where
         // the feature choice survived, full retrain where it shifted.
         enum CountAction {
             Keep,
-            Replace(NbcCounts),
+            Reseed(Vec<AttrId>),
             Drop,
         }
         let all_attrs: Vec<AttrId> = merged.schema().attr_ids().collect();
@@ -278,11 +282,7 @@ impl SourceStats {
         let rebuilt = crate::par::parallel_map(&all_attrs, |target| {
             match feature_choice(&afds, config.strategy, *target, &all_attrs) {
                 FeatureChoice::Single { features, afd } => {
-                    let maintained = fold
-                        .nbc_for(*target)
-                        .filter(|c| c.features == features)
-                        .map(|c| c.tables(&merged));
-                    match maintained {
+                    match fold.nbc_tables(*target, &features, merged.columnar()) {
                         Some((classes, class_counts, cond)) => {
                             let nbc = NaiveBayes::from_counts(
                                 *target,
@@ -296,11 +296,7 @@ impl SourceStats {
                         }
                         None => {
                             let nbc = NaiveBayes::train(&merged, *target, features.clone(), m);
-                            let counts = NbcCounts::count(&merged, *target, features);
-                            (
-                                AttrPredictor::Single { nbc, afd },
-                                CountAction::Replace(counts),
-                            )
+                            (AttrPredictor::Single { nbc, afd }, CountAction::Reseed(features))
                         }
                     }
                 }
@@ -321,7 +317,7 @@ impl SourceStats {
             per_attr.insert(*target, pred);
             match action {
                 CountAction::Keep => {}
-                CountAction::Replace(counts) => fold.replace_nbc(counts),
+                CountAction::Reseed(features) => fold.reseed_nbc(&merged, *target, features),
                 CountAction::Drop => fold.drop_nbc(*target),
             }
         }

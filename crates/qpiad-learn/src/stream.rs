@@ -36,24 +36,40 @@
 //! * The final confidence is computed with the same float expression in
 //!   the same order (`1.0 − removals as f64 / n_rows as f64`).
 //!
+//! ## Interned counting
+//!
 //! All counts live in the crate's `counts` tables — the module the drift
-//! probe counts with too — keyed by `Value`, because this state outlives
-//! every sample dictionary. The tables are hash tables: two that counted
-//! the same rows are equal whatever order they were counted and merged
-//! in, and every confidence and classifier table is built from integer
-//! counts by order-free sums, maxima and lookups, so shard-parallel
-//! accumulation is byte-identical at any `QPIAD_THREADS`.
+//! probe counts with too — keyed by interned `ValueId`s. The count state
+//! carries its own id space: the mined sample's dictionary, built with the
+//! sample's columnar image, plus novel ids for values first seen in folded
+//! rows. The mine-time build reads its ids straight off the sample's
+//! columns, with no value hashed or cloned. A fold interns each delta row
+//! once into a copy of the space — only the novel part is cloned, the
+//! dictionary is shared — and hands that copy on to the next generation,
+//! so a row folded in one generation uncounts under the same ids in a
+//! later one. A re-mine starts a fresh space over the new sample. The
+//! classifier tables resolve ids back to values only when a fold rebuilds
+//! a classifier.
+//!
+//! The tables are hash tables: two that counted the same rows are equal
+//! whatever order they were counted and merged in, and every confidence
+//! and classifier table is built from integer counts by order-free sums,
+//! maxima and lookups, so shard-parallel accumulation is byte-identical
+//! at any `QPIAD_THREADS`.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Arc;
 
-use qpiad_db::{AttrId, Relation, Tuple, TupleId, Value};
+use qpiad_db::{AttrId, ColumnarRelation, FastHashMap, Relation, Tuple, TupleId, Value, ValueId};
 
 use crate::afd::{AKey, Afd, AfdSet};
-use crate::counts::{GroupCounts, Valuation, ValueCounts};
+use crate::counts::{GroupCounts, IdGroupCounts, ValueCounts, ValueIds};
 
-/// Rows per shard for the parallel initial count build. Fixed (not a
-/// function of the thread count) so the shard boundaries — and therefore
-/// the merge order — are identical at any `QPIAD_THREADS`.
+/// Rows per shard of the parallel initial count build. A worker counts a
+/// run of whole shards into one partial, and every partial past the first
+/// costs a merge, so the build makes at most one run per worker: a sample
+/// of one shard, or a pool of one thread, merges nothing.
 const SHARD_ROWS: usize = 4096;
 
 // ---------------------------------------------------------------------------
@@ -212,12 +228,38 @@ impl SampleStream {
 // Count state
 // ---------------------------------------------------------------------------
 
-/// One mined artifact's count structure: how a row enters and leaves it,
-/// and how shard partials combine.
+/// One mined artifact's count structure: how an id row (one id per
+/// attribute, in the fold's id space) enters and leaves it, and how shard
+/// partials combine.
 trait Counted: Clone + Send + Sync {
-    fn add_row(&mut self, t: &Tuple);
-    fn remove_row(&mut self, t: &Tuple);
+    fn add_row(&mut self, row: &[ValueId]);
+    fn remove_row(&mut self, row: &[ValueId]);
     fn merge(&mut self, src: Self);
+}
+
+/// The id rows of `rows`, which holds `arity` ids per row, row-major.
+fn id_rows(rows: &[ValueId], arity: usize) -> std::slice::ChunksExact<'_, ValueId> {
+    // Without attributes there are no ids, and so no rows to walk.
+    rows.chunks_exact(arity.max(1))
+}
+
+/// Rows `range` of `sample` as id rows in its dictionary's ids, row-major.
+fn sample_rows(sample: &ColumnarRelation, range: Range<usize>) -> Vec<ValueId> {
+    let columns: Vec<&[ValueId]> = (0..sample.arity()).map(|a| sample.column(AttrId(a))).collect();
+    let mut rows = Vec::with_capacity(range.len() * columns.len());
+    for r in range {
+        rows.extend(columns.iter().map(|column| column[r]));
+    }
+    rows
+}
+
+/// Counts every id row of `rows` into every structure.
+fn add_each<C: Counted>(all: &mut [C], rows: &[ValueId], arity: usize) {
+    for counts in all {
+        for row in id_rows(rows, arity) {
+            counts.add_row(row);
+        }
+    }
 }
 
 /// Merges `src[i]` into `dst[i]` for every structure.
@@ -228,17 +270,21 @@ fn merge_each<C: Counted>(dst: &mut [C], src: Vec<C>) {
 }
 
 /// Every structure cloned and replayed through the delta across the
-/// [`crate::par`] worker pool: `changed` rows swap old for new in place,
-/// `appended` rows are new ids.
-fn replay_each<C: Counted>(all: &[C], changed: &[&(Tuple, Tuple)], appended: &[Tuple]) -> Vec<C> {
+/// [`crate::par`] worker pool: the `removed` id rows leave it, then the
+/// `added` ones enter.
+fn replay_each<C: Counted>(
+    all: &[C],
+    arity: usize,
+    removed: &[ValueId],
+    added: &[ValueId],
+) -> Vec<C> {
     crate::par::parallel_map(all, |counts| {
         let mut counts = counts.clone();
-        for (old, new) in changed {
-            counts.remove_row(old);
-            counts.add_row(new);
+        for row in id_rows(removed, arity) {
+            counts.remove_row(row);
         }
-        for t in appended {
-            counts.add_row(t);
+        for row in id_rows(added, arity) {
+            counts.add_row(row);
         }
         counts
     })
@@ -253,7 +299,7 @@ pub(crate) struct AfdCounts {
     /// Confidence at the last full TANE run — the anchor the re-mine
     /// bound compares folded confidences against.
     pub(crate) base_confidence: f64,
-    groups: GroupCounts,
+    groups: IdGroupCounts,
 }
 
 impl AfdCounts {
@@ -262,14 +308,14 @@ impl AfdCounts {
             lhs: afd.lhs.clone(),
             rhs: afd.rhs,
             base_confidence: afd.confidence,
-            groups: GroupCounts::default(),
+            groups: IdGroupCounts::over(&afd.lhs),
         }
     }
 
     /// `1 − g3(lhs → rhs)` over the counted rows — bit-identical to
     /// [`StrippedPartition::g3_error`](crate::partition::StrippedPartition::g3_error)
     /// on the same relation (see the module docs for why).
-    pub(crate) fn confidence(&self, n_rows: u64) -> f64 {
+    fn confidence(&self, n_rows: u64) -> f64 {
         if n_rows == 0 {
             return 1.0;
         }
@@ -281,12 +327,12 @@ impl AfdCounts {
 }
 
 impl Counted for AfdCounts {
-    fn add_row(&mut self, t: &Tuple) {
-        self.groups.add(Valuation::of(&self.lhs, t), t.value(self.rhs));
+    fn add_row(&mut self, row: &[ValueId]) {
+        self.groups.add(&self.lhs, row, row[self.rhs.index()]);
     }
 
-    fn remove_row(&mut self, t: &Tuple) {
-        self.groups.remove(Valuation::of(&self.lhs, t), t.value(self.rhs));
+    fn remove_row(&mut self, row: &[ValueId]) {
+        self.groups.remove(&self.lhs, row, row[self.rhs.index()]);
     }
 
     fn merge(&mut self, src: Self) {
@@ -300,7 +346,7 @@ impl Counted for AfdCounts {
 pub(crate) struct KeyCounts {
     pub(crate) attrs: Vec<AttrId>,
     pub(crate) base_confidence: f64,
-    groups: GroupCounts,
+    groups: IdGroupCounts,
 }
 
 impl KeyCounts {
@@ -308,13 +354,13 @@ impl KeyCounts {
         KeyCounts {
             attrs: akey.attrs.clone(),
             base_confidence: akey.confidence,
-            groups: GroupCounts::default(),
+            groups: IdGroupCounts::over(&akey.attrs),
         }
     }
 
     /// `1 − g3_key(attrs)` over the counted rows — bit-identical to
     /// [`StrippedPartition::g3_key_error`](crate::partition::StrippedPartition::g3_key_error).
-    pub(crate) fn confidence(&self, n_rows: u64) -> f64 {
+    fn confidence(&self, n_rows: u64) -> f64 {
         if n_rows == 0 {
             return 1.0;
         }
@@ -324,12 +370,12 @@ impl KeyCounts {
 }
 
 impl Counted for KeyCounts {
-    fn add_row(&mut self, t: &Tuple) {
-        self.groups.add(Valuation::of(&self.attrs, t), &Value::Null);
+    fn add_row(&mut self, row: &[ValueId]) {
+        self.groups.add(&self.attrs, row, ValueId::NULL);
     }
 
-    fn remove_row(&mut self, t: &Tuple) {
-        self.groups.remove(Valuation::of(&self.attrs, t), &Value::Null);
+    fn remove_row(&mut self, row: &[ValueId]) {
+        self.groups.remove(&self.attrs, row, ValueId::NULL);
     }
 
     fn merge(&mut self, src: Self) {
@@ -352,35 +398,41 @@ pub(crate) type NbcTables = (Vec<Value>, Vec<f64>, Vec<Vec<(Value, Vec<f64>)>>);
 pub(crate) struct NbcCounts {
     pub(crate) target: AttrId,
     pub(crate) features: Vec<AttrId>,
-    /// Target occurrences per class value.
+    /// Target occurrences per class id.
     class_counts: ValueCounts,
-    /// Per feature: class counts per feature value. An entry exists iff
-    /// the pair co-occurred at least once — the same membership rule batch
+    /// Per feature: class counts per feature id. An entry exists iff the
+    /// pair co-occurred at least once — the same membership rule batch
     /// training uses, which is what keeps the smoothing domain size
     /// identical.
-    cond: Vec<GroupCounts>,
+    cond: Vec<GroupCounts<ValueId>>,
 }
 
 impl Counted for NbcCounts {
-    fn add_row(&mut self, t: &Tuple) {
-        let tv = t.value(self.target);
-        if tv.is_null() {
+    fn add_row(&mut self, row: &[ValueId]) {
+        let class = row[self.target.index()];
+        if class.is_null() {
             return;
         }
-        self.class_counts.add(tv);
+        self.class_counts.add(class);
         for (cond, f) in self.cond.iter_mut().zip(&self.features) {
-            cond.add(Valuation::of(std::slice::from_ref(f), t), tv);
+            let value = row[f.index()];
+            if !value.is_null() {
+                cond.add(value, class);
+            }
         }
     }
 
-    fn remove_row(&mut self, t: &Tuple) {
-        let tv = t.value(self.target);
-        if tv.is_null() {
+    fn remove_row(&mut self, row: &[ValueId]) {
+        let class = row[self.target.index()];
+        if class.is_null() {
             return;
         }
-        self.class_counts.remove(tv);
+        self.class_counts.remove(class);
         for (cond, f) in self.cond.iter_mut().zip(&self.features) {
-            cond.remove(Valuation::of(std::slice::from_ref(f), t), tv);
+            let value = row[f.index()];
+            if !value.is_null() {
+                cond.remove(value, class);
+            }
         }
     }
 
@@ -398,55 +450,54 @@ impl NbcCounts {
         NbcCounts { target, features, class_counts: ValueCounts::default(), cond }
     }
 
-    /// Builds counts over a whole sample in one pass (used when a fold
-    /// changes an attribute's feature set and the delta state must be
-    /// re-seeded from the merged sample).
-    pub(crate) fn count(sample: &Relation, target: AttrId, features: Vec<AttrId>) -> Self {
-        let mut counts = NbcCounts::shaped(target, features);
-        for t in sample.tuples() {
-            counts.add_row(t);
-        }
-        counts
-    }
-
     /// Classes in first-appearance order over `sample`'s target column —
     /// the order batch training assigns — paired with their counts, plus
-    /// the per-feature conditional tables in that class order. Feed these
-    /// to [`NaiveBayes::from_counts`](crate::nbc::NaiveBayes::from_counts).
-    pub(crate) fn tables(&self, sample: &Relation) -> NbcTables {
-        let mut classes: Vec<Value> = Vec::new();
-        let mut index: BTreeMap<&Value, usize> = BTreeMap::new();
-        for t in sample.tuples() {
-            let tv = t.value(self.target);
-            if !tv.is_null() && !index.contains_key(tv) {
-                index.insert(tv, classes.len());
-                classes.push(tv.clone());
+    /// the per-feature conditional tables in that class order, every id
+    /// resolved back to its value through `ids`. `sample` is the merged
+    /// sample these counts describe, so it holds exactly the counted
+    /// classes. Feed the result to
+    /// [`NaiveBayes::from_counts`](crate::nbc::NaiveBayes::from_counts).
+    fn tables(&self, ids: &ValueIds, sample: &ColumnarRelation) -> NbcTables {
+        let n_classes = self.class_counts.iter().count();
+        let dict = sample.dict();
+        let mut seen = vec![false; dict.len()];
+        let mut classes: Vec<Value> = Vec::with_capacity(n_classes);
+        let mut class_counts: Vec<f64> = Vec::with_capacity(n_classes);
+        // Position of each class in `classes`, by its id in `ids`.
+        let mut index: FastHashMap<ValueId, usize> = FastHashMap::default();
+        for &id in sample.column(self.target) {
+            if classes.len() == n_classes {
+                break;
+            }
+            if id.is_null() || std::mem::replace(&mut seen[id.index()], true) {
+                continue;
+            }
+            let class = dict.resolve(id);
+            if let Some(counted) = ids.lookup(class) {
+                index.insert(counted, classes.len());
+                classes.push(class.clone());
+                class_counts.push(self.class_counts.get(counted) as f64);
             }
         }
         debug_assert_eq!(
             classes.len(),
-            self.class_counts.iter().count(),
+            n_classes,
             "delta class set must match the merged sample's"
         );
-        let class_counts: Vec<f64> = classes
-            .iter()
-            .map(|c| self.class_counts.get(c) as f64)
-            .collect();
-        let k = classes.len();
         let cond: Vec<Vec<(Value, Vec<f64>)>> = self
             .cond
             .iter()
             .map(|per_value| {
                 per_value
                     .iter()
-                    .map(|(fv, by_class)| {
-                        let mut row = vec![0f64; k];
-                        for (cv, n) in by_class.iter() {
-                            if let Some(&c) = index.get(cv) {
+                    .map(|(value, by_class)| {
+                        let mut row = vec![0f64; classes.len()];
+                        for (class, n) in by_class.iter() {
+                            if let Some(&c) = index.get(&class) {
                                 row[c] = n as f64;
                             }
                         }
-                        (fv.values()[0].clone(), row)
+                        (ids.value(*value).clone(), row)
                     })
                     .collect()
             })
@@ -458,6 +509,10 @@ impl NbcCounts {
 /// The full delta-maintainable count state of one mined bundle.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FoldState {
+    /// The id space every table counts in: the mined sample's dictionary,
+    /// then the values folds have brought in since, carried from one fold
+    /// generation to the next.
+    ids: ValueIds,
     /// Rows in the retained sample — the `g3` denominator.
     n_rows: u64,
     /// One count state per mined AFD, sorted by `(rhs, lhs)` so the fold
@@ -467,12 +522,18 @@ pub(crate) struct FoldState {
     pub(crate) akeys: Vec<KeyCounts>,
     /// One count state per attribute trained as a single NBC, sorted by
     /// target (ensemble attributes retrain from the merged sample).
-    pub(crate) nbc: Vec<NbcCounts>,
+    nbc: Vec<NbcCounts>,
 }
 
 impl FoldState {
-    /// An empty state shaped like the mined artifacts.
-    fn shaped(afds: &AfdSet, akeys: &[AKey], nbc_specs: &[(AttrId, Vec<AttrId>)]) -> Self {
+    /// An empty state in the id space `ids`, shaped like the mined
+    /// artifacts.
+    fn shaped(
+        ids: ValueIds,
+        afds: &AfdSet,
+        akeys: &[AKey],
+        nbc_specs: &[(AttrId, Vec<AttrId>)],
+    ) -> Self {
         let mut afd_list: Vec<&Afd> = afds.iter().collect();
         afd_list.sort_by(|a, b| a.rhs.cmp(&b.rhs).then_with(|| a.lhs.cmp(&b.lhs)));
         let mut key_list: Vec<&AKey> = akeys.iter().collect();
@@ -480,6 +541,7 @@ impl FoldState {
         let mut specs: Vec<&(AttrId, Vec<AttrId>)> = nbc_specs.iter().collect();
         specs.sort_by_key(|(target, _)| *target);
         FoldState {
+            ids,
             n_rows: 0,
             afds: afd_list.into_iter().map(AfdCounts::shaped).collect(),
             akeys: key_list.into_iter().map(KeyCounts::shaped).collect(),
@@ -490,6 +552,20 @@ impl FoldState {
         }
     }
 
+    /// Ids per row.
+    fn arity(&self) -> usize {
+        self.ids.sample().arity()
+    }
+
+    /// Counts `n` id rows, held row-major in `rows`, into every structure.
+    fn add_rows(&mut self, rows: &[ValueId], n: usize) {
+        let arity = self.arity();
+        self.n_rows += n as u64;
+        add_each(&mut self.afds, rows, arity);
+        add_each(&mut self.akeys, rows, arity);
+        add_each(&mut self.nbc, rows, arity);
+    }
+
     fn merge(&mut self, src: FoldState) {
         self.n_rows += src.n_rows;
         merge_each(&mut self.afds, src.afds);
@@ -497,23 +573,32 @@ impl FoldState {
         merge_each(&mut self.nbc, src.nbc);
     }
 
-    /// Builds the count state over a sample, shard-parallel: fixed-size
-    /// row shards accumulate partial counts across the [`crate::par`]
-    /// worker pool and merge sequentially in shard order (a sample of one
-    /// shard spawns no worker). Integer count adds commute, so the result
-    /// is byte-identical at any thread count.
+    /// Builds the count state over a sample in its dictionary's id space,
+    /// reading the ids straight off its columnar image, shard-parallel:
+    /// runs of fixed-size row shards accumulate partial counts across the
+    /// [`crate::par`] worker pool and merge sequentially in row order (a
+    /// sample of one shard spawns no worker). Integer count adds commute
+    /// and the tables are canonical, so the result equals one sequential
+    /// accumulation at any thread count.
     pub(crate) fn build(
         sample: &Relation,
         afds: &AfdSet,
         akeys: &[AKey],
         nbc_specs: &[(AttrId, Vec<AttrId>)],
     ) -> Self {
-        let template = FoldState::shaped(afds, akeys, nbc_specs);
-        let shards: Vec<&[Tuple]> = sample.tuples().chunks(SHARD_ROWS).collect();
-        let mut partials = crate::par::parallel_map(&shards, |shard| {
+        let columnar = sample.columnar();
+        let template =
+            FoldState::shaped(ValueIds::over(Arc::clone(columnar)), afds, akeys, nbc_specs);
+        let n = columnar.n_rows();
+        let shards = n.div_ceil(SHARD_ROWS);
+        let workers = crate::par::num_threads().min(shards).max(1);
+        let run_rows = shards.div_ceil(workers).max(1) * SHARD_ROWS;
+        let runs: Vec<usize> = (0..n).step_by(run_rows).collect();
+        let mut partials = crate::par::parallel_map(&runs, |&run| {
             let mut partial = template.clone();
-            for t in *shard {
-                partial.add_row(t);
+            for start in (run..n.min(run + run_rows)).step_by(SHARD_ROWS) {
+                let shard = start..n.min(start + SHARD_ROWS);
+                partial.add_rows(&sample_rows(columnar, shard.clone()), shard.len());
             }
             partial
         })
@@ -525,43 +610,70 @@ impl FoldState {
         state
     }
 
-    /// Builds the post-delta count state without mutating `self`: every
-    /// count structure clones itself and replays the delta independently
-    /// across the [`crate::par`] worker pool — `replaced` rows swap old
-    /// for new in place, `appended` rows are new ids. The structures are
-    /// disjoint and the replay order within each is fixed, so the result
-    /// is byte-identical to a sequential clone-then-replay at any thread
-    /// count. Replaced pairs whose tuples are identical are exact no-ops
-    /// on every structure (a remove immediately undone by the same add)
-    /// and are filtered out first — live refreshes mostly re-deliver
-    /// unchanged rows, so this skips the bulk of the replay.
+    /// Builds the post-delta count state without mutating `self`. The delta
+    /// rows are interned once, sequentially, into a copy of the id space
+    /// (values new to it get the next novel ids); then every count
+    /// structure clones itself and replays the id rows independently across
+    /// the [`crate::par`] worker pool — the old rows of `replaced` pairs
+    /// leave, then their new rows and the `appended` rows (new ids) enter.
+    /// The structures are disjoint and the replay order within each is
+    /// fixed, so the result is byte-identical to a sequential
+    /// clone-then-replay at any thread count. Replaced pairs whose tuples
+    /// are identical are exact no-ops on every structure (a remove undone
+    /// by the same add) and are filtered out first — live refreshes mostly
+    /// re-deliver unchanged rows, so this skips the bulk of the replay.
     pub(crate) fn applied(&self, replaced: &[(Tuple, Tuple)], appended: &[Tuple]) -> FoldState {
-        let changed: Vec<&(Tuple, Tuple)> = replaced.iter().filter(|(o, n)| o != n).collect();
+        let mut ids = self.ids.clone();
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        for (old, new) in replaced.iter().filter(|(o, n)| o != n) {
+            ids.intern_row(old, &mut removed);
+            ids.intern_row(new, &mut added);
+        }
+        for t in appended {
+            ids.intern_row(t, &mut added);
+        }
+        let arity = self.arity();
         FoldState {
+            ids,
             n_rows: self.n_rows + appended.len() as u64,
-            afds: replay_each(&self.afds, &changed, appended),
-            akeys: replay_each(&self.akeys, &changed, appended),
-            nbc: replay_each(&self.nbc, &changed, appended),
+            afds: replay_each(&self.afds, arity, &removed, &added),
+            akeys: replay_each(&self.akeys, arity, &removed, &added),
+            nbc: replay_each(&self.nbc, arity, &removed, &added),
         }
     }
 
-    /// The worst absolute confidence drift of any AFD or AKey from its
-    /// last full TANE run — the quantity the re-mine bound gates on.
-    pub(crate) fn max_confidence_delta(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for afd in &self.afds {
-            worst = worst.max((afd.confidence(self.n_rows) - afd.base_confidence).abs());
-        }
-        for akey in &self.akeys {
-            worst = worst.max((akey.confidence(self.n_rows) - akey.base_confidence).abs());
-        }
-        worst
+    /// Every AFD's and every AKey's confidence over the counted rows, in
+    /// the order of `afds` and `akeys`.
+    pub(crate) fn confidences(&self) -> (Vec<f64>, Vec<f64>) {
+        let n = self.n_rows;
+        (
+            self.afds.iter().map(|c| c.confidence(n)).collect(),
+            self.akeys.iter().map(|c| c.confidence(n)).collect(),
+        )
     }
 
-    /// Replaces the count state of `target`'s classifier (the fold path
-    /// re-seeds it when the attribute's feature set changed).
-    pub(crate) fn replace_nbc(&mut self, counts: NbcCounts) {
-        match self.nbc.binary_search_by_key(&counts.target, |c| c.target) {
+    /// The worst absolute drift of the folded confidences (as
+    /// [`FoldState::confidences`] returns them) from their last full TANE
+    /// run — the quantity the re-mine bound gates on.
+    pub(crate) fn max_confidence_delta(&self, afds: &[f64], akeys: &[f64]) -> f64 {
+        let anchored = self.afds.iter().map(|c| c.base_confidence).zip(afds);
+        let anchored = anchored.chain(self.akeys.iter().map(|c| c.base_confidence).zip(akeys));
+        anchored.fold(0.0f64, |worst, (base, conf)| worst.max((conf - base).abs()))
+    }
+
+    /// Re-seeds the count state of `target`'s classifier over `features`
+    /// from the whole `sample` the state describes (the fold path re-seeds
+    /// it when the attribute's feature set changed).
+    pub(crate) fn reseed_nbc(&mut self, sample: &Relation, target: AttrId, features: Vec<AttrId>) {
+        let mut counts = NbcCounts::shaped(target, features);
+        let mut row = vec![ValueId::NULL; self.arity()];
+        for t in sample.tuples() {
+            for a in std::iter::once(&target).chain(&counts.features) {
+                row[a.index()] = self.ids.id(t.value(*a));
+            }
+            counts.add_row(&row);
+        }
+        match self.nbc.binary_search_by_key(&target, |c| c.target) {
             Ok(i) => self.nbc[i] = counts,
             Err(i) => self.nbc.insert(i, counts),
         }
@@ -575,29 +687,18 @@ impl FoldState {
         }
     }
 
-    /// The count state of `target`'s classifier, if delta-maintained.
-    pub(crate) fn nbc_for(&self, target: AttrId) -> Option<&NbcCounts> {
-        self.nbc
-            .binary_search_by_key(&target, |c| c.target)
-            .ok()
-            .map(|i| &self.nbc[i])
-    }
-
-    fn add_row(&mut self, t: &Tuple) {
-        self.n_rows += 1;
-        for afd in &mut self.afds {
-            afd.add_row(t);
-        }
-        for akey in &mut self.akeys {
-            akey.add_row(t);
-        }
-        for nbc in &mut self.nbc {
-            nbc.add_row(t);
-        }
-    }
-
-    pub(crate) fn n_rows(&self) -> u64 {
-        self.n_rows
+    /// The batch-training tables of `target`'s classifier, if its counts
+    /// are delta-maintained over exactly `features`. `sample` is the
+    /// columnar image of the merged sample this state describes.
+    pub(crate) fn nbc_tables(
+        &self,
+        target: AttrId,
+        features: &[AttrId],
+        sample: &ColumnarRelation,
+    ) -> Option<NbcTables> {
+        let i = self.nbc.binary_search_by_key(&target, |c| c.target).ok()?;
+        let counts = &self.nbc[i];
+        (counts.features == features).then(|| counts.tables(&self.ids, sample))
     }
 }
 
@@ -643,7 +744,7 @@ mod tests {
         let px = StrippedPartition::from_column(&r, AttrId(0));
         let py = StrippedPartition::from_column(&r, AttrId(1));
         let expect = 1.0 - px.g3_error(&py.lookup());
-        let got = state.afds[0].confidence(state.n_rows());
+        let got = state.afds[0].confidence(state.n_rows);
         assert_eq!(got.to_bits(), expect.to_bits());
     }
 
@@ -654,7 +755,7 @@ mod tests {
         let state = FoldState::build(&r, &AfdSet::default(), &[akey], &[]);
         let p = StrippedPartition::from_column(&r, AttrId(0));
         let expect = 1.0 - p.g3_key_error();
-        assert_eq!(state.akeys[0].confidence(state.n_rows()).to_bits(), expect.to_bits());
+        assert_eq!(state.akeys[0].confidence(state.n_rows).to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -680,22 +781,29 @@ mod tests {
         let merged = Relation::new(base.schema().clone(), merged);
         let rebuilt = FoldState::build(&merged, &set, &[], &specs);
 
-        assert_eq!(state.n_rows(), rebuilt.n_rows());
+        assert_eq!(state.n_rows, rebuilt.n_rows);
         assert_eq!(
-            state.afds[0].confidence(state.n_rows()).to_bits(),
-            rebuilt.afds[0].confidence(rebuilt.n_rows()).to_bits()
+            state.afds[0].confidence(state.n_rows).to_bits(),
+            rebuilt.afds[0].confidence(rebuilt.n_rows).to_bits()
         );
-        let (ca, na, conda) = state.nbc[0].tables(&merged);
-        let (cb, nb, condb) = rebuilt.nbc[0].tables(&merged);
-        assert_eq!(ca, cb);
-        assert_eq!(na, nb);
-        assert_eq!(conda, condb);
+        // The folded state counts the new values under novel ids, the
+        // rebuilt one under the merged sample's dictionary ids: the tables
+        // resolve both back to the same values.
+        let tables = |state: &FoldState| {
+            let (classes, counts, mut cond) =
+                state.nbc_tables(AttrId(1), &[AttrId(0)], merged.columnar()).unwrap();
+            cond.iter_mut().for_each(|rows| rows.sort_by(|a, b| a.0.cmp(&b.0)));
+            (classes, counts, cond)
+        };
+        assert_eq!(tables(&state), tables(&rebuilt));
     }
 
     #[test]
     fn sharded_build_equals_one_sequential_accumulation() {
         // Three full shards and a partial one, with nulls on every
-        // attribute, so every shard boundary and the short tail matter.
+        // attribute. Eight threads count each shard into a partial of its
+        // own and two threads two runs of shards, so every shard boundary,
+        // the run boundary and the short tail matter.
         let n = 3 * SHARD_ROWS + 123;
         let schema = Schema::of(
             "t",
@@ -723,9 +831,12 @@ mod tests {
         let akeys = [AKey::new(vec![AttrId(0), AttrId(2)], 0.0)];
         let specs = vec![(AttrId(1), vec![AttrId(0), AttrId(2)])];
 
-        let mut sequential = FoldState::shaped(&afds, &akeys, &specs);
-        for t in r.tuples() {
-            sequential.add_row(t);
+        // One id row at a time, read off the columnar image.
+        let columnar = r.columnar();
+        let ids = ValueIds::over(Arc::clone(columnar));
+        let mut sequential = FoldState::shaped(ids, &afds, &akeys, &specs);
+        for row in 0..n {
+            sequential.add_rows(&sample_rows(columnar, row..row + 1), 1);
         }
 
         struct PoolReset;
@@ -735,12 +846,12 @@ mod tests {
             }
         }
         let _reset = PoolReset;
-        for threads in [1, 8] {
+        for threads in [1, 2, 8] {
             crate::par::set_thread_override(Some(threads));
             let sharded = FoldState::build(&r, &afds, &akeys, &specs);
             assert_eq!(sharded, sequential, "sharded build at {threads} threads");
         }
-        assert_eq!(sequential.n_rows(), n as u64);
+        assert_eq!(sequential.n_rows, n as u64);
     }
 
     #[test]

@@ -1043,6 +1043,216 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Chained folds
+// ---------------------------------------------------------------------------
+
+/// The attributes of the chained-fold relations.
+const CHAIN_ATTRS: [AttrId; 3] = [AttrId(0), AttrId(1), AttrId(2)];
+
+type ChainRow = (u32, (Value, Value, Value));
+
+/// A relation over three categorical columns from `(id, cells)` rows; a
+/// repeated id keeps its last row.
+fn chain_relation(rows: Vec<ChainRow>) -> Relation {
+    let by_id: std::collections::BTreeMap<u32, Vec<Value>> =
+        rows.into_iter().map(|(id, (a, b, c))| (id, vec![a, b, c])).collect();
+    let schema = Schema::of(
+        "t",
+        &[
+            ("a", AttrType::Categorical),
+            ("b", AttrType::Categorical),
+            ("c", AttrType::Categorical),
+        ],
+    );
+    let tuples = by_id.into_iter().map(|(id, cells)| Tuple::new(TupleId(id), cells)).collect();
+    Relation::new(schema, tuples)
+}
+
+/// A cell of the mined sample: the domain `x0..x3`, or null.
+fn mined_cell() -> impl Strategy<Value = Value> + Clone {
+    prop_oneof![
+        3 => (0u8..4).prop_map(|v| Value::str(format!("x{v}"))),
+        1 => Just(Value::Null),
+    ]
+}
+
+/// A cell of fold generation `g ≥ 1`: the mined domain, a null, or a value
+/// no mined sample holds — `n{h}v{k}` for any generation `h ≤ g`, so a
+/// novel value outlives the generation that brought it in.
+fn chain_cell(g: u32) -> impl Strategy<Value = Value> + Clone {
+    prop_oneof![
+        3 => (0u8..4).prop_map(|v| Value::str(format!("x{v}"))),
+        2 => (1..g + 1, 0u8..3).prop_map(|(h, k)| Value::str(format!("n{h}v{k}"))),
+        1 => Just(Value::Null),
+    ]
+}
+
+/// The rows of fold generation `g`. Their ids overlap the mined rows
+/// (`0..40`) and earlier generations' appends, so a generation replaces
+/// rows carrying novel values as well as appending past them.
+fn chain_rows(g: u32) -> impl Strategy<Value = Vec<ChainRow>> {
+    let cell = chain_cell(g);
+    let row = (0u32..40 + 15 * g, (cell.clone(), cell.clone(), cell));
+    proptest::collection::vec(row, 1..25)
+}
+
+/// Probe tuples for `target`'s posteriors: every other cell one value of
+/// `domain`, or the first of them that value and the rest null.
+fn chain_probes(target: AttrId, domain: &[Value]) -> Vec<Tuple> {
+    let others: Vec<AttrId> = CHAIN_ATTRS.into_iter().filter(|a| *a != target).collect();
+    let mut probes = Vec::new();
+    for v in domain {
+        for set in [&others[..], &others[..1]] {
+            let cells = CHAIN_ATTRS
+                .iter()
+                .map(|a| if set.contains(a) { v.clone() } else { Value::Null })
+                .collect();
+            probes.push(Tuple::new(TupleId(9_000 + probes.len() as u32), cells));
+        }
+    }
+    probes
+}
+
+/// `Π_attrs` over `r`.
+fn partition_of(r: &Relation, attrs: &[AttrId]) -> StrippedPartition {
+    attrs[1..].iter().fold(StrippedPartition::from_column(r, attrs[0]), |p, a| {
+        p.product(&StrippedPartition::from_column(r, *a).lookup())
+    })
+}
+
+/// Asserts that `folded`, generation `g` of a fold chain, holds what batch
+/// mining yields over the same merged sample, and returns its observable
+/// knowledge: AFD/AKey confidences and the posteriors of `domain`.
+///
+/// * Every folded AFD and AKey confidence is bit-equal to `1 − g3` over
+///   the merged sample, and to the `remined` bundle's wherever that
+///   re-discovered the same dependency.
+/// * Every classifier whose determining set survived the fold classifies
+///   the probes bit-identically to its retrained peer in `remined`.
+fn fold_generation_matches_batch(
+    folded: &SourceStats,
+    remined: &SourceStats,
+    domain: &[Value],
+    g: usize,
+) -> Vec<String> {
+    let merged = folded.selectivity().sample();
+    assert_eq!(merged.tuples(), remined.selectivity().sample().tuples(), "generation {g}");
+    let mut out = Vec::new();
+    for afd in folded.afds().iter() {
+        let rhs = StrippedPartition::from_column(merged, afd.rhs).lookup();
+        let expect = 1.0 - partition_of(merged, &afd.lhs).g3_error(&rhs);
+        assert_eq!(
+            afd.confidence.to_bits(),
+            expect.to_bits(),
+            "generation {g}: folded AFD {:?}->{:?} confidence {} != g3 {}",
+            afd.lhs,
+            afd.rhs,
+            afd.confidence,
+            expect
+        );
+        if let Some(batch) = remined.afds().iter().find(|b| b.lhs == afd.lhs && b.rhs == afd.rhs) {
+            assert_eq!(afd.confidence.to_bits(), batch.confidence.to_bits(), "generation {g}");
+        }
+        out.push(format!("afd {:?} -> {:?} {}", afd.lhs, afd.rhs, afd.confidence.to_bits()));
+    }
+    out.sort();
+    for key in folded.akeys() {
+        let expect = 1.0 - partition_of(merged, &key.attrs).g3_key_error();
+        assert_eq!(
+            key.confidence.to_bits(),
+            expect.to_bits(),
+            "generation {g}: folded AKey {:?} confidence {} != g3 {}",
+            key.attrs,
+            key.confidence,
+            expect
+        );
+        if let Some(batch) = remined.akeys().iter().find(|b| b.attrs == key.attrs) {
+            assert_eq!(key.confidence.to_bits(), batch.confidence.to_bits(), "generation {g}");
+        }
+        out.push(format!("akey {:?} {}", key.attrs, key.confidence.to_bits()));
+    }
+    for attr in CHAIN_ATTRS {
+        let survived = folded.determining_set(attr) == remined.determining_set(attr);
+        for t in chain_probes(attr, domain) {
+            let a = folded.predictor().distribution(attr, &t);
+            if survived {
+                let b = remined.predictor().distribution(attr, &t);
+                assert_eq!(a.len(), b.len(), "generation {g}: {attr:?} classes");
+                for ((va, pa), (vb, pb)) in a.iter().zip(&b) {
+                    assert_eq!(va, vb, "generation {g}: {attr:?} class order");
+                    assert_eq!(
+                        pa.to_bits(),
+                        pb.to_bits(),
+                        "generation {g}: posterior of {attr:?}={va:?} for {t:?}: \
+                         folded {pa} batch {pb}"
+                    );
+                }
+            }
+            for (value, p) in a {
+                out.push(format!("nbc {attr:?} {:?} {value:?} {}", t.values(), p.to_bits()));
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Three folds in a row track the batch path generation by generation.
+    /// Each generation brings values the mined sample never held into
+    /// every position — determining sets, dependents, keys, classes and
+    /// features — and replaces rows that earlier generations brought, so
+    /// novel ids outlive the fold that handed them out. After each fold,
+    /// every confidence and every surviving classifier equals a batch
+    /// refresh over the same merged sample; the whole chain replays
+    /// bit-identically at 1 and 8 worker threads.
+    #[test]
+    fn fold_chain_matches_batch_remine_every_generation(
+        mined in proptest::collection::vec(
+            (0u32..40, (mined_cell(), mined_cell(), mined_cell())),
+            1..40,
+        ),
+        first in chain_rows(1),
+        second in chain_rows(2),
+        third in chain_rows(3),
+    ) {
+        // Without near-key suppression or a minimality margin, two-attribute
+        // determining sets and keys are mined too, so novel ids also land
+        // in wide group keys.
+        let mut config = MiningConfig::default().without_akey_pruning();
+        config.tane.minimality_epsilon = 0.0;
+        let mined = chain_relation(mined);
+        let generations = [first, second, third].map(chain_relation);
+        let domain: Vec<Value> = (0..4)
+            .map(|v| Value::str(format!("x{v}")))
+            .chain((1..=3).flat_map(|h| (0..3).map(move |k| Value::str(format!("n{h}v{k}")))))
+            .collect();
+        let _reset = PoolReset;
+        let run = |threads: usize| {
+            par::set_thread_override(Some(threads));
+            let mut stats = SourceStats::mine(&mined, mined.len() * 10, &config);
+            let mut knowledge = Vec::new();
+            for (g, fresh) in generations.iter().enumerate() {
+                let folded = fold_stats(&stats, fresh, &config);
+                let remined = stats
+                    .refresh(
+                        fresh,
+                        stats.selectivity().smpl_ratio(),
+                        stats.selectivity().per_inc(),
+                        &config,
+                    )
+                    .expect("same-arity probe");
+                knowledge.push(fold_generation_matches_batch(&folded, &remined, &domain, g));
+                stats = folded;
+            }
+            knowledge
+        };
+        prop_assert_eq!(run(1), run(8));
+    }
+}
+
 // Silence the unused warning for Arc (used via Schema construction above).
 #[allow(dead_code)]
 fn _touch(_: Arc<Schema>) {}
