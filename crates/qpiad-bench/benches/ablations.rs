@@ -40,8 +40,13 @@ struct Fixture {
 }
 
 fn fixture(scale: &Scale) -> Fixture {
-    let ground = CarsConfig::default().with_rows(scale.cars_rows).generate(scale.seed);
-    let (ed, _) = corrupt(&ground, &CorruptionConfig::default().with_seed(scale.seed + 1));
+    let ground = CarsConfig::default()
+        .with_rows(scale.cars_rows)
+        .generate(scale.seed);
+    let (ed, _) = corrupt(
+        &ground,
+        &CorruptionConfig::default().with_seed(scale.seed + 1),
+    );
     let sample = uniform_sample(&ed, scale.sample_fraction, scale.seed + 2);
     Fixture { ground, ed, sample }
 }
@@ -50,11 +55,19 @@ fn fixture(scale: &Scale) -> Fixture {
 /// at different smoothing weights.
 fn ablate_m_estimate(scale: &Scale) {
     println!("== ablation: m-estimate smoothing weight (§5.2) ==");
-    let ground = CarsConfig::default().with_rows(scale.cars_rows).generate(scale.seed);
-    let (ed, prov) = corrupt(&ground, &CorruptionConfig::default().with_seed(scale.seed + 9));
+    let ground = CarsConfig::default()
+        .with_rows(scale.cars_rows)
+        .generate(scale.seed);
+    let (ed, prov) = corrupt(
+        &ground,
+        &CorruptionConfig::default().with_seed(scale.seed + 9),
+    );
     let sample = uniform_sample(&ed, scale.sample_fraction, scale.seed + 10);
     for m in [0.0, 0.5, 1.0, 4.0, 16.0] {
-        let config = MiningConfig { m_estimate: m, ..MiningConfig::default() };
+        let config = MiningConfig {
+            m_estimate: m,
+            ..MiningConfig::default()
+        };
         let stats = SourceStats::mine(&sample, ed.len(), &config);
         let (mut hits, mut n) = (0usize, 0usize);
         for (id, attr, truth) in prov.iter() {
@@ -74,7 +87,10 @@ fn rewriting_precision(f: &Fixture, stats: &SourceStats) -> (f64, usize) {
     let body = f.ed.schema().expect_attr("body_style");
     let query = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
     let source = WebSource::new("cars", f.ed.clone());
-    let qpiad = Qpiad::new(stats.clone(), QpiadConfig::default().with_k(15).with_alpha(1.0));
+    let qpiad = Qpiad::new(
+        stats.clone(),
+        QpiadConfig::default().with_k(15).with_alpha(1.0),
+    );
     let answers = qpiad.answer(&source, &query).unwrap();
     let oracle = Oracle::new(&f.ground, &f.ed);
     let relevant = oracle.relevant_possible(&query);
@@ -92,7 +108,10 @@ fn ablate_akey_pruning(scale: &Scale) {
     let f = fixture(scale);
     for (name, config) in [
         ("pruning on ", MiningConfig::default()),
-        ("pruning off", MiningConfig::default().without_akey_pruning()),
+        (
+            "pruning off",
+            MiningConfig::default().without_akey_pruning(),
+        ),
     ] {
         let stats = SourceStats::mine(&f.sample, f.ed.len(), &config);
         let (precision, n) = rewriting_precision(&f, &stats);
@@ -106,7 +125,9 @@ fn ablate_akey_pruning(scale: &Scale) {
 
 fn ablate_strategies(scale: &Scale) {
     println!("== ablation: classifier strategies (§5.3) ==");
-    let ground = CarsConfig::default().with_rows(scale.cars_rows).generate(scale.seed);
+    let ground = CarsConfig::default()
+        .with_rows(scale.cars_rows)
+        .generate(scale.seed);
     for (name, strategy) in table3::strategies() {
         let acc = table3::average_accuracy(&ground, strategy, scale);
         println!("  {name:<16} accuracy {acc:.3}");

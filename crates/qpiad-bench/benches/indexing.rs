@@ -31,12 +31,7 @@ fn bench_selection(c: &mut Criterion) {
         let queries = workload(&ed);
 
         group.bench_with_input(BenchmarkId::new("scan", rows), &ed, |b, r| {
-            b.iter(|| {
-                queries
-                    .iter()
-                    .map(|q| r.select(q).len())
-                    .sum::<usize>()
-            });
+            b.iter(|| queries.iter().map(|q| r.select(q).len()).sum::<usize>());
         });
         group.bench_with_input(BenchmarkId::new("indexed", rows), &ed, |b, r| {
             // Engine persists across iterations: indexes amortize, matching

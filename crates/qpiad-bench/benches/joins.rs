@@ -47,8 +47,14 @@ fn bench_join(c: &mut Criterion) {
                 cars.reset_meter();
                 comps.reset_meter();
                 answer_join(
-                    &JoinSide { source: &cars, stats: &cars_stats },
-                    &JoinSide { source: &comps, stats: &comp_stats },
+                    &JoinSide {
+                        source: &cars,
+                        stats: &cars_stats,
+                    },
+                    &JoinSide {
+                        source: &comps,
+                        stats: &comp_stats,
+                    },
                     &JoinConfig { alpha, k_pairs: 10 },
                     &jq,
                 )

@@ -30,8 +30,8 @@ use qpiad_core::{Degradation, PlanCache, Qpiad, QpiadConfig, QueryContext};
 use std::sync::Arc;
 
 use qpiad_db::{
-    AutonomousSource, BreakerConfig, FaultInjector, FaultPlan, HealthRegistry, Predicate,
-    Relation, RetryPolicy, SelectQuery, SelectionEngine, Value, WebSource,
+    AutonomousSource, BreakerConfig, FaultInjector, FaultPlan, HealthRegistry, Predicate, Relation,
+    RetryPolicy, SelectQuery, SelectionEngine, Value, WebSource,
 };
 use qpiad_eval::experiments::common::cars_world;
 use qpiad_learn::drift::{DriftConfig, DriftRegistry};
@@ -63,7 +63,12 @@ fn time<F: FnMut()>(name: &'static str, threads: usize, reps: usize, mut f: F) -
     let secs_mean = secs.iter().sum::<f64>() / secs.len() as f64;
     let secs_min = secs.iter().cloned().fold(f64::INFINITY, f64::min);
     println!("{name:>8} threads={threads}: mean {secs_mean:.4}s  min {secs_min:.4}s");
-    Run { name, threads, secs_mean, secs_min }
+    Run {
+        name,
+        threads,
+        secs_mean,
+        secs_min,
+    }
 }
 
 fn main() {
@@ -121,7 +126,10 @@ fn main() {
     // Knowledge stage inputs: the mined snapshot and a scratch store under
     // `target/` (inside the repo, recreated per run).
     let snapshot = StatsSnapshot::capture(&world.stats, &MiningConfig::default());
-    let store_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/qpiad-bench-store");
+    let store_dir = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/qpiad-bench-store"
+    );
 
     // Plan-cache stage inputs: a materialized base set (planning input,
     // retrieved once so neither pass pays for it) and the shared cache the
@@ -155,7 +163,9 @@ fn main() {
         }));
         runs.push(time("answer", threads, reps, || {
             let qpiad = Qpiad::new(world.stats.clone(), QpiadConfig::default().with_k(10));
-            let ans = qpiad.answer(&source, &query).expect("web source accepts rewrites");
+            let ans = qpiad
+                .answer(&source, &query)
+                .expect("web source accepts rewrites");
             assert!(!ans.possible.is_empty());
         }));
         // Plan-cache stage: the planning half alone (rewrite generation,
@@ -229,7 +239,11 @@ fn main() {
                 let ans = network.answer(&query).expect("mediation never aborts");
                 assert!(ans.possible_count() > 0);
             }
-            assert_eq!(down.meter().breaker_skips, 1, "pass 2 must skip the downed member");
+            assert_eq!(
+                down.meter().breaker_skips,
+                1,
+                "pass 2 must skip the downed member"
+            );
         }));
         runs.push(time("knowledge", threads, reps, || {
             // Knowledge lifecycle: persist the mined snapshot, rebuild the
@@ -248,7 +262,10 @@ fn main() {
             assert!(network.knowledge_failures().is_empty());
             let ans = network.answer(&query).expect("network answers");
             assert!(ans.possible_count() > 0);
-            assert!(ans.drift_verdicts.is_empty(), "an undrifted source must stay quiet");
+            assert!(
+                ans.drift_verdicts.is_empty(),
+                "an undrifted source must stay quiet"
+            );
             assert!(registry.observed_rows("cars.com") > 0);
         }));
     }
@@ -319,7 +336,9 @@ fn main() {
                     for round in 0..serve_requests {
                         let style = serve_styles[round % serve_styles.len()];
                         let q = SelectQuery::new(vec![Predicate::eq(body, style)]);
-                        server.query("web", &q).expect("interactive work degrades, never sheds");
+                        server
+                            .query("web", &q)
+                            .expect("interactive work degrades, never sheds");
                     }
                 });
             }
@@ -337,7 +356,10 @@ fn main() {
             }
         });
         let m = server.metrics();
-        assert!(m.conserves(), "overload accounting must balance when quiesced");
+        assert!(
+            m.conserves(),
+            "overload accounting must balance when quiesced"
+        );
         overload_shed_rate.set(m.shed_rate());
         overload_completed.set(m.completed);
     }));
@@ -347,7 +369,10 @@ fn main() {
     // keep replaying the serving mix — the figures of merit are the
     // refresh latency itself (mine + persist + publish) and the
     // served-query throughput the server sustains across the swap.
-    let refresh_store_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/qpiad-bench-refresh");
+    let refresh_store_dir = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/qpiad-bench-refresh"
+    );
     let make = world.ed.schema().expect_attr("make");
     let refresh_latency = std::cell::Cell::new(0.0_f64);
     let refresh_served = std::cell::Cell::new(0usize);
@@ -355,7 +380,9 @@ fn main() {
         let _ = std::fs::remove_dir_all(refresh_store_dir);
         let store = KnowledgeStore::open(refresh_store_dir).expect("open refresh store");
         let registry = Arc::new(DriftRegistry::new(
-            DriftConfig::default().with_min_observations(50).with_threshold(0.3),
+            DriftConfig::default()
+                .with_min_observations(50)
+                .with_threshold(0.3),
         ));
         let network =
             MediatorNetwork::new(world.ed.schema().clone(), QpiadConfig::default().with_k(10))
@@ -372,9 +399,14 @@ fn main() {
             .iter()
             .map(|t| t.with_value(make, Value::str("Drifted")))
             .collect();
-        let mut probe = registry.probe("cars.com").expect("member registered for drift");
+        let mut probe = registry
+            .probe("cars.com")
+            .expect("member registered for drift");
         probe.observe(&reference_rows, &skewed_rows);
-        assert!(registry.absorb("cars.com", probe).is_some(), "verdict must fire");
+        assert!(
+            registry.absorb("cars.com", probe).is_some(),
+            "verdict must fire"
+        );
 
         std::thread::scope(|scope| {
             for _ in 0..par_threads {
@@ -382,8 +414,9 @@ fn main() {
                     for round in 0..serve_requests {
                         let style = serve_styles[round % serve_styles.len()];
                         let q = SelectQuery::new(vec![Predicate::eq(body, style)]);
-                        let ans =
-                            server.query("bench", &q).expect("serving never aborts across a swap");
+                        let ans = server
+                            .query("bench", &q)
+                            .expect("serving never aborts across a swap");
                         assert!(ans.possible_count() > 0);
                     }
                 });
@@ -391,7 +424,11 @@ fn main() {
             let maintainer = scope.spawn(|| {
                 let t0 = Instant::now();
                 let report = server.maintain(|_, _| {
-                    Ok(SourceStats::mine(&sample, world.ed.len(), &MiningConfig::default()))
+                    Ok(SourceStats::mine(
+                        &sample,
+                        world.ed.len(),
+                        &MiningConfig::default(),
+                    ))
                 });
                 assert_eq!(report.refreshed.len(), 1, "the drifted member must heal");
                 t0.elapsed().as_secs_f64()
@@ -399,7 +436,10 @@ fn main() {
             refresh_latency.set(maintainer.join().expect("maintenance must not panic"));
         });
         let m = server.metrics();
-        assert!(m.conserves(), "refresh accounting must balance when quiesced");
+        assert!(
+            m.conserves(),
+            "refresh accounting must balance when quiesced"
+        );
         assert_eq!(m.errors, 0, "no request may fail across the swap");
         refresh_served.set(m.completed);
     }));
@@ -433,7 +473,9 @@ fn main() {
             // not the query path) is reused across reps.
             let big_source = WebSource::new("cars1m", big_ed.clone());
             let qpiad = Qpiad::new(big_stats.clone(), QpiadConfig::default().with_k(10));
-            let ans = qpiad.answer(&big_source, &query).expect("web source accepts rewrites");
+            let ans = qpiad
+                .answer(&big_source, &query)
+                .expect("web source accepts rewrites");
             assert!(!ans.possible.is_empty());
         }));
     }
@@ -456,7 +498,9 @@ fn main() {
         let _ = std::fs::remove_dir_all(fold_store_dir);
         let store = KnowledgeStore::open(fold_store_dir).expect("open fold store");
         let registry = Arc::new(DriftRegistry::new(
-            DriftConfig::default().with_min_observations(10).with_threshold(0.0),
+            DriftConfig::default()
+                .with_min_observations(10)
+                .with_threshold(0.0),
         ));
         let big_source = WebSource::new("cars1m", big_ed.clone());
         let network =
@@ -473,8 +517,14 @@ fn main() {
         // under load, not drift accumulation.
         server.query("bench", &query).expect("priming pass");
         let primed = server.metrics();
-        assert!(primed.pending_refresh >= 1, "the hair-trigger verdict must queue the member");
-        assert!(primed.stream.pending > 0, "validated rows must be streaming");
+        assert!(
+            primed.pending_refresh >= 1,
+            "the hair-trigger verdict must queue the member"
+        );
+        assert!(
+            primed.stream.pending > 0,
+            "validated rows must be streaming"
+        );
         fold_rows.set(primed.stream.pending);
 
         // The latency pair, timed bare over the exact streamed rows: the
@@ -483,12 +533,15 @@ fn main() {
         // scope below exists to measure served throughput, not to time
         // the fold — on a small machine the maintainer thread's wall time
         // is dominated by scheduler contention with the caller threads.
-        let (streamed, _through) =
-            registry.stream_snapshot("cars1m").expect("streamed rows must be queued");
+        let (streamed, _through) = registry
+            .stream_snapshot("cars1m")
+            .expect("streamed rows must be queued");
         let probe = Relation::new(big_ed.schema().clone(), streamed);
         let mining = MiningConfig::default();
         let t0 = Instant::now();
-        let folded = big_stats.fold(&probe, &mining, 0.5).expect("fold accepts the probe");
+        let folded = big_stats
+            .fold(&probe, &mining, 0.5)
+            .expect("fold accepts the probe");
         fold_latency.set(t0.elapsed().as_secs_f64());
         assert!(
             matches!(folded, FoldOutcome::Folded { .. }),
@@ -504,7 +557,10 @@ fn main() {
             )
             .expect("batch refresh accepts the probe");
         remine_latency.set(t0.elapsed().as_secs_f64());
-        assert!(!remined.afds().is_empty(), "the comparator re-mine must produce knowledge");
+        assert!(
+            !remined.afds().is_empty(),
+            "the comparator re-mine must produce knowledge"
+        );
 
         let t0 = Instant::now();
         std::thread::scope(|scope| {
@@ -534,8 +590,14 @@ fn main() {
     }));
 
     let speedup = |name: &str| -> f64 {
-        let seq = runs.iter().find(|r| r.name == name && r.threads == 1).unwrap();
-        let par = runs.iter().find(|r| r.name == name && r.threads != 1).unwrap();
+        let seq = runs
+            .iter()
+            .find(|r| r.name == name && r.threads == 1)
+            .unwrap();
+        let par = runs
+            .iter()
+            .find(|r| r.name == name && r.threads != 1)
+            .unwrap();
         seq.secs_min / par.secs_min
     };
 
@@ -577,8 +639,14 @@ fn main() {
     // one, so the meaningful scaling figure is the throughput ratio, not
     // the wall-time ratio the `speedups` block uses for the other stages.
     let serve_throughput_scaling = {
-        let serial = runs.iter().find(|r| r.name == "serve" && r.threads == 1).unwrap();
-        let conc = runs.iter().find(|r| r.name == "serve" && r.threads != 1).unwrap();
+        let serial = runs
+            .iter()
+            .find(|r| r.name == "serve" && r.threads == 1)
+            .unwrap();
+        let conc = runs
+            .iter()
+            .find(|r| r.name == "serve" && r.threads != 1)
+            .unwrap();
         let qps_serial = serve_requests as f64 / serial.secs_min;
         let qps_concurrent = (par_threads * serve_requests) as f64 / conc.secs_min;
         json.push_str(&format!(
@@ -594,8 +662,10 @@ fn main() {
     // (typed batch sheds + deadline refusals over admissions) and the
     // completed-request throughput it sustained while the flood ran.
     {
-        let overload =
-            runs.iter().find(|r| r.name == "serve_overload").expect("overload stage ran");
+        let overload = runs
+            .iter()
+            .find(|r| r.name == "serve_overload")
+            .expect("overload stage ran");
         let qps_under_flood = overload_completed.get() as f64 / overload.secs_min;
         json.push_str(&format!(
             "  \"serve_overload\": {{ \"interactive_callers\": {par_threads}, \
@@ -611,8 +681,10 @@ fn main() {
     // completed-request throughput the server sustained while the swap
     // landed under live traffic.
     {
-        let refresh =
-            runs.iter().find(|r| r.name == "knowledge_refresh").expect("refresh stage ran");
+        let refresh = runs
+            .iter()
+            .find(|r| r.name == "knowledge_refresh")
+            .expect("refresh stage ran");
         let qps_during_refresh = refresh_served.get() as f64 / refresh.secs_min;
         json.push_str(&format!(
             "  \"knowledge_refresh\": {{ \"callers\": {par_threads}, \
@@ -657,12 +729,21 @@ fn main() {
     // The plan cache's win is warm-over-cold at the same thread count, not
     // a thread-scaling ratio: planning is sequential either way.
     let plan_cache_speedup = {
-        let cold = runs.iter().find(|r| r.name == "plan_cold" && r.threads == 1).unwrap();
-        let warm = runs.iter().find(|r| r.name == "plan_warm" && r.threads == 1).unwrap();
+        let cold = runs
+            .iter()
+            .find(|r| r.name == "plan_cold" && r.threads == 1)
+            .unwrap();
+        let warm = runs
+            .iter()
+            .find(|r| r.name == "plan_warm" && r.threads == 1)
+            .unwrap();
         cold.secs_min / warm.secs_min
     };
-    let unreliable_field =
-        if scaling_unreliable { " \"unreliable\": true," } else { "" };
+    let unreliable_field = if scaling_unreliable {
+        " \"unreliable\": true,"
+    } else {
+        ""
+    };
     json.push_str(&format!(
         "  \"speedups\": {{{unreliable_field} \"mine\": {:.3}, \"answer\": {:.3}, \
          \"network\": {:.3}, \"faulted\": {:.3}, \"breakered\": {:.3}, \
@@ -696,7 +777,10 @@ fn main() {
     json.push_str("}\n");
 
     let path = if quick {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_pipeline_quick.json")
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../target/BENCH_pipeline_quick.json"
+        )
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json")
     };

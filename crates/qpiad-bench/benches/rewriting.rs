@@ -25,7 +25,11 @@ fn setup() -> Setup {
     let stats = SourceStats::mine(&sample, ed.len(), &MiningConfig::default());
     let body = ed.schema().expect_attr("body_style");
     let query = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
-    Setup { source: WebSource::new("cars.com", ed), stats, query }
+    Setup {
+        source: WebSource::new("cars.com", ed),
+        stats,
+        query,
+    }
 }
 
 fn bench_rewriting(c: &mut Criterion) {

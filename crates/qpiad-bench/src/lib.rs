@@ -38,7 +38,10 @@ pub fn run_experiment(id: &str, scale: &Scale) -> Option<Report> {
 
 /// The registry's runner for `id`.
 fn runner(id: &str) -> Option<Runner> {
-    experiments::registry().into_iter().find(|(name, _)| *name == id).map(|(_, run)| run)
+    experiments::registry()
+        .into_iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, run)| run)
 }
 
 /// Entry point of the `exp` binary: `exp <id>…|all [--quick] [--json]`.
@@ -51,8 +54,16 @@ fn runner(id: &str) -> Option<Runner> {
 pub fn experiment_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
-    let scale = if flag("--quick") { Scale::quick() } else { Scale::full() };
-    let ids: Vec<&str> = args.iter().map(String::as_str).filter(|a| !a.starts_with("--")).collect();
+    let scale = if flag("--quick") {
+        Scale::quick()
+    } else {
+        Scale::full()
+    };
+    let ids: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
     if let Some(bad) = ids.iter().find(|id| **id != "all" && runner(id).is_none()) {
         eprintln!("unknown experiment id: {bad}");
         std::process::exit(2);
@@ -72,7 +83,9 @@ pub fn experiment_main() {
     };
     if ids.contains(&"all") {
         eprintln!("running all experiments in parallel ...");
-        experiments::run_all_parallel(&scale).into_iter().for_each(print);
+        experiments::run_all_parallel(&scale)
+            .into_iter()
+            .for_each(print);
     } else {
         for id in ids {
             print(run_experiment(id, &scale).expect("id resolved above"));

@@ -109,7 +109,13 @@ pub fn answer_aggregate(
     // query's tuples only if the most likely completion of its target
     // attribute equals the queried value.
     let rewrites = generate_rewrites(&query.select, &base, stats);
-    let ordered = order_rewrites(rewrites, &RankConfig { alpha: config.alpha, k: config.k });
+    let ordered = order_rewrites(
+        rewrites,
+        &RankConfig {
+            alpha: config.alpha,
+            k: config.k,
+        },
+    );
     let constrained = query.select.constrained_attrs();
 
     let mut agg_plan = MediationPlan::new(
@@ -128,36 +134,43 @@ pub fn answer_aggregate(
     }
     agg_plan.admit(&mut ctx, &mut degraded);
 
-    plan::execute(source, &agg_plan, &mut ctx, &mut degraded, |_, entry, result, _| {
-        // §4.4: accept the whole query iff the argmax completion satisfies
-        // the original predicate on the target attribute. A rewrite whose
-        // target is somehow unconstrained cannot be gated — skip it rather
-        // than panic mid-aggregation.
-        let Some(target_pred) = query.select.predicate_on(entry.rewrite.target_attr) else {
-            return;
-        };
-        for t in result {
-            if !seen.insert(t.id()) {
-                continue;
-            }
-            if !query.select.possibly_matches(&t) {
-                continue;
-            }
-            if t.null_count_among(&constrained) > 1 {
-                continue;
-            }
-            let Some((most_likely, _)) = stats.predictor().predict(entry.rewrite.target_attr, &t)
-            else {
-                continue;
+    plan::execute(
+        source,
+        &agg_plan,
+        &mut ctx,
+        &mut degraded,
+        |_, entry, result, _| {
+            // §4.4: accept the whole query iff the argmax completion satisfies
+            // the original predicate on the target attribute. A rewrite whose
+            // target is somehow unconstrained cannot be gated — skip it rather
+            // than panic mid-aggregation.
+            let Some(target_pred) = query.select.predicate_on(entry.rewrite.target_attr) else {
+                return;
             };
-            if !target_pred.op.matches(&most_likely) {
-                continue;
+            for t in result {
+                if !seen.insert(t.id()) {
+                    continue;
+                }
+                if !query.select.possibly_matches(&t) {
+                    continue;
+                }
+                if t.null_count_among(&constrained) > 1 {
+                    continue;
+                }
+                let Some((most_likely, _)) =
+                    stats.predictor().predict(entry.rewrite.target_attr, &t)
+                else {
+                    continue;
+                };
+                if !target_pred.op.matches(&most_likely) {
+                    continue;
+                }
+                if fold(&t, stats) {
+                    possible_count += 1;
+                }
             }
-            if fold(&t, stats) {
-                possible_count += 1;
-            }
-        }
-    });
+        },
+    );
 
     let with_prediction = match query.func {
         AggFunc::Count => count,
@@ -215,7 +228,10 @@ mod tests {
 
         let q = AggregateQuery::count(select);
         let ans = answer_aggregate(&stats, &AggregateConfig::default(), &source, &q).unwrap();
-        assert!(ans.certain < truth, "incompleteness must depress the certain count");
+        assert!(
+            ans.certain < truth,
+            "incompleteness must depress the certain count"
+        );
         assert!(ans.possible_count > 0);
         let acc_certain = aggregate_accuracy(ans.certain, truth);
         let acc_pred = aggregate_accuracy(ans.with_prediction, truth);

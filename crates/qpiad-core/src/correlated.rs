@@ -35,12 +35,13 @@ pub fn is_correlated_source_usable(
     binding: &SourceBinding,
     query: &SelectQuery,
 ) -> bool {
-    query.constrained_attrs().iter().all(|attr| {
-        match correlated_stats.determining_set(*attr) {
+    query
+        .constrained_attrs()
+        .iter()
+        .all(|attr| match correlated_stats.determining_set(*attr) {
             Some(dtr) => dtr.iter().all(|a| binding.supports(*a)),
             None => false,
-        }
-    })
+        })
 }
 
 /// The result of a correlated-source retrieval: ranked possible answers
@@ -113,7 +114,14 @@ pub fn answer_from_correlated(
         retry,
         &base,
     );
-    Ok(collect_possible(target_source, binding, query, &plan, ctx, degraded))
+    Ok(collect_possible(
+        target_source,
+        binding,
+        query,
+        &plan,
+        ctx,
+        degraded,
+    ))
 }
 
 /// [`answer_from_correlated`] with the planning half served through the
@@ -142,8 +150,16 @@ pub(crate) fn answer_from_correlated_planned(
         BaseGate::BudgetOnly,
     )?;
     let (candidates, _cache) = planner.candidate_set(correlated_source, query, &base);
-    let plan = plan_from_shared_candidates(target_source.name(), binding, query, retry, &candidates);
-    Ok(collect_possible(target_source, binding, query, &plan, ctx, degraded))
+    let plan =
+        plan_from_shared_candidates(target_source.name(), binding, query, retry, &candidates);
+    Ok(collect_possible(
+        target_source,
+        binding,
+        query,
+        &plan,
+        ctx,
+        degraded,
+    ))
 }
 
 /// Executes a correlated plan against the target source and lifts every
@@ -158,27 +174,33 @@ fn collect_possible(
 ) -> CorrelatedAnswers {
     let mut possible: Vec<RankedAnswer> = Vec::new();
     let mut seen: FastHashSet<TupleId> = FastHashSet::default();
-    plan::execute(target_source, plan, ctx, &mut degraded, |rank, entry, kept, _ctx| {
-        for local_tuple in kept {
-            if !seen.insert(local_tuple.id()) {
-                continue;
+    plan::execute(
+        target_source,
+        plan,
+        ctx,
+        &mut degraded,
+        |rank, entry, kept, _ctx| {
+            for local_tuple in kept {
+                if !seen.insert(local_tuple.id()) {
+                    continue;
+                }
+                // Lift into the global schema; the constrained attribute comes
+                // back null (the source does not store it), making the tuple a
+                // possible answer by construction.
+                let tuple = binding.lift_tuple(&local_tuple);
+                if !query.possibly_matches(&tuple) {
+                    continue;
+                }
+                possible.push(RankedAnswer {
+                    tuple,
+                    confidence: entry.rewrite.precision,
+                    query_precision: entry.rewrite.precision,
+                    query_index: rank,
+                    explanation: entry.rewrite.afd.clone(),
+                });
             }
-            // Lift into the global schema; the constrained attribute comes
-            // back null (the source does not store it), making the tuple a
-            // possible answer by construction.
-            let tuple = binding.lift_tuple(&local_tuple);
-            if !query.possibly_matches(&tuple) {
-                continue;
-            }
-            possible.push(RankedAnswer {
-                tuple,
-                confidence: entry.rewrite.precision,
-                query_precision: entry.rewrite.precision,
-                query_index: rank,
-                explanation: entry.rewrite.afd.clone(),
-            });
-        }
-    });
+        },
+    );
     if degraded.is_degraded() {
         target_source.note_degraded();
     }
@@ -275,7 +297,15 @@ pub fn plan_from_correlated_speculative(
     ctx: &mut QueryContext,
 ) -> MediationPlan {
     let base = plan::stats_sample_matches(correlated_stats, query);
-    let mut plan = build_plan(correlated_stats, target_name, binding, query, config, retry, &base);
+    let mut plan = build_plan(
+        correlated_stats,
+        target_name,
+        binding,
+        query,
+        config,
+        retry,
+        &base,
+    );
     plan.cache = CacheStatus::Speculative;
     // The base retrieval is gated by the budget only — the probe belongs
     // to the target source and is never consulted for the base.

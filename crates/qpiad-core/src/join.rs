@@ -35,7 +35,10 @@ pub struct JoinConfig {
 
 impl Default for JoinConfig {
     fn default() -> Self {
-        JoinConfig { alpha: 0.5, k_pairs: 10 }
+        JoinConfig {
+            alpha: 0.5,
+            k_pairs: 10,
+        }
     }
 }
 
@@ -120,12 +123,26 @@ pub fn answer_join(
     let base_l = {
         let mut ctx = QueryContext::unbounded();
         let mut degraded = Degradation::default();
-        plan::execute_base(left.source, &query.left, &retry, &mut ctx, &mut degraded, BaseGate::Guarded)?
+        plan::execute_base(
+            left.source,
+            &query.left,
+            &retry,
+            &mut ctx,
+            &mut degraded,
+            BaseGate::Guarded,
+        )?
     };
     let base_r = {
         let mut ctx = QueryContext::unbounded();
         let mut degraded = Degradation::default();
-        plan::execute_base(right.source, &query.right, &retry, &mut ctx, &mut degraded, BaseGate::Guarded)?
+        plan::execute_base(
+            right.source,
+            &query.right,
+            &retry,
+            &mut ctx,
+            &mut degraded,
+            BaseGate::Guarded,
+        )?
     };
 
     // Steps 2–3: candidate queries with join-value distributions.
@@ -149,7 +166,11 @@ pub fn answer_join(
     let mut scored: Vec<(f64, f64, usize, usize)> = pairs
         .into_iter()
         .map(|(sel, precision, i, j)| {
-            let recall = if total_sel > 0.0 { sel / total_sel } else { 0.0 };
+            let recall = if total_sel > 0.0 {
+                sel / total_sel
+            } else {
+                0.0
+            };
             let f = if total_sel > 0.0 {
                 f_measure(precision, recall, config.alpha)
             } else {
@@ -164,7 +185,10 @@ pub fn answer_join(
             .then_with(|| (a.2, a.3).cmp(&(b.2, b.3)))
     });
     scored.truncate(config.k_pairs);
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| (a.2, a.3).cmp(&(b.2, b.3))));
+    scored.sort_by(|a, b| {
+        b.1.total_cmp(&a.1)
+            .then_with(|| (a.2, a.3).cmp(&(b.2, b.3)))
+    });
 
     // Step 5: issue each component query once, per side, in first-needed
     // pair order — one batch plan per side through the shared executor, so
@@ -172,10 +196,22 @@ pub fn answer_join(
     // loop would have produced on demand.
     let order_l = first_needed(&scored, |s| s.2);
     let order_r = first_needed(&scored, |s| s.3);
-    let cache_l =
-        retrieve_components(left, &query.left, query.left_attr, &base_l, &cands_l, &order_l);
-    let cache_r =
-        retrieve_components(right, &query.right, query.right_attr, &base_r, &cands_r, &order_r);
+    let cache_l = retrieve_components(
+        left,
+        &query.left,
+        query.left_attr,
+        &base_l,
+        &cands_l,
+        &order_l,
+    );
+    let cache_r = retrieve_components(
+        right,
+        &query.right,
+        query.right_attr,
+        &base_r,
+        &cands_r,
+        &order_r,
+    );
     let mut joined: Vec<JoinedTuple> = Vec::new();
     let mut seen: HashSet<(TupleId, TupleId)> = HashSet::new();
     let mut pairs_issued = 0usize;
@@ -214,7 +250,10 @@ pub fn answer_join(
         }
     }
 
-    Ok(JoinAnswer { results: joined, pairs_issued })
+    Ok(JoinAnswer {
+        results: joined,
+        pairs_issued,
+    })
 }
 
 /// Builds one side's candidate queries: the complete query plus rewrites.
@@ -374,9 +413,15 @@ fn retrieve_components(
         slots.push(i);
     }
     side_plan.admit(&mut ctx, &mut degraded);
-    plan::execute(side.source, &side_plan, &mut ctx, &mut degraded, |rank, _, tuples, _| {
-        cache.insert(slots[rank], qualify(side, select, join_attr, tuples));
-    });
+    plan::execute(
+        side.source,
+        &side_plan,
+        &mut ctx,
+        &mut degraded,
+        |rank, _, tuples, _| {
+            cache.insert(slots[rank], qualify(side, select, join_attr, tuples));
+        },
+    );
     cache
 }
 
@@ -418,9 +463,7 @@ fn qualify(
             let v = t.value(join_attr);
             if !v.is_null() {
                 (v.clone(), 1.0)
-            } else if let Some(PredOp::Eq(pinned)) =
-                select.predicate_on(join_attr).map(|p| &p.op)
-            {
+            } else if let Some(PredOp::Eq(pinned)) = select.predicate_on(join_attr).map(|p| &p.op) {
                 (pinned.clone(), 1.0)
             } else {
                 match side.stats.predictor().predict(join_attr, &t) {
@@ -449,7 +492,14 @@ mod tests {
     use qpiad_db::{Predicate, Relation, WebSource};
     use qpiad_learn::knowledge::{MiningConfig, SourceStats};
 
-    fn setup() -> (Relation, Relation, WebSource, WebSource, SourceStats, SourceStats) {
+    fn setup() -> (
+        Relation,
+        Relation,
+        WebSource,
+        WebSource,
+        SourceStats,
+        SourceStats,
+    ) {
         let cars_gd = CarsConfig::default().with_rows(6_000).generate(71);
         let comp_gd = ComplaintsConfig { rows: 8_000 }.generate(72);
         let (cars_ed, _) = corrupt(&cars_gd, &CorruptionConfig::default().with_seed(1));
@@ -493,8 +543,14 @@ mod tests {
         let (_, _, cars, comps, cs, ps) = setup();
         let jq = paper_query(&cars, &comps);
         let ans = answer_join(
-            &JoinSide { source: &cars, stats: &cs },
-            &JoinSide { source: &comps, stats: &ps },
+            &JoinSide {
+                source: &cars,
+                stats: &cs,
+            },
+            &JoinSide {
+                source: &comps,
+                stats: &ps,
+            },
             &JoinConfig::default(),
             &jq,
         )
@@ -515,8 +571,14 @@ mod tests {
         let (_, _, cars, comps, cs, ps) = setup();
         let jq = paper_query(&cars, &comps);
         let ans = answer_join(
-            &JoinSide { source: &cars, stats: &cs },
-            &JoinSide { source: &comps, stats: &ps },
+            &JoinSide {
+                source: &cars,
+                stats: &cs,
+            },
+            &JoinSide {
+                source: &comps,
+                stats: &ps,
+            },
             &JoinConfig::default(),
             &jq,
         )
@@ -538,9 +600,18 @@ mod tests {
         let (_, _, cars, comps, cs, ps) = setup();
         let jq = paper_query(&cars, &comps);
         let ans = answer_join(
-            &JoinSide { source: &cars, stats: &cs },
-            &JoinSide { source: &comps, stats: &ps },
-            &JoinConfig { alpha: 2.0, k_pairs: 20 },
+            &JoinSide {
+                source: &cars,
+                stats: &cs,
+            },
+            &JoinSide {
+                source: &comps,
+                stats: &ps,
+            },
+            &JoinConfig {
+                alpha: 2.0,
+                k_pairs: 20,
+            },
             &jq,
         )
         .unwrap();
@@ -560,18 +631,36 @@ mod tests {
         let (_, _, cars, comps, cs, ps) = setup();
         let jq = paper_query(&cars, &comps);
         let precise = answer_join(
-            &JoinSide { source: &cars, stats: &cs },
-            &JoinSide { source: &comps, stats: &ps },
-            &JoinConfig { alpha: 0.0, k_pairs: 10 },
+            &JoinSide {
+                source: &cars,
+                stats: &cs,
+            },
+            &JoinSide {
+                source: &comps,
+                stats: &ps,
+            },
+            &JoinConfig {
+                alpha: 0.0,
+                k_pairs: 10,
+            },
             &jq,
         )
         .unwrap();
         cars.reset_meter();
         comps.reset_meter();
         let recallful = answer_join(
-            &JoinSide { source: &cars, stats: &cs },
-            &JoinSide { source: &comps, stats: &ps },
-            &JoinConfig { alpha: 2.0, k_pairs: 10 },
+            &JoinSide {
+                source: &cars,
+                stats: &cs,
+            },
+            &JoinSide {
+                source: &comps,
+                stats: &ps,
+            },
+            &JoinConfig {
+                alpha: 2.0,
+                k_pairs: 10,
+            },
             &jq,
         )
         .unwrap();
@@ -587,9 +676,18 @@ mod tests {
         // Rebuild the complaints source with a tight budget: base query + 2.
         let limited = WebSource::new("complaints", comps.relation().clone()).with_query_limit(3);
         let ans = answer_join(
-            &JoinSide { source: &cars, stats: &cs },
-            &JoinSide { source: &limited, stats: &ps },
-            &JoinConfig { alpha: 0.5, k_pairs: 10 },
+            &JoinSide {
+                source: &cars,
+                stats: &cs,
+            },
+            &JoinSide {
+                source: &limited,
+                stats: &ps,
+            },
+            &JoinConfig {
+                alpha: 0.5,
+                k_pairs: 10,
+            },
             &jq,
         )
         .expect("budget exhaustion is not fatal");

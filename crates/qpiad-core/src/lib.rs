@@ -73,11 +73,11 @@ pub mod rewrite;
 
 pub use correlated::CorrelatedAnswers;
 pub use mediator::{AnswerSet, Degradation, Qpiad, QpiadConfig, QueryContext, RankedAnswer};
+pub use network::{MediatorNetwork, MemberFold, NetworkAnswer, SourceAnswers, SourceOutcome};
 pub use plan::{
     execute, execute_base, AdmissionMode, BaseGate, CacheStatus, EntryStatus, MediationPlan,
     PlanCache, PlanCandidate, PlanEntry, SkipReason,
 };
 pub use qpiad_db::par;
-pub use network::{MediatorNetwork, MemberFold, NetworkAnswer, SourceAnswers, SourceOutcome};
 pub use rank::{order_rewrites, rescore, RankConfig, ScoredRewrite};
 pub use rewrite::{generate_rewrites, RewrittenQuery};

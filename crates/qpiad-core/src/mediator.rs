@@ -277,7 +277,12 @@ pub struct Qpiad {
 impl Qpiad {
     /// Creates a mediator from mined statistics.
     pub fn new(stats: SourceStats, config: QpiadConfig) -> Self {
-        Qpiad { stats, config, plan_cache: None, knowledge_version: 0 }
+        Qpiad {
+            stats,
+            config,
+            plan_cache: None,
+            knowledge_version: 0,
+        }
     }
 
     /// Attaches a shared plan cache, stamping this mediator's entries with
@@ -345,8 +350,14 @@ impl Qpiad {
     ) -> Result<AnswerSet, SourceError> {
         // Step 1: base result set (certain answers), under admission.
         let mut degraded = Degradation::default();
-        let certain =
-            plan::execute_base(source, query, &self.config.retry, ctx, &mut degraded, BaseGate::Guarded)?;
+        let certain = plan::execute_base(
+            source,
+            query,
+            &self.config.retry,
+            ctx,
+            &mut degraded,
+            BaseGate::Guarded,
+        )?;
         if let Some(dp) = &mut ctx.drift {
             dp.observe(&self.sample_matches(query), &certain);
         }
@@ -433,7 +444,10 @@ impl Qpiad {
             plan.skip_all(SkipReason::BreakerOpen);
             return plan;
         }
-        match ctx.budget.admit(&self.config.retry, query_fingerprint(query)) {
+        match ctx
+            .budget
+            .admit(&self.config.retry, query_fingerprint(query))
+        {
             Some(policy) => {
                 ctx.probe.note_issued();
                 plan.base_status = EntryStatus::Admitted(policy);
@@ -452,7 +466,8 @@ impl Qpiad {
     /// Renders the admitted plan for `query` against `source` without
     /// issuing a single source query (EXPLAIN).
     pub fn explain(&self, source: &dyn AutonomousSource, query: &SelectQuery) -> String {
-        self.plan_speculative(source, query, &mut QueryContext::unbounded()).render(source.schema())
+        self.plan_speculative(source, query, &mut QueryContext::unbounded())
+            .render(source.schema())
     }
 
     /// Wraps a candidate list as an unadmitted plan (all supported entries
@@ -546,7 +561,10 @@ impl Qpiad {
         let rewrites = generate_rewrites(query, certain, &self.stats);
         let selected = order_rewrites(
             rewrites,
-            &RankConfig { alpha: self.config.alpha, k: self.config.k },
+            &RankConfig {
+                alpha: self.config.alpha,
+                k: self.config.k,
+            },
         );
         let mut candidates: Vec<PlanCandidate> = selected
             .into_iter()
@@ -638,10 +656,7 @@ impl Qpiad {
         let mut confidence = 1.0;
         for p in query.predicates() {
             if tuple.value(p.attr).is_null() {
-                confidence *= self
-                    .stats
-                    .predictor()
-                    .prob_matching(p.attr, tuple, &p.op);
+                confidence *= self.stats.predictor().prob_matching(p.attr, tuple, &p.op);
             }
         }
         confidence
@@ -658,8 +673,7 @@ impl Qpiad {
         let mut confidence = 1.0;
         for p in query.predicates() {
             if tuple.value(p.attr).is_null() {
-                confidence *=
-                    cache.prob_matching(self.stats.predictor(), p.attr, tuple, &p.op);
+                confidence *= cache.prob_matching(self.stats.predictor(), p.attr, tuple, &p.op);
             }
         }
         confidence
@@ -696,7 +710,10 @@ pub fn explain(answer: &RankedAnswer, schema: &qpiad_db::Schema) -> String {
             answer.confidence,
             afd.display(schema)
         ),
-        None => format!("confidence {:.3} (no AFD; all-attribute classifier)", answer.confidence),
+        None => format!(
+            "confidence {:.3} (no AFD; all-attribute classifier)",
+            answer.confidence
+        ),
     }
 }
 

@@ -65,7 +65,10 @@ pub struct ChainJoinConfig {
 
 impl Default for ChainJoinConfig {
     fn default() -> Self {
-        ChainJoinConfig { alpha: 0.5, k_per_side: 8 }
+        ChainJoinConfig {
+            alpha: 0.5,
+            k_per_side: 8,
+        }
     }
 }
 
@@ -89,18 +92,35 @@ fn retrieve_side(
     let mut ctx = QueryContext::unbounded();
     let mut degraded = Degradation::default();
     let retry = RetryPolicy::none();
-    let base =
-        plan::execute_base(side.source, select, &retry, &mut ctx, &mut degraded, BaseGate::Guarded)?;
+    let base = plan::execute_base(
+        side.source,
+        select,
+        &retry,
+        &mut ctx,
+        &mut degraded,
+        BaseGate::Guarded,
+    )?;
     let mut seen: HashMap<TupleId, ()> = base.iter().map(|t| (t.id(), ())).collect();
     let mut out: Vec<SideTuple> = base
         .into_iter()
-        .map(|tuple| SideTuple { tuple, confidence: 1.0, certain: true })
+        .map(|tuple| SideTuple {
+            tuple,
+            confidence: 1.0,
+            certain: true,
+        })
         .collect();
 
-    let rewrites = generate_rewrites(select, &out.iter().map(|s| s.tuple.clone()).collect::<Vec<_>>(), side.stats);
+    let rewrites = generate_rewrites(
+        select,
+        &out.iter().map(|s| s.tuple.clone()).collect::<Vec<_>>(),
+        side.stats,
+    );
     let ordered = order_rewrites(
         rewrites,
-        &RankConfig { alpha: config.alpha, k: config.k_per_side },
+        &RankConfig {
+            alpha: config.alpha,
+            k: config.k_per_side,
+        },
     );
     let mut plan = MediationPlan::new(
         side.source.name().to_string(),
@@ -119,27 +139,41 @@ fn retrieve_side(
     plan.admit(&mut ctx, &mut degraded);
 
     let constrained = select.constrained_attrs();
-    plan::execute(side.source, &plan, &mut ctx, &mut degraded, |_, _, result, _| {
-        for t in result {
-            if seen.insert(t.id(), ()).is_some() {
-                continue;
-            }
-            if select.matches(&t) {
-                out.push(SideTuple { tuple: t, confidence: 1.0, certain: true });
-                continue;
-            }
-            if !select.possibly_matches(&t) || t.null_count_among(&constrained) > 1 {
-                continue;
-            }
-            let mut confidence = 1.0;
-            for p in select.predicates() {
-                if t.value(p.attr).is_null() {
-                    confidence *= side.stats.predictor().prob_matching(p.attr, &t, &p.op);
+    plan::execute(
+        side.source,
+        &plan,
+        &mut ctx,
+        &mut degraded,
+        |_, _, result, _| {
+            for t in result {
+                if seen.insert(t.id(), ()).is_some() {
+                    continue;
                 }
+                if select.matches(&t) {
+                    out.push(SideTuple {
+                        tuple: t,
+                        confidence: 1.0,
+                        certain: true,
+                    });
+                    continue;
+                }
+                if !select.possibly_matches(&t) || t.null_count_among(&constrained) > 1 {
+                    continue;
+                }
+                let mut confidence = 1.0;
+                for p in select.predicates() {
+                    if t.value(p.attr).is_null() {
+                        confidence *= side.stats.predictor().prob_matching(p.attr, &t, &p.op);
+                    }
+                }
+                out.push(SideTuple {
+                    tuple: t,
+                    confidence,
+                    certain: false,
+                });
             }
-            out.push(SideTuple { tuple: t, confidence, certain: false });
-        }
-    });
+        },
+    );
     Ok(out)
 }
 
@@ -176,15 +210,30 @@ pub fn answer_chain_join(
     config: &ChainJoinConfig,
     query: &ChainJoinQuery,
 ) -> Result<ChainJoinAnswer, SourceError> {
-    assert!(sides.len() >= 2, "a chain join needs at least two relations");
-    assert_eq!(sides.len(), query.selects.len(), "one selection per relation");
-    assert_eq!(sides.len() - 1, query.hops.len(), "one hop per adjacent pair");
+    assert!(
+        sides.len() >= 2,
+        "a chain join needs at least two relations"
+    );
+    assert_eq!(
+        sides.len(),
+        query.selects.len(),
+        "one selection per relation"
+    );
+    assert_eq!(
+        sides.len() - 1,
+        query.hops.len(),
+        "one hop per adjacent pair"
+    );
 
     // Seed: relation 0.
     let first = retrieve_side(&sides[0], &query.selects[0], config)?;
     let mut rows: Vec<ChainRow> = first
         .into_iter()
-        .map(|s| ChainRow { tuples: vec![s.tuple], confidence: s.confidence, certain: s.certain })
+        .map(|s| ChainRow {
+            tuples: vec![s.tuple],
+            confidence: s.confidence,
+            certain: s.certain,
+        })
         .collect();
 
     for (hop, (left_attr, right_attr)) in query.hops.iter().enumerate() {
@@ -213,12 +262,17 @@ pub fn answer_chain_join(
         for row in rows {
             // Rows are seeded with one tuple and only ever grow; an empty
             // row would be a construction bug — drop it, don't panic.
-            let Some(left_tuple) = row.tuples.last() else { continue };
-            let Some((key, prob, stored)) = join_key(left_side, left_select, *left_attr, left_tuple)
+            let Some(left_tuple) = row.tuples.last() else {
+                continue;
+            };
+            let Some((key, prob, stored)) =
+                join_key(left_side, left_select, *left_attr, left_tuple)
             else {
                 continue;
             };
-            let Some(matches) = by_key.get(&key) else { continue };
+            let Some(matches) = by_key.get(&key) else {
+                continue;
+            };
             for (idx, right_conf, right_certain) in matches {
                 let mut tuples = row.tuples.clone();
                 tuples.push(keyed[*idx].tuple.clone());
@@ -290,9 +344,18 @@ mod tests {
             hops: vec![(model_c, model_k), (model_k, model_c)],
         };
         let sides = [
-            JoinSide { source: &cars, stats: &s1 },
-            JoinSide { source: &comps, stats: &s2 },
-            JoinSide { source: &cars2, stats: &s3 },
+            JoinSide {
+                source: &cars,
+                stats: &s1,
+            },
+            JoinSide {
+                source: &comps,
+                stats: &s2,
+            },
+            JoinSide {
+                source: &cars2,
+                stats: &s3,
+            },
         ];
         let ans = answer_chain_join(&sides, &ChainJoinConfig::default(), &query).unwrap();
         assert!(!ans.rows.is_empty());
@@ -342,8 +405,7 @@ mod tests {
                 .map(|lt| {
                     r.iter()
                         .filter(|rt| {
-                            !lt.value(model_c).is_null()
-                                && lt.value(model_c) == rt.value(model_k)
+                            !lt.value(model_c).is_null() && lt.value(model_c) == rt.value(model_k)
                         })
                         .count()
                 })
@@ -357,8 +419,14 @@ mod tests {
             hops: vec![(model_c, model_k)],
         };
         let sides = [
-            JoinSide { source: &cars, stats: &s1 },
-            JoinSide { source: &comps, stats: &s2 },
+            JoinSide {
+                source: &cars,
+                stats: &s1,
+            },
+            JoinSide {
+                source: &comps,
+                stats: &s2,
+            },
         ];
         let ans = answer_chain_join(&sides, &ChainJoinConfig::default(), &query).unwrap();
         let certain = ans.rows.iter().filter(|r| r.certain).count();
@@ -389,8 +457,14 @@ mod tests {
             hops: vec![(model_c, model_k)],
         };
         let sides = [
-            JoinSide { source: &cars, stats: &s1 },
-            JoinSide { source: &comps, stats: &s2 },
+            JoinSide {
+                source: &cars,
+                stats: &s1,
+            },
+            JoinSide {
+                source: &comps,
+                stats: &s2,
+            },
         ];
         let ans = answer_chain_join(&sides, &ChainJoinConfig::default(), &query).unwrap();
         for row in &ans.rows {
@@ -415,9 +489,15 @@ mod tests {
         let cars_gd = CarsConfig::default().with_rows(100).generate(86);
         let stats = mine(&cars_gd, 11);
         let cars = WebSource::new("cars", cars_gd.clone());
-        let query = ChainJoinQuery { selects: vec![SelectQuery::all()], hops: vec![] };
+        let query = ChainJoinQuery {
+            selects: vec![SelectQuery::all()],
+            hops: vec![],
+        };
         let _ = answer_chain_join(
-            &[JoinSide { source: &cars, stats: &stats }],
+            &[JoinSide {
+                source: &cars,
+                stats: &stats,
+            }],
             &ChainJoinConfig::default(),
             &query,
         );

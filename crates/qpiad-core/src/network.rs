@@ -278,7 +278,10 @@ impl NetworkAnswer {
 
     /// Number of members whose contribution was degraded (partial).
     pub fn degraded_count(&self) -> usize {
-        self.per_source.iter().filter(|s| s.outcome.is_degraded()).count()
+        self.per_source
+            .iter()
+            .filter(|s| s.outcome.is_degraded())
+            .count()
     }
 }
 
@@ -495,7 +498,11 @@ impl<'a> MediatorNetwork<'a> {
                 self.global.attr(g).name()
             );
         }
-        self.members.push(Member { source, binding, knowledge: KnowledgeCell::new(knowledge) });
+        self.members.push(Member {
+            source,
+            binding,
+            knowledge: KnowledgeCell::new(knowledge),
+        });
         self
     }
 
@@ -508,8 +515,11 @@ impl<'a> MediatorNetwork<'a> {
         if let Some(d) = &self.drift {
             d.register(source.name(), &stats);
         }
-        let knowledge =
-            if stale { MemberKnowledge::restored(stats) } else { MemberKnowledge::mined(stats) };
+        let knowledge = if stale {
+            MemberKnowledge::restored(stats)
+        } else {
+            MemberKnowledge::mined(stats)
+        };
         self.push_full(source, knowledge)
     }
 
@@ -615,7 +625,10 @@ impl<'a> MediatorNetwork<'a> {
             .iter()
             .filter_map(|m| {
                 let pinned = m.knowledge.pin();
-                pinned.error.clone().map(|e| (m.source.name().to_string(), e))
+                pinned
+                    .error
+                    .clone()
+                    .map(|e| (m.source.name().to_string(), e))
             })
             .collect()
     }
@@ -712,14 +725,20 @@ impl<'a> MediatorNetwork<'a> {
     ) -> Result<MemberFold, SourceError> {
         let idx = self.member_index(name)?;
         let Some(drift) = &self.drift else {
-            return Ok(MemberFold::NotApplicable { reason: "drift tracking disabled" });
+            return Ok(MemberFold::NotApplicable {
+                reason: "drift tracking disabled",
+            });
         };
         let pinned = self.members[idx].knowledge.pin();
         let Some(stats) = pinned.stats.as_ref() else {
-            return Ok(MemberFold::NotApplicable { reason: "no mined statistics to fold into" });
+            return Ok(MemberFold::NotApplicable {
+                reason: "no mined statistics to fold into",
+            });
         };
         let Some((rows, through)) = drift.stream_snapshot(name) else {
-            return Ok(MemberFold::NotApplicable { reason: "no streamed rows pending" });
+            return Ok(MemberFold::NotApplicable {
+                reason: "no streamed rows pending",
+            });
         };
         let folded_rows = rows.len();
         let fresh = Relation::new(stats.schema().clone(), rows);
@@ -733,20 +752,29 @@ impl<'a> MediatorNetwork<'a> {
             Ok(FoldOutcome::RemineRequired { max_delta, bound }) => {
                 Ok(MemberFold::RemineRequired { max_delta, bound })
             }
-            Ok(FoldOutcome::Folded { stats: folded, max_delta }) => {
+            Ok(FoldOutcome::Folded {
+                stats: folded,
+                max_delta,
+            }) => {
                 let reseed = |folded: &SourceStats| drift.note_folded(name, folded, through);
                 let kind = RefreshKind::Incremental;
                 self.publish_persisted(idx, folded, kind, persist, pass, reseed)?;
-                Ok(MemberFold::Folded { rows: folded_rows, max_delta })
+                Ok(MemberFold::Folded {
+                    rows: folded_rows,
+                    max_delta,
+                })
             }
         }
     }
 
     /// The registration index of member `name`.
     fn member_index(&self, name: &str) -> Result<usize, SourceError> {
-        self.members.iter().position(|m| m.source.name() == name).ok_or_else(|| {
-            SourceError::Internal { message: format!("no member named `{name}`") }
-        })
+        self.members
+            .iter()
+            .position(|m| m.source.name() == name)
+            .ok_or_else(|| SourceError::Internal {
+                message: format!("no member named `{name}`"),
+            })
     }
 
     /// Publishes a refreshed generation of member `idx`'s knowledge,
@@ -824,7 +852,9 @@ impl<'a> MediatorNetwork<'a> {
             if j == target {
                 continue;
             }
-            let Some(stats) = pk.pins[j].stats.as_ref() else { continue };
+            let Some(stats) = pk.pins[j].stats.as_ref() else {
+                continue;
+            };
             if !is_correlated_source_usable(stats, target_binding, query) {
                 continue;
             }
@@ -951,9 +981,10 @@ impl<'a> MediatorNetwork<'a> {
             {
                 continue;
             }
-            let Route::Direct(stats) = self.route(j, query, pk) else { continue };
-            let conf = min_afd_confidence(stats.afds(), &query.constrained_attrs())
-                .unwrap_or(0.0)
+            let Route::Direct(stats) = self.route(j, query, pk) else {
+                continue;
+            };
+            let conf = min_afd_confidence(stats.afds(), &query.constrained_attrs()).unwrap_or(0.0)
                 * self.drift_weight(m.source.name());
             if best.as_ref().map(|(c, _)| conf > *c).unwrap_or(true) {
                 best = Some((conf, j));
@@ -989,7 +1020,13 @@ impl<'a> MediatorNetwork<'a> {
         } else {
             vec![None; self.members.len()]
         };
-        PassSetup { _clock: clock, pk, views, hedges, pressure }
+        PassSetup {
+            _clock: clock,
+            pk,
+            views,
+            hedges,
+            pressure,
+        }
     }
 
     /// Serves one member under the availability layer: an Open breaker
@@ -1005,8 +1042,15 @@ impl<'a> MediatorNetwork<'a> {
         budget: QueryBudget,
         drift: MemberDrift,
         pass_cache: &Arc<PlanCache>,
-    ) -> (Result<SourceAnswers, SourceError>, Vec<Observation>, Option<DriftProbe>) {
-        let MemberDrift { probe: drift_probe, demoted: drifted } = drift;
+    ) -> (
+        Result<SourceAnswers, SourceError>,
+        Vec<Observation>,
+        Option<DriftProbe>,
+    ) {
+        let MemberDrift {
+            probe: drift_probe,
+            demoted: drifted,
+        } = drift;
         let member = &self.members[index];
         let knowledge = &pass.pk.pins[index];
         let view = pass.views[index];
@@ -1105,7 +1149,11 @@ impl<'a> MediatorNetwork<'a> {
                 };
                 let outcome = SourceOutcome::from_degradation(set.degraded);
                 SourceAnswers {
-                    certain: set.certain.iter().map(|t| member.binding.lift_tuple(t)).collect(),
+                    certain: set
+                        .certain
+                        .iter()
+                        .map(|t| member.binding.lift_tuple(t))
+                        .collect(),
                     possible: set
                         .possible
                         .into_iter()
@@ -1238,7 +1286,10 @@ impl<'a> MediatorNetwork<'a> {
             .map(|m| {
                 Mutex::new(MemberDrift {
                     probe: self.drift.as_ref().and_then(|d| d.probe(m.source.name())),
-                    demoted: self.drift.as_ref().is_some_and(|d| d.is_drifted(m.source.name())),
+                    demoted: self
+                        .drift
+                        .as_ref()
+                        .is_some_and(|d| d.is_drifted(m.source.name())),
                 })
             })
             .collect();
@@ -1347,7 +1398,11 @@ impl<'a> MediatorNetwork<'a> {
                 "  overload pressure: {} (rewrite fraction {:.2}, hedging {})",
                 pressure.label(),
                 pressure.rewrite_fraction(),
-                if pressure.allows_hedging() { "on" } else { "off" }
+                if pressure.allows_hedging() {
+                    "on"
+                } else {
+                    "off"
+                }
             );
         }
         for i in 0..self.members.len() {
@@ -1422,8 +1477,10 @@ impl<'a> MediatorNetwork<'a> {
                 } else {
                     "no mined statistics"
                 };
-                let _ =
-                    writeln!(out, "  note: certain answers only ({why}; nothing to rewrite with)");
+                let _ = writeln!(
+                    out,
+                    "  note: certain answers only ({why}; nothing to rewrite with)"
+                );
                 out
             }
             Route::Correlated(j, stats) => {
@@ -1434,7 +1491,10 @@ impl<'a> MediatorNetwork<'a> {
                     name,
                     &member.binding,
                     query,
-                    &RankConfig { alpha: self.config.alpha, k: self.config.k },
+                    &RankConfig {
+                        alpha: self.config.alpha,
+                        k: self.config.k,
+                    },
                     &self.config.retry,
                     &mut ctx,
                 );
@@ -1478,9 +1538,8 @@ fn tag_degradation(outcome: SourceOutcome, tag: impl FnOnce(&mut Degradation)) -
 /// sources.
 fn schemas_aligned(a: &Schema, b: &Schema) -> bool {
     a.arity() == b.arity()
-        && a.attr_ids().all(|id| {
-            a.attr(id).name() == b.attr(id).name() && a.attr(id).ty() == b.attr(id).ty()
-        })
+        && a.attr_ids()
+            .all(|id| a.attr(id).name() == b.attr(id).name() && a.attr(id).ty() == b.attr(id).ty())
 }
 
 /// A primary source doubled by a correlated fallback for one mediation
@@ -1521,12 +1580,17 @@ impl AutonomousSource for HedgedSource<'_> {
     }
 
     fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
-        let hedgeable = q.predicates().iter().all(|p| self.fallback.supports(p.attr))
+        let hedgeable = q
+            .predicates()
+            .iter()
+            .all(|p| self.fallback.supports(p.attr))
             && (!q.requires_null_binding() || self.fallback.allows_null_binding());
         if !hedgeable {
             return self.primary.query(q);
         }
-        let lost = || SourceError::Internal { message: "hedge fan-out lost a result".into() };
+        let lost = || SourceError::Internal {
+            message: "hedge fan-out lost a result".into(),
+        };
         let mut results = par::parallel_map_indexed(2, |i| {
             if i == 0 {
                 self.primary.query(q)
@@ -1670,7 +1734,13 @@ mod tests {
         let yahoo_local = yahoo_ground.project_to("yahoo_autos", &keep);
         let yahoo = WebSource::new("yahoo_autos", yahoo_local);
 
-        Fixture { global, cars, cars_stats, yahoo, yahoo_ground }
+        Fixture {
+            global,
+            cars,
+            cars_stats,
+            yahoo,
+            yahoo_ground,
+        }
     }
 
     #[test]
@@ -1752,8 +1822,8 @@ mod tests {
     fn unreachable_queries_yield_empty_contributions() {
         let f = fixture();
         // Network with ONLY the deficient source: no correlated member.
-        let network = MediatorNetwork::new(f.global.clone(), QpiadConfig::default())
-            .add_deficient(&f.yahoo);
+        let network =
+            MediatorNetwork::new(f.global.clone(), QpiadConfig::default()).add_deficient(&f.yahoo);
         let body = f.global.expect_attr("body_style");
         let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
         let answer = network.answer(&q).unwrap();
@@ -1780,7 +1850,10 @@ mod tests {
         // No constrained attributes: nothing to certify, disqualified.
         assert_eq!(min_afd_confidence(&afds, &[]), None);
         // Minimum over attributes, not average or maximum.
-        let afds = AfdSet::new(vec![Afd::new(vec![a0], a1, 0.9), Afd::new(vec![a0], a2, 0.4)]);
+        let afds = AfdSet::new(vec![
+            Afd::new(vec![a0], a1, 0.9),
+            Afd::new(vec![a0], a2, 0.4),
+        ]);
         assert_eq!(min_afd_confidence(&afds, &[a1, a2]), Some(0.4));
     }
 
@@ -1858,7 +1931,11 @@ mod tests {
 
         let config = MiningConfig::default();
         network
-            .refresh_member("cars.com", |_| Ok(f.cars_stats.clone()), Some((&store, &config)))
+            .refresh_member(
+                "cars.com",
+                |_| Ok(f.cars_stats.clone()),
+                Some((&store, &config)),
+            )
             .unwrap();
         assert!(network.knowledge_failures().is_empty());
         // The refreshed knowledge was persisted and loads cleanly now.
@@ -1881,8 +1958,11 @@ mod tests {
         let err = network.refresh_member("nope.example", |_| Ok(f.cars_stats.clone()), None);
         assert!(err.is_err());
         // A failing mine keeps the old knowledge in place.
-        let err = network
-            .refresh_member("cars.com", |_| Err(SourceError::Timeout { waited_ms: 10 }), None);
+        let err = network.refresh_member(
+            "cars.com",
+            |_| Err(SourceError::Timeout { waited_ms: 10 }),
+            None,
+        );
         assert!(err.is_err());
         let body = f.global.expect_attr("body_style");
         let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);

@@ -259,7 +259,10 @@ impl MediationPlan {
                 entry.status = EntryStatus::Skipped(SkipReason::BreakerOpen);
                 continue;
             }
-            match ctx.budget.admit(&self.retry, query_fingerprint(&entry.issue)) {
+            match ctx
+                .budget
+                .admit(&self.retry, query_fingerprint(&entry.issue))
+            {
                 Some(policy) => {
                     ctx.probe.note_issued();
                     admitted += 1;
@@ -307,7 +310,11 @@ impl MediationPlan {
             AdmissionMode::PlanTime => "plan-time",
             AdmissionMode::Interleaved => "interleaved (re-checked per query)",
         };
-        let _ = write!(out, "  admission: {mode}; plan cache: {}", self.cache.label());
+        let _ = write!(
+            out,
+            "  admission: {mode}; plan cache: {}",
+            self.cache.label()
+        );
         if let Some(v) = self.knowledge_version {
             let _ = write!(out, "; knowledge version {v}");
         }
@@ -495,10 +502,8 @@ pub fn execute<F>(
         .iter()
         .any(|e| matches!(e.status, EntryStatus::Deferred));
 
-    let concurrent = !has_deferred
-        && !source.has_query_budget()
-        && admitted.len() > 1
-        && par::num_threads() > 1;
+    let concurrent =
+        !has_deferred && !source.has_query_budget() && admitted.len() > 1 && par::num_threads() > 1;
 
     // Fan the admitted retrievals out (each worker retries its own query
     // under its clamped policy); the loop below absorbs them in rank
@@ -538,7 +543,10 @@ pub fn execute<F>(
                     degraded.record_breaker_skip(entry.fmeasure);
                     continue;
                 }
-                match ctx.budget.admit(&plan.retry, query_fingerprint(&entry.issue)) {
+                match ctx
+                    .budget
+                    .admit(&plan.retry, query_fingerprint(&entry.issue))
+                {
                     Some(p) => {
                         ctx.probe.note_issued();
                         issued += 1;
@@ -640,7 +648,9 @@ pub const PLAN_CACHE_SHARDS: usize = 16;
 
 impl Default for PlanCache {
     fn default() -> Self {
-        PlanCache { shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
+        PlanCache {
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+        }
     }
 }
 
@@ -755,7 +765,8 @@ mod tests {
         plan.push(entry(2, 0.7, EntryStatus::Deferred));
         plan.push(entry(3, 0.5, EntryStatus::Deferred));
         // Budget funds exactly two single-attempt queries.
-        let mut ctx = QueryContext::unbounded().with_budget(QueryBudget::unlimited().with_max_attempts(2));
+        let mut ctx =
+            QueryContext::unbounded().with_budget(QueryBudget::unlimited().with_max_attempts(2));
         let mut degraded = Degradation::default();
         plan.admit(&mut ctx, &mut degraded);
         assert_eq!(plan.admitted_len(), 2);
@@ -798,7 +809,10 @@ mod tests {
         // Elevated: top half (ceil(4·0.5) = 2), the rest shed and charged.
         let (elevated, d) = admit_at(PressureLevel::Elevated);
         assert_eq!(elevated.admitted_len(), 2);
-        assert!(matches!(elevated.entries[0].status, EntryStatus::Admitted(_)));
+        assert!(matches!(
+            elevated.entries[0].status,
+            EntryStatus::Admitted(_)
+        ));
         assert!(matches!(
             elevated.entries[2].status,
             EntryStatus::Skipped(SkipReason::Overload)
@@ -823,7 +837,10 @@ mod tests {
     fn overload_skips_render_in_explain_output() {
         let schema = Schema::of(
             "cars",
-            &[("body", AttrType::Categorical), ("model", AttrType::Categorical)],
+            &[
+                ("body", AttrType::Categorical),
+                ("model", AttrType::Categorical),
+            ],
         );
         let mut plan = MediationPlan::new(
             "cars.com",
@@ -844,7 +861,10 @@ mod tests {
     fn render_lists_every_entry_with_verdict_and_mass() {
         let schema = Schema::of(
             "cars",
-            &[("body", AttrType::Categorical), ("model", AttrType::Categorical)],
+            &[
+                ("body", AttrType::Categorical),
+                ("model", AttrType::Categorical),
+            ],
         );
         let mut plan = MediationPlan::new(
             "cars.com",

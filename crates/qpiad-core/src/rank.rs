@@ -103,7 +103,10 @@ pub fn order_rewrites(rewrites: Vec<RewrittenQuery>, config: &RankConfig) -> Vec
 
     let mut selected: Vec<ScoredRewrite> = scored
         .into_iter()
-        .map(|(_, rewrite)| ScoredRewrite { rewrite, fmeasure: 0.0 })
+        .map(|(_, rewrite)| ScoredRewrite {
+            rewrite,
+            fmeasure: 0.0,
+        })
         .collect();
     selected.sort_by(|a, b| {
         b.rewrite

@@ -14,7 +14,9 @@
 use std::collections::HashMap;
 
 use qpiad_db::fault::RetryPolicy;
-use qpiad_db::{AttrId, AutonomousSource, Predicate, Relation, SelectQuery, SourceError, Tuple, Value};
+use qpiad_db::{
+    AttrId, AutonomousSource, Predicate, Relation, SelectQuery, SourceError, Tuple, Value,
+};
 use qpiad_learn::knowledge::SourceStats;
 
 use crate::mediator::{Degradation, QueryContext};
@@ -44,10 +46,7 @@ impl SimilarityModel {
         assert!(!features.contains(&attr), "attr cannot be its own feature");
         const LAMBDA: f64 = 0.5;
 
-        let domains: Vec<Vec<Value>> = features
-            .iter()
-            .map(|f| sample.active_domain(*f))
-            .collect();
+        let domains: Vec<Vec<Value>> = features.iter().map(|f| sample.active_domain(*f)).collect();
         let mut counts: HashMap<Value, Vec<HashMap<Value, f64>>> = HashMap::new();
         for t in sample.tuples() {
             let v = t.value(attr);
@@ -81,7 +80,11 @@ impl SimilarityModel {
                 (v, dists)
             })
             .collect();
-        SimilarityModel { attr, features, profiles }
+        SimilarityModel {
+            attr,
+            features,
+            profiles,
+        }
     }
 
     /// Learns a model using the mined statistics' schema (all attributes
@@ -177,10 +180,20 @@ pub fn answer_imprecise(
     let mut degraded = Degradation::default();
     let retry = RetryPolicy::none();
     let exact_query = SelectQuery::new(vec![Predicate::eq(attr, value.clone())]);
-    let exact =
-        plan::execute_base(source, &exact_query, &retry, &mut ctx, &mut degraded, BaseGate::Guarded)?;
+    let exact = plan::execute_base(
+        source,
+        &exact_query,
+        &retry,
+        &mut ctx,
+        &mut degraded,
+        BaseGate::Guarded,
+    )?;
     for tuple in exact {
-        out.push(RelaxedAnswer { tuple, relevance: 1.0, matched_value: value.clone() });
+        out.push(RelaxedAnswer {
+            tuple,
+            relevance: 1.0,
+            matched_value: value.clone(),
+        });
     }
 
     let neighbors: Vec<(Value, f64)> = model
@@ -210,16 +223,22 @@ pub fn answer_imprecise(
         });
     }
     relax_plan.admit(&mut ctx, &mut degraded);
-    plan::execute(source, &relax_plan, &mut ctx, &mut degraded, |rank, _, result, _| {
-        let (neighbor, similarity) = &neighbors[rank];
-        for tuple in result {
-            out.push(RelaxedAnswer {
-                tuple,
-                relevance: *similarity,
-                matched_value: neighbor.clone(),
-            });
-        }
-    });
+    plan::execute(
+        source,
+        &relax_plan,
+        &mut ctx,
+        &mut degraded,
+        |rank, _, result, _| {
+            let (neighbor, similarity) = &neighbors[rank];
+            for tuple in result {
+                out.push(RelaxedAnswer {
+                    tuple,
+                    relevance: *similarity,
+                    matched_value: neighbor.clone(),
+                });
+            }
+        },
+    );
     // Neighbors were visited best-first, so the list is already in
     // non-increasing relevance order; make it explicit for robustness.
     out.sort_by(|a, b| b.relevance.total_cmp(&a.relevance));
@@ -258,7 +277,10 @@ mod tests {
             }
         }
         // Unknown values have no profile.
-        assert_eq!(sim.similarity(&Value::str("Z4"), &Value::str("Warp Drive")), 0.0);
+        assert_eq!(
+            sim.similarity(&Value::str("Z4"), &Value::str("Warp Drive")),
+            0.0
+        );
     }
 
     #[test]
@@ -283,8 +305,7 @@ mod tests {
     fn imprecise_answers_rank_exact_matches_first() {
         let (source, stats) = setup();
         let model_attr = stats.schema().expect_attr("model");
-        let answers =
-            answer_imprecise(&stats, &source, model_attr, &Value::str("Z4"), 5).unwrap();
+        let answers = answer_imprecise(&stats, &source, model_attr, &Value::str("Z4"), 5).unwrap();
         assert!(!answers.is_empty());
         // Relevance is non-increasing, exact matches lead at 1.0.
         assert_eq!(answers[0].relevance, 1.0);
@@ -304,8 +325,7 @@ mod tests {
     fn neighbor_budget_is_respected() {
         let (source, stats) = setup();
         let model_attr = stats.schema().expect_attr("model");
-        let answers =
-            answer_imprecise(&stats, &source, model_attr, &Value::str("Z4"), 2).unwrap();
+        let answers = answer_imprecise(&stats, &source, model_attr, &Value::str("Z4"), 2).unwrap();
         let distinct: std::collections::BTreeSet<String> = answers
             .iter()
             .map(|a| a.matched_value.to_string())

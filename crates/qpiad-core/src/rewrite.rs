@@ -211,8 +211,7 @@ mod tests {
             rewrites
                 .iter()
                 .find(|rq| {
-                    rq.query.predicate_on(model).map(|p| &p.op)
-                        == Some(&PredOp::Eq(Value::str(m)))
+                    rq.query.predicate_on(model).map(|p| &p.op) == Some(&PredOp::Eq(Value::str(m)))
                 })
                 .map(|rq| rq.precision)
         };

@@ -38,7 +38,11 @@ pub struct CarsConfig {
 
 impl Default for CarsConfig {
     fn default() -> Self {
-        CarsConfig { rows: 30_000, body_noise: 0.12, price_noise: 0.25 }
+        CarsConfig {
+            rows: 30_000,
+            body_noise: 0.12,
+            price_noise: 0.25,
+        }
     }
 }
 
@@ -81,7 +85,11 @@ impl CarsConfig {
             let age = YEAR_RANGE.1 - year;
             let miles_raw = age * 12_000 + rng.gen_range(-3i64..=3) * 1_000;
             let mileage = (miles_raw.max(0) / 2_500) * 2_500;
-            let certified = if age <= 2 && rng.gen_bool(0.6) { "Yes" } else { "No" };
+            let certified = if age <= 2 && rng.gen_bool(0.6) {
+                "Yes"
+            } else {
+                "No"
+            };
 
             tuples.push(Tuple::new(
                 TupleId(id as u32),

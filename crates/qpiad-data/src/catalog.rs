@@ -40,55 +40,356 @@ const TRIMS: [(&str, u32, i64); 3] = [("", 5, 1_000), ("LX", 3, 1_060), ("Sport"
 
 /// All body styles in the domain.
 pub const BODY_STYLES: [&str; 8] = [
-    "Sedan", "Coupe", "Convt", "SUV", "Hatchback", "Truck", "Van", "Wagon",
+    "Sedan",
+    "Coupe",
+    "Convt",
+    "SUV",
+    "Hatchback",
+    "Truck",
+    "Van",
+    "Wagon",
 ];
 
 /// Model years generated (inclusive). 1998–2006 matches the paper's era.
 pub const YEAR_RANGE: (i64, i64) = (1998, 2006);
 
 const BASE_MODELS: [BaseModel; 42] = [
-    BaseModel { make: "Honda", model: "Accord", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 24_000, popularity: 9 },
-    BaseModel { make: "Honda", model: "Civic", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 18_000, popularity: 10 },
-    BaseModel { make: "Honda", model: "S2000", dominant_body: "Convt", car_type: "Passenger Car", base_price: 33_000, popularity: 2 },
-    BaseModel { make: "Honda", model: "Odyssey", dominant_body: "Van", car_type: "Van", base_price: 27_000, popularity: 5 },
-    BaseModel { make: "Honda", model: "CR-V", dominant_body: "SUV", car_type: "SUV", base_price: 22_000, popularity: 6 },
-    BaseModel { make: "Toyota", model: "Camry", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 23_000, popularity: 10 },
-    BaseModel { make: "Toyota", model: "Corolla", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 16_500, popularity: 9 },
-    BaseModel { make: "Toyota", model: "Solara", dominant_body: "Convt", car_type: "Passenger Car", base_price: 26_000, popularity: 3 },
-    BaseModel { make: "Toyota", model: "4Runner", dominant_body: "SUV", car_type: "SUV", base_price: 29_000, popularity: 5 },
-    BaseModel { make: "Toyota", model: "Tacoma", dominant_body: "Truck", car_type: "Truck", base_price: 21_000, popularity: 6 },
-    BaseModel { make: "Toyota", model: "Sienna", dominant_body: "Van", car_type: "Van", base_price: 25_500, popularity: 4 },
-    BaseModel { make: "Ford", model: "F150", dominant_body: "Truck", car_type: "Truck", base_price: 24_500, popularity: 10 },
-    BaseModel { make: "Ford", model: "Mustang", dominant_body: "Coupe", car_type: "Passenger Car", base_price: 25_000, popularity: 6 },
-    BaseModel { make: "Ford", model: "Taurus", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 20_500, popularity: 6 },
-    BaseModel { make: "Ford", model: "Explorer", dominant_body: "SUV", car_type: "SUV", base_price: 27_500, popularity: 7 },
-    BaseModel { make: "Ford", model: "Focus", dominant_body: "Hatchback", car_type: "Passenger Car", base_price: 15_500, popularity: 6 },
-    BaseModel { make: "Chevrolet", model: "Corvette", dominant_body: "Convt", car_type: "Passenger Car", base_price: 45_000, popularity: 2 },
-    BaseModel { make: "Chevrolet", model: "Impala", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 22_500, popularity: 6 },
-    BaseModel { make: "Chevrolet", model: "Silverado", dominant_body: "Truck", car_type: "Truck", base_price: 25_500, popularity: 8 },
-    BaseModel { make: "Chevrolet", model: "Tahoe", dominant_body: "SUV", car_type: "SUV", base_price: 34_000, popularity: 5 },
-    BaseModel { make: "BMW", model: "Z4", dominant_body: "Convt", car_type: "Passenger Car", base_price: 40_000, popularity: 2 },
-    BaseModel { make: "BMW", model: "325i", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 30_000, popularity: 4 },
-    BaseModel { make: "BMW", model: "X5", dominant_body: "SUV", car_type: "SUV", base_price: 42_000, popularity: 3 },
-    BaseModel { make: "Audi", model: "A4", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 28_500, popularity: 4 },
-    BaseModel { make: "Audi", model: "TT", dominant_body: "Coupe", car_type: "Passenger Car", base_price: 35_000, popularity: 2 },
-    BaseModel { make: "Porsche", model: "Boxster", dominant_body: "Convt", car_type: "Passenger Car", base_price: 44_000, popularity: 1 },
-    BaseModel { make: "Porsche", model: "911", dominant_body: "Coupe", car_type: "Passenger Car", base_price: 70_000, popularity: 1 },
-    BaseModel { make: "Nissan", model: "Altima", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 20_000, popularity: 7 },
-    BaseModel { make: "Nissan", model: "350Z", dominant_body: "Coupe", car_type: "Passenger Car", base_price: 27_500, popularity: 3 },
-    BaseModel { make: "Nissan", model: "Pathfinder", dominant_body: "SUV", car_type: "SUV", base_price: 26_500, popularity: 4 },
-    BaseModel { make: "Jeep", model: "Grand Cherokee", dominant_body: "SUV", car_type: "SUV", base_price: 28_000, popularity: 6 },
-    BaseModel { make: "Jeep", model: "Wrangler", dominant_body: "SUV", car_type: "SUV", base_price: 19_500, popularity: 4 },
-    BaseModel { make: "Volkswagen", model: "Jetta", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 18_500, popularity: 6 },
-    BaseModel { make: "Volkswagen", model: "Beetle", dominant_body: "Hatchback", car_type: "Passenger Car", base_price: 17_500, popularity: 4 },
-    BaseModel { make: "Volkswagen", model: "Cabrio", dominant_body: "Convt", car_type: "Passenger Car", base_price: 21_000, popularity: 2 },
-    BaseModel { make: "Dodge", model: "Caravan", dominant_body: "Van", car_type: "Van", base_price: 22_500, popularity: 6 },
-    BaseModel { make: "Dodge", model: "Ram", dominant_body: "Truck", car_type: "Truck", base_price: 24_000, popularity: 6 },
-    BaseModel { make: "Mazda", model: "Miata", dominant_body: "Convt", car_type: "Passenger Car", base_price: 22_500, popularity: 3 },
-    BaseModel { make: "Mazda", model: "Mazda6", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 20_500, popularity: 4 },
-    BaseModel { make: "Subaru", model: "Outback", dominant_body: "Wagon", car_type: "Passenger Car", base_price: 24_500, popularity: 4 },
-    BaseModel { make: "Subaru", model: "Impreza", dominant_body: "Sedan", car_type: "Passenger Car", base_price: 19_000, popularity: 3 },
-    BaseModel { make: "Volvo", model: "V70", dominant_body: "Wagon", car_type: "Passenger Car", base_price: 29_500, popularity: 2 },
+    BaseModel {
+        make: "Honda",
+        model: "Accord",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 24_000,
+        popularity: 9,
+    },
+    BaseModel {
+        make: "Honda",
+        model: "Civic",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 18_000,
+        popularity: 10,
+    },
+    BaseModel {
+        make: "Honda",
+        model: "S2000",
+        dominant_body: "Convt",
+        car_type: "Passenger Car",
+        base_price: 33_000,
+        popularity: 2,
+    },
+    BaseModel {
+        make: "Honda",
+        model: "Odyssey",
+        dominant_body: "Van",
+        car_type: "Van",
+        base_price: 27_000,
+        popularity: 5,
+    },
+    BaseModel {
+        make: "Honda",
+        model: "CR-V",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 22_000,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Toyota",
+        model: "Camry",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 23_000,
+        popularity: 10,
+    },
+    BaseModel {
+        make: "Toyota",
+        model: "Corolla",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 16_500,
+        popularity: 9,
+    },
+    BaseModel {
+        make: "Toyota",
+        model: "Solara",
+        dominant_body: "Convt",
+        car_type: "Passenger Car",
+        base_price: 26_000,
+        popularity: 3,
+    },
+    BaseModel {
+        make: "Toyota",
+        model: "4Runner",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 29_000,
+        popularity: 5,
+    },
+    BaseModel {
+        make: "Toyota",
+        model: "Tacoma",
+        dominant_body: "Truck",
+        car_type: "Truck",
+        base_price: 21_000,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Toyota",
+        model: "Sienna",
+        dominant_body: "Van",
+        car_type: "Van",
+        base_price: 25_500,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "Ford",
+        model: "F150",
+        dominant_body: "Truck",
+        car_type: "Truck",
+        base_price: 24_500,
+        popularity: 10,
+    },
+    BaseModel {
+        make: "Ford",
+        model: "Mustang",
+        dominant_body: "Coupe",
+        car_type: "Passenger Car",
+        base_price: 25_000,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Ford",
+        model: "Taurus",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 20_500,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Ford",
+        model: "Explorer",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 27_500,
+        popularity: 7,
+    },
+    BaseModel {
+        make: "Ford",
+        model: "Focus",
+        dominant_body: "Hatchback",
+        car_type: "Passenger Car",
+        base_price: 15_500,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Chevrolet",
+        model: "Corvette",
+        dominant_body: "Convt",
+        car_type: "Passenger Car",
+        base_price: 45_000,
+        popularity: 2,
+    },
+    BaseModel {
+        make: "Chevrolet",
+        model: "Impala",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 22_500,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Chevrolet",
+        model: "Silverado",
+        dominant_body: "Truck",
+        car_type: "Truck",
+        base_price: 25_500,
+        popularity: 8,
+    },
+    BaseModel {
+        make: "Chevrolet",
+        model: "Tahoe",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 34_000,
+        popularity: 5,
+    },
+    BaseModel {
+        make: "BMW",
+        model: "Z4",
+        dominant_body: "Convt",
+        car_type: "Passenger Car",
+        base_price: 40_000,
+        popularity: 2,
+    },
+    BaseModel {
+        make: "BMW",
+        model: "325i",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 30_000,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "BMW",
+        model: "X5",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 42_000,
+        popularity: 3,
+    },
+    BaseModel {
+        make: "Audi",
+        model: "A4",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 28_500,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "Audi",
+        model: "TT",
+        dominant_body: "Coupe",
+        car_type: "Passenger Car",
+        base_price: 35_000,
+        popularity: 2,
+    },
+    BaseModel {
+        make: "Porsche",
+        model: "Boxster",
+        dominant_body: "Convt",
+        car_type: "Passenger Car",
+        base_price: 44_000,
+        popularity: 1,
+    },
+    BaseModel {
+        make: "Porsche",
+        model: "911",
+        dominant_body: "Coupe",
+        car_type: "Passenger Car",
+        base_price: 70_000,
+        popularity: 1,
+    },
+    BaseModel {
+        make: "Nissan",
+        model: "Altima",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 20_000,
+        popularity: 7,
+    },
+    BaseModel {
+        make: "Nissan",
+        model: "350Z",
+        dominant_body: "Coupe",
+        car_type: "Passenger Car",
+        base_price: 27_500,
+        popularity: 3,
+    },
+    BaseModel {
+        make: "Nissan",
+        model: "Pathfinder",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 26_500,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "Jeep",
+        model: "Grand Cherokee",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 28_000,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Jeep",
+        model: "Wrangler",
+        dominant_body: "SUV",
+        car_type: "SUV",
+        base_price: 19_500,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "Volkswagen",
+        model: "Jetta",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 18_500,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Volkswagen",
+        model: "Beetle",
+        dominant_body: "Hatchback",
+        car_type: "Passenger Car",
+        base_price: 17_500,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "Volkswagen",
+        model: "Cabrio",
+        dominant_body: "Convt",
+        car_type: "Passenger Car",
+        base_price: 21_000,
+        popularity: 2,
+    },
+    BaseModel {
+        make: "Dodge",
+        model: "Caravan",
+        dominant_body: "Van",
+        car_type: "Van",
+        base_price: 22_500,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Dodge",
+        model: "Ram",
+        dominant_body: "Truck",
+        car_type: "Truck",
+        base_price: 24_000,
+        popularity: 6,
+    },
+    BaseModel {
+        make: "Mazda",
+        model: "Miata",
+        dominant_body: "Convt",
+        car_type: "Passenger Car",
+        base_price: 22_500,
+        popularity: 3,
+    },
+    BaseModel {
+        make: "Mazda",
+        model: "Mazda6",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 20_500,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "Subaru",
+        model: "Outback",
+        dominant_body: "Wagon",
+        car_type: "Passenger Car",
+        base_price: 24_500,
+        popularity: 4,
+    },
+    BaseModel {
+        make: "Subaru",
+        model: "Impreza",
+        dominant_body: "Sedan",
+        car_type: "Passenger Car",
+        base_price: 19_000,
+        popularity: 3,
+    },
+    BaseModel {
+        make: "Volvo",
+        model: "V70",
+        dominant_body: "Wagon",
+        car_type: "Passenger Car",
+        base_price: 29_500,
+        popularity: 2,
+    },
 ];
 
 /// The shared model catalog: every base model expanded into its trim
@@ -194,8 +495,16 @@ mod tests {
     #[test]
     fn catalog_has_convertibles_and_trucks() {
         let c = CarCatalog::new();
-        let convt = c.models().iter().filter(|m| m.dominant_body == "Convt").count();
-        let trucks = c.models().iter().filter(|m| m.dominant_body == "Truck").count();
+        let convt = c
+            .models()
+            .iter()
+            .filter(|m| m.dominant_body == "Convt")
+            .count();
+        let trucks = c
+            .models()
+            .iter()
+            .filter(|m| m.dominant_body == "Truck")
+            .count();
         assert!(convt >= 5, "need several convertible models for Figure 3");
         assert!(trucks >= 3);
     }

@@ -31,7 +31,10 @@ pub struct CensusConfig {
 
 impl Default for CensusConfig {
     fn default() -> Self {
-        CensusConfig { rows: 30_000, relationship_noise: 0.08 }
+        CensusConfig {
+            rows: 30_000,
+            relationship_noise: 0.08,
+        }
     }
 }
 
@@ -40,11 +43,22 @@ impl Default for CensusConfig {
 const AGE_BRACKETS: [i64; 14] = [15, 20, 25, 30, 35, 40, 45, 50, 55, 60, 65, 70, 75, 80];
 
 const RELATIONSHIPS: [&str; 6] = [
-    "Own-child", "Husband", "Wife", "Not-in-family", "Unmarried", "Other-relative",
+    "Own-child",
+    "Husband",
+    "Wife",
+    "Not-in-family",
+    "Unmarried",
+    "Other-relative",
 ];
 
 const EDUCATIONS: [&str; 7] = [
-    "HS-grad", "Some-college", "Bachelors", "Masters", "Doctorate", "11th", "Assoc-voc",
+    "HS-grad",
+    "Some-college",
+    "Bachelors",
+    "Masters",
+    "Doctorate",
+    "11th",
+    "Assoc-voc",
 ];
 
 /// Per-education dominant occupation (the `Education → Occupation` AFD).
@@ -59,13 +73,31 @@ const EDU_OCCUPATION: [(&str, &str); 7] = [
 ];
 
 const OCCUPATIONS: [&str; 8] = [
-    "Craft-repair", "Adm-clerical", "Prof-specialty", "Exec-managerial",
-    "Handlers-cleaners", "Tech-support", "Sales", "Other-service",
+    "Craft-repair",
+    "Adm-clerical",
+    "Prof-specialty",
+    "Exec-managerial",
+    "Handlers-cleaners",
+    "Tech-support",
+    "Sales",
+    "Other-service",
 ];
 
-const RACES: [&str; 5] = ["White", "Black", "Asian-Pac-Islander", "Amer-Indian-Eskimo", "Other"];
+const RACES: [&str; 5] = [
+    "White",
+    "Black",
+    "Asian-Pac-Islander",
+    "Amer-Indian-Eskimo",
+    "Other",
+];
 const COUNTRIES: [&str; 5] = ["United-States", "Mexico", "Philippines", "Germany", "India"];
-const WORKCLASSES: [&str; 5] = ["Private", "Self-emp", "Federal-gov", "State-gov", "Local-gov"];
+const WORKCLASSES: [&str; 5] = [
+    "Private",
+    "Self-emp",
+    "Federal-gov",
+    "State-gov",
+    "Local-gov",
+];
 
 #[derive(Debug, Clone, Copy)]
 struct Profile {
@@ -97,15 +129,55 @@ fn rel_unmarried(_: &str) -> &'static str {
 
 const PROFILES: [Profile; 5] = [
     // Teenagers / young adults living with parents.
-    Profile { weight: 20, marital: "Never-married", age_lo: 0, age_hi: 2, sex: None, relationship: rel_own_child, hours: (10, 30) },
+    Profile {
+        weight: 20,
+        marital: "Never-married",
+        age_lo: 0,
+        age_hi: 2,
+        sex: None,
+        relationship: rel_own_child,
+        hours: (10, 30),
+    },
     // Young singles on their own.
-    Profile { weight: 15, marital: "Never-married", age_lo: 2, age_hi: 5, sex: None, relationship: rel_not_in_family, hours: (35, 45) },
+    Profile {
+        weight: 15,
+        marital: "Never-married",
+        age_lo: 2,
+        age_hi: 5,
+        sex: None,
+        relationship: rel_not_in_family,
+        hours: (35, 45),
+    },
     // Married couples.
-    Profile { weight: 40, marital: "Married-civ-spouse", age_lo: 3, age_hi: 10, sex: None, relationship: rel_spouse, hours: (35, 55) },
+    Profile {
+        weight: 40,
+        marital: "Married-civ-spouse",
+        age_lo: 3,
+        age_hi: 10,
+        sex: None,
+        relationship: rel_spouse,
+        hours: (35, 55),
+    },
     // Divorced adults.
-    Profile { weight: 15, marital: "Divorced", age_lo: 4, age_hi: 11, sex: None, relationship: rel_unmarried, hours: (30, 50) },
+    Profile {
+        weight: 15,
+        marital: "Divorced",
+        age_lo: 4,
+        age_hi: 11,
+        sex: None,
+        relationship: rel_unmarried,
+        hours: (30, 50),
+    },
     // Widowed seniors.
-    Profile { weight: 10, marital: "Widowed", age_lo: 10, age_hi: 13, sex: None, relationship: rel_not_in_family, hours: (10, 25) },
+    Profile {
+        weight: 10,
+        marital: "Widowed",
+        age_lo: 10,
+        age_hi: 13,
+        sex: None,
+        relationship: rel_not_in_family,
+        hours: (10, 25),
+    },
 ];
 
 impl CensusConfig {
@@ -129,7 +201,9 @@ impl CensusConfig {
                 }
                 chosen
             };
-            let sex = profile.sex.unwrap_or(if rng.gen_bool(0.5) { "Male" } else { "Female" });
+            let sex = profile
+                .sex
+                .unwrap_or(if rng.gen_bool(0.5) { "Male" } else { "Female" });
             let age = AGE_BRACKETS[rng.gen_range(profile.age_lo..=profile.age_hi)];
             let relationship = if rng.gen_bool(self.relationship_noise) {
                 RELATIONSHIPS[rng.gen_range(0..RELATIONSHIPS.len())]
@@ -150,8 +224,16 @@ impl CensusConfig {
             let hours_lo = profile.hours.0 / 5;
             let hours_hi = profile.hours.1 / 5;
             let hours = rng.gen_range(hours_lo..=hours_hi) * 5;
-            let capital_gain = if rng.gen_bool(0.08) { rng.gen_range(1..=10) * 1_000 } else { 0 };
-            let capital_loss = if rng.gen_bool(0.04) { rng.gen_range(1..=4) * 500 } else { 0 };
+            let capital_gain = if rng.gen_bool(0.08) {
+                rng.gen_range(1..=10) * 1_000
+            } else {
+                0
+            };
+            let capital_loss = if rng.gen_bool(0.04) {
+                rng.gen_range(1..=4) * 500
+            } else {
+                0
+            };
             let race = RACES[weighted_index(&mut rng, &[70, 12, 8, 4, 6])];
             let country = COUNTRIES[weighted_index(&mut rng, &[88, 5, 3, 2, 2])];
             let workclass = WORKCLASSES[weighted_index(&mut rng, &[70, 12, 6, 6, 6])];
@@ -217,7 +299,11 @@ mod tests {
     use std::collections::HashMap;
 
     fn small() -> Relation {
-        CensusConfig { rows: 5_000, ..Default::default() }.generate(11)
+        CensusConfig {
+            rows: 5_000,
+            ..Default::default()
+        }
+        .generate(11)
     }
 
     #[test]
@@ -230,8 +316,16 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = CensusConfig { rows: 300, ..Default::default() }.generate(3);
-        let b = CensusConfig { rows: 300, ..Default::default() }.generate(3);
+        let a = CensusConfig {
+            rows: 300,
+            ..Default::default()
+        }
+        .generate(3);
+        let b = CensusConfig {
+            rows: 300,
+            ..Default::default()
+        }
+        .generate(3);
         assert_eq!(a.tuples(), b.tuples());
     }
 

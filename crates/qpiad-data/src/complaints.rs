@@ -26,8 +26,19 @@ use crate::catalog::{CarCatalog, YEAR_RANGE};
 
 /// One component group and its detailed subcomponents.
 pub const COMPONENTS: [(&str, &[&str]); 8] = [
-    ("Engine and Engine Cooling", &["Engine Cooling System", "Engine Oil Leak", "Engine Stall", "Cooling Fan"]),
-    ("Electrical System", &["Wiring", "Battery", "Alternator", "Ignition Switch"]),
+    (
+        "Engine and Engine Cooling",
+        &[
+            "Engine Cooling System",
+            "Engine Oil Leak",
+            "Engine Stall",
+            "Cooling Fan",
+        ],
+    ),
+    (
+        "Electrical System",
+        &["Wiring", "Battery", "Alternator", "Ignition Switch"],
+    ),
     ("Brakes", &["Brake Hydraulic", "Brake Pads", "ABS Module"]),
     ("Suspension", &["Ball Joint", "Control Arm", "Springs"]),
     ("Steering", &["Steering Column", "Power Steering Pump"]),
@@ -115,8 +126,16 @@ impl ComplaintsConfig {
             let crash = if rng.gen_bool(crash_p) { "Yes" } else { "No" };
             let fire = if rng.gen_bool(fire_p) { "Yes" } else { "No" };
             let country = if rng.gen_bool(0.95) { "US" } else { "Canada" };
-            let ownership = if rng.gen_bool(0.8) { "Consumer" } else { "Fleet" };
-            let market = if rng.gen_bool(0.9) { "Domestic" } else { "Import" };
+            let ownership = if rng.gen_bool(0.8) {
+                "Consumer"
+            } else {
+                "Fleet"
+            };
+            let market = if rng.gen_bool(0.9) {
+                "Domestic"
+            } else {
+                "Import"
+            };
 
             tuples.push(Tuple::new(
                 TupleId(id as u32),
@@ -235,7 +254,10 @@ mod tests {
                     && t.value(gen) == &Value::str("Electrical System")
             })
             .count();
-        assert!(gc_engine > 5, "Grand Cherokee engine complaints: {gc_engine}");
+        assert!(
+            gc_engine > 5,
+            "Grand Cherokee engine complaints: {gc_engine}"
+        );
         assert!(f150_elec > 5, "F150 electrical complaints: {f150_elec}");
     }
 

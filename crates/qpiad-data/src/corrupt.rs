@@ -26,7 +26,11 @@ pub struct CorruptionConfig {
 
 impl Default for CorruptionConfig {
     fn default() -> Self {
-        CorruptionConfig { fraction: 0.10, attrs: None, seed: 0xC0FFEE }
+        CorruptionConfig {
+            fraction: 0.10,
+            attrs: None,
+            seed: 0xC0FFEE,
+        }
     }
 }
 
@@ -97,7 +101,10 @@ pub fn corrupt(ground: &Relation, config: &CorruptionConfig) -> (Relation, Prove
         Some(attrs) => attrs.clone(),
         None => ground.schema().attr_ids().collect(),
     };
-    assert!(!eligible.is_empty(), "no attributes eligible for corruption");
+    assert!(
+        !eligible.is_empty(),
+        "no attributes eligible for corruption"
+    );
 
     let mut relation = ground.clone();
     let mut provenance = Provenance::default();
@@ -218,11 +225,7 @@ mod tests {
         // Multi-null tuples exist.
         assert!(ed.tuples().iter().any(|t| t.null_attrs().count() == 2));
         // Provenance covers every injected null.
-        let nulls: usize = ed
-            .tuples()
-            .iter()
-            .map(|t| t.null_attrs().count())
-            .sum();
+        let nulls: usize = ed.tuples().iter().map(|t| t.null_attrs().count()).sum();
         assert_eq!(nulls, prov.len());
     }
 

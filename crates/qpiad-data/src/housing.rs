@@ -30,22 +30,111 @@ struct Neighborhood {
 }
 
 const STYLES: [&str; 6] = [
-    "Ranch", "Colonial", "Craftsman", "Condo", "Townhouse", "Victorian",
+    "Ranch",
+    "Colonial",
+    "Craftsman",
+    "Condo",
+    "Townhouse",
+    "Victorian",
 ];
 
 const NEIGHBORHOODS: [Neighborhood; 12] = [
-    Neighborhood { name: "Willow Glen", city: "San Jose", zip: 95125, dominant_style: "Craftsman", base_price: 280_000, popularity: 7 },
-    Neighborhood { name: "Almaden", city: "San Jose", zip: 95120, dominant_style: "Ranch", base_price: 260_000, popularity: 6 },
-    Neighborhood { name: "Downtown SJ", city: "San Jose", zip: 95113, dominant_style: "Condo", base_price: 190_000, popularity: 5 },
-    Neighborhood { name: "Tempe Lakes", city: "Tempe", zip: 85281, dominant_style: "Ranch", base_price: 110_000, popularity: 8 },
-    Neighborhood { name: "Maple-Ash", city: "Tempe", zip: 85282, dominant_style: "Craftsman", base_price: 120_000, popularity: 5 },
-    Neighborhood { name: "Papago Park", city: "Tempe", zip: 85288, dominant_style: "Townhouse", base_price: 100_000, popularity: 4 },
-    Neighborhood { name: "Back Bay", city: "Boston", zip: 2116, dominant_style: "Victorian", base_price: 350_000, popularity: 4 },
-    Neighborhood { name: "Beacon Hill", city: "Boston", zip: 2108, dominant_style: "Colonial", base_price: 380_000, popularity: 3 },
-    Neighborhood { name: "Southie", city: "Boston", zip: 2127, dominant_style: "Townhouse", base_price: 240_000, popularity: 6 },
-    Neighborhood { name: "Hyde Park", city: "Chicago", zip: 60615, dominant_style: "Colonial", base_price: 170_000, popularity: 5 },
-    Neighborhood { name: "Lincoln Park", city: "Chicago", zip: 60614, dominant_style: "Victorian", base_price: 290_000, popularity: 5 },
-    Neighborhood { name: "The Loop", city: "Chicago", zip: 60601, dominant_style: "Condo", base_price: 210_000, popularity: 6 },
+    Neighborhood {
+        name: "Willow Glen",
+        city: "San Jose",
+        zip: 95125,
+        dominant_style: "Craftsman",
+        base_price: 280_000,
+        popularity: 7,
+    },
+    Neighborhood {
+        name: "Almaden",
+        city: "San Jose",
+        zip: 95120,
+        dominant_style: "Ranch",
+        base_price: 260_000,
+        popularity: 6,
+    },
+    Neighborhood {
+        name: "Downtown SJ",
+        city: "San Jose",
+        zip: 95113,
+        dominant_style: "Condo",
+        base_price: 190_000,
+        popularity: 5,
+    },
+    Neighborhood {
+        name: "Tempe Lakes",
+        city: "Tempe",
+        zip: 85281,
+        dominant_style: "Ranch",
+        base_price: 110_000,
+        popularity: 8,
+    },
+    Neighborhood {
+        name: "Maple-Ash",
+        city: "Tempe",
+        zip: 85282,
+        dominant_style: "Craftsman",
+        base_price: 120_000,
+        popularity: 5,
+    },
+    Neighborhood {
+        name: "Papago Park",
+        city: "Tempe",
+        zip: 85288,
+        dominant_style: "Townhouse",
+        base_price: 100_000,
+        popularity: 4,
+    },
+    Neighborhood {
+        name: "Back Bay",
+        city: "Boston",
+        zip: 2116,
+        dominant_style: "Victorian",
+        base_price: 350_000,
+        popularity: 4,
+    },
+    Neighborhood {
+        name: "Beacon Hill",
+        city: "Boston",
+        zip: 2108,
+        dominant_style: "Colonial",
+        base_price: 380_000,
+        popularity: 3,
+    },
+    Neighborhood {
+        name: "Southie",
+        city: "Boston",
+        zip: 2127,
+        dominant_style: "Townhouse",
+        base_price: 240_000,
+        popularity: 6,
+    },
+    Neighborhood {
+        name: "Hyde Park",
+        city: "Chicago",
+        zip: 60615,
+        dominant_style: "Colonial",
+        base_price: 170_000,
+        popularity: 5,
+    },
+    Neighborhood {
+        name: "Lincoln Park",
+        city: "Chicago",
+        zip: 60614,
+        dominant_style: "Victorian",
+        base_price: 290_000,
+        popularity: 5,
+    },
+    Neighborhood {
+        name: "The Loop",
+        city: "Chicago",
+        zip: 60601,
+        dominant_style: "Condo",
+        base_price: 210_000,
+        popularity: 6,
+    },
 ];
 
 /// Configuration for the housing generator.
@@ -60,7 +149,10 @@ pub struct HousingConfig {
 
 impl Default for HousingConfig {
     fn default() -> Self {
-        HousingConfig { rows: 20_000, style_noise: 0.15 }
+        HousingConfig {
+            rows: 20_000,
+            style_noise: 0.15,
+        }
     }
 }
 
@@ -141,7 +233,11 @@ mod tests {
     use std::collections::HashMap;
 
     fn small() -> Relation {
-        HousingConfig { rows: 5_000, ..Default::default() }.generate(13)
+        HousingConfig {
+            rows: 5_000,
+            ..Default::default()
+        }
+        .generate(13)
     }
 
     #[test]
@@ -181,7 +277,10 @@ mod tests {
                 .or_default() += 1;
         }
         let (agree, total) = counts.values().fold((0usize, 0usize), |(a, n), dist| {
-            (a + dist.values().copied().max().unwrap_or(0), n + dist.values().sum::<usize>())
+            (
+                a + dist.values().copied().max().unwrap_or(0),
+                n + dist.values().sum::<usize>(),
+            )
         });
         let conf = agree as f64 / total as f64;
         assert!((0.80..0.93).contains(&conf), "style confidence {conf}");
@@ -192,7 +291,11 @@ mod tests {
         use qpiad_db::{Predicate, SelectQuery};
         // The third domain exercises the full mining pipeline: the style
         // attribute must get a neighborhood-based determining set.
-        let ground = HousingConfig { rows: 8_000, ..Default::default() }.generate(6);
+        let ground = HousingConfig {
+            rows: 8_000,
+            ..Default::default()
+        }
+        .generate(6);
         let (ed, _) = corrupt(&ground, &CorruptionConfig::default());
         let sample = uniform_sample(&ed, 0.10, 5);
         let stats = qpiad_learn::knowledge::SourceStats::mine(

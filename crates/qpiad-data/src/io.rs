@@ -24,7 +24,10 @@ pub struct CsvOptions {
 
 impl Default for CsvOptions {
     fn default() -> Self {
-        CsvOptions { relation_name: "csv".into(), null_token: "null".into() }
+        CsvOptions {
+            relation_name: "csv".into(),
+            null_token: "null".into(),
+        }
     }
 }
 
@@ -53,7 +56,11 @@ impl std::fmt::Display for CsvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CsvError::MissingHeader => f.write_str("CSV input has no header row"),
-            CsvError::ArityMismatch { line, found, expected } => write!(
+            CsvError::ArityMismatch {
+                line,
+                found,
+                expected,
+            } => write!(
                 f,
                 "CSV line {line}: expected {expected} fields, found {found}"
             ),
@@ -119,7 +126,9 @@ fn parse_records(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
         }
     }
     if in_quotes {
-        return Err(CsvError::UnterminatedQuote { line: field_start_line });
+        return Err(CsvError::UnterminatedQuote {
+            line: field_start_line,
+        });
     }
     if !field.is_empty() || !record.is_empty() {
         record.push(field);
@@ -152,8 +161,7 @@ pub fn relation_from_csv(text: &str, options: &CsvOptions) -> Result<Relation, C
         }
     }
 
-    let is_null =
-        |s: &str| s.is_empty() || s.eq_ignore_ascii_case(&options.null_token);
+    let is_null = |s: &str| s.is_empty() || s.eq_ignore_ascii_case(&options.null_token);
 
     // Every cell is parsed exactly once, before any typing decision. The
     // old two-pass scheme (infer with `parse().is_ok()`, build with
@@ -305,7 +313,10 @@ BMW,\"Z4, Roadster\",2003,null
         let text = relation_to_csv(&ed);
         let back = relation_from_csv(
             &text,
-            &CsvOptions { relation_name: "cars".into(), ..Default::default() },
+            &CsvOptions {
+                relation_name: "cars".into(),
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(back.len(), ed.len());
@@ -313,7 +324,12 @@ BMW,\"Z4, Roadster\",2003,null
             assert_eq!(a.values(), b.values());
         }
         // Schema types survive the round trip.
-        for (a, b) in ed.schema().attributes().iter().zip(back.schema().attributes()) {
+        for (a, b) in ed
+            .schema()
+            .attributes()
+            .iter()
+            .zip(back.schema().attributes())
+        {
             assert_eq!(a.name(), b.name());
             assert_eq!(a.ty(), b.ty());
         }
@@ -323,7 +339,10 @@ BMW,\"Z4, Roadster\",2003,null
     fn mixed_columns_fall_back_to_categorical() {
         let text = "x\n1\ntwo\n3\n";
         let r = relation_from_csv(text, &CsvOptions::default()).unwrap();
-        assert_eq!(r.schema().attr(qpiad_db::AttrId(0)).ty(), AttrType::Categorical);
+        assert_eq!(
+            r.schema().attr(qpiad_db::AttrId(0)).ty(),
+            AttrType::Categorical
+        );
         assert_eq!(r.tuples()[0].value(qpiad_db::AttrId(0)), &Value::str("1"));
     }
 
@@ -345,7 +364,14 @@ BMW,\"Z4, Roadster\",2003,null
     fn reports_arity_mismatches_with_line_numbers() {
         let text = "a,b\n1,2\n3\n";
         let err = relation_from_csv(text, &CsvOptions::default()).unwrap_err();
-        assert_eq!(err, CsvError::ArityMismatch { line: 3, found: 1, expected: 2 });
+        assert_eq!(
+            err,
+            CsvError::ArityMismatch {
+                line: 3,
+                found: 1,
+                expected: 2
+            }
+        );
     }
 
     #[test]

@@ -21,9 +21,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use qpiad_db::{
-    AttrId, AutonomousSource, Predicate, Relation, SelectQuery, Tuple, TupleId, Value,
-};
+use qpiad_db::{AttrId, AutonomousSource, Predicate, Relation, SelectQuery, Tuple, TupleId, Value};
 
 /// A probed sample plus the statistics §5.4 derives during sampling.
 #[derive(Debug, Clone)]

@@ -71,7 +71,10 @@ impl SourceBinding {
         let mut preds = Vec::with_capacity(q.predicates().len());
         for p in q.predicates() {
             match self.local_attr(p.attr) {
-                Some(local) => preds.push(Predicate { attr: local, op: p.op.clone() }),
+                Some(local) => preds.push(Predicate {
+                    attr: local,
+                    op: p.op.clone(),
+                }),
                 None => return Err(SourceError::UnsupportedAttribute { attr: p.attr }),
             }
         }
@@ -109,7 +112,10 @@ pub struct GlobalCatalog {
 impl GlobalCatalog {
     /// Creates a catalog over the given global schema.
     pub fn new(global: Arc<Schema>) -> Self {
-        GlobalCatalog { global, bindings: Vec::new() }
+        GlobalCatalog {
+            global,
+            bindings: Vec::new(),
+        }
     }
 
     /// The global schema.
@@ -132,7 +138,9 @@ impl GlobalCatalog {
 
     /// Binding for a named source.
     pub fn binding(&self, source_name: &str) -> Option<&SourceBinding> {
-        self.bindings.iter().find(|b| b.source_name() == source_name)
+        self.bindings
+            .iter()
+            .find(|b| b.source_name() == source_name)
     }
 
     /// Sources that support the given global attribute.
@@ -180,8 +188,14 @@ mod tests {
         let g = global();
         let l = yahoo_local();
         let b = SourceBinding::by_name("yahoo", &g, &l);
-        assert_eq!(b.local_attr(g.expect_attr("make")), Some(l.expect_attr("make")));
-        assert_eq!(b.local_attr(g.expect_attr("model")), Some(l.expect_attr("model")));
+        assert_eq!(
+            b.local_attr(g.expect_attr("make")),
+            Some(l.expect_attr("make"))
+        );
+        assert_eq!(
+            b.local_attr(g.expect_attr("model")),
+            Some(l.expect_attr("model"))
+        );
         assert_eq!(b.local_attr(g.expect_attr("body_style")), None);
         assert!(!b.supports(g.expect_attr("body_style")));
     }
@@ -219,14 +233,17 @@ mod tests {
     fn catalog_source_queries() {
         let g = global();
         let catalog = GlobalCatalog::new(Arc::clone(&g))
-            .with_source("cars.com", &Schema::of(
-                "cars_com",
-                &[
-                    ("make", AttrType::Categorical),
-                    ("model", AttrType::Categorical),
-                    ("body_style", AttrType::Categorical),
-                ],
-            ))
+            .with_source(
+                "cars.com",
+                &Schema::of(
+                    "cars_com",
+                    &[
+                        ("make", AttrType::Categorical),
+                        ("model", AttrType::Categorical),
+                        ("body_style", AttrType::Categorical),
+                    ],
+                ),
+            )
             .with_source("yahoo", &yahoo_local());
         let body = g.expect_attr("body_style");
         let supporting: Vec<_> = catalog

@@ -107,7 +107,10 @@ impl Default for ChaosConfig {
 impl ChaosConfig {
     /// A plan injecting nothing, over `members` members.
     pub fn calm(members: usize) -> Self {
-        ChaosConfig { members, ..ChaosConfig::default() }
+        ChaosConfig {
+            members,
+            ..ChaosConfig::default()
+        }
     }
 
     /// Overrides the decision seed.
@@ -208,28 +211,58 @@ impl ChaosSchedule {
 
     /// `true` iff `member` is down for `pass`.
     pub fn is_out(&self, member: usize, pass: u64) -> bool {
-        decide(self.config.outage_rate, self.config.seed, member as u64, pass, 0xa1)
+        decide(
+            self.config.outage_rate,
+            self.config.seed,
+            member as u64,
+            pass,
+            0xa1,
+        )
     }
 
     /// `true` iff `member` skews its responses during `pass`.
     pub fn is_skewed(&self, member: usize, pass: u64) -> bool {
-        decide(self.config.skew_rate, self.config.seed, member as u64, pass, 0xb2)
+        decide(
+            self.config.skew_rate,
+            self.config.seed,
+            member as u64,
+            pass,
+            0xb2,
+        )
     }
 
     /// `true` iff `member`'s knowledge should be corrupted before `pass`.
     pub fn is_corrupted(&self, member: usize, pass: u64) -> bool {
-        decide(self.config.corrupt_rate, self.config.seed, member as u64, pass, 0xc3)
+        decide(
+            self.config.corrupt_rate,
+            self.config.seed,
+            member as u64,
+            pass,
+            0xc3,
+        )
     }
 
     /// `true` iff `member`'s breaker should be tripped before `pass`.
     pub fn is_tripped(&self, member: usize, pass: u64) -> bool {
-        decide(self.config.trip_rate, self.config.seed, member as u64, pass, 0xd4)
+        decide(
+            self.config.trip_rate,
+            self.config.seed,
+            member as u64,
+            pass,
+            0xd4,
+        )
     }
 
     /// `true` iff `member`'s knowledge refresh should fail to persist
     /// during `pass`.
     pub fn is_persist_failing(&self, member: usize, pass: u64) -> bool {
-        decide(self.config.persist_fail_rate, self.config.seed, member as u64, pass, 0xf6)
+        decide(
+            self.config.persist_fail_rate,
+            self.config.seed,
+            member as u64,
+            pass,
+            0xf6,
+        )
     }
 
     /// Flood size for `pass` (0 = no flood).
@@ -243,7 +276,11 @@ impl ChaosSchedule {
 
     /// Resolves everything active during `pass`.
     pub fn pass(&self, pass: u64) -> PassChaos {
-        let mut chaos = PassChaos { pass, flood: self.flood(pass), ..PassChaos::default() };
+        let mut chaos = PassChaos {
+            pass,
+            flood: self.flood(pass),
+            ..PassChaos::default()
+        };
         for m in 0..self.config.members {
             if self.is_out(m, pass) {
                 chaos.outages.push(m);
@@ -319,7 +356,13 @@ impl<S: AutonomousSource> ChaosSource<S> {
     /// Wraps `inner` as member `member` under `schedule`, reading the
     /// current pass from `pass`.
     pub fn new(inner: S, member: usize, schedule: Arc<ChaosSchedule>, pass: Arc<PassCell>) -> Self {
-        ChaosSource { inner, member, schedule, pass, skew: None }
+        ChaosSource {
+            inner,
+            member,
+            schedule,
+            pass,
+            skew: None,
+        }
     }
 
     /// Configures which attribute skew passes rewrite, and to what.
@@ -472,7 +515,10 @@ mod tests {
     fn relation() -> Relation {
         let schema = Schema::of(
             "cars",
-            &[("model", AttrType::Categorical), ("body", AttrType::Categorical)],
+            &[
+                ("model", AttrType::Categorical),
+                ("body", AttrType::Categorical),
+            ],
         );
         let rows = [("A4", "Convt"), ("Z4", "Convt"), ("Civic", "Sedan")];
         let tuples = rows
@@ -528,8 +574,12 @@ mod tests {
             ChaosConfig::calm(1).with_seed(7).with_outage_rate(0.5),
         ));
         let pass = PassCell::new();
-        let src =
-            ChaosSource::new(WebSource::new("cars", relation()), 0, schedule.clone(), pass.clone());
+        let src = ChaosSource::new(
+            WebSource::new("cars", relation()),
+            0,
+            schedule.clone(),
+            pass.clone(),
+        );
         let model = src.schema().expect_attr("model");
         let q = SelectQuery::new(vec![Predicate::eq(model, "Z4")]);
         let mut saw_outage = false;
@@ -555,8 +605,9 @@ mod tests {
 
     #[test]
     fn chaos_source_skew_spares_constrained_attributes() {
-        let schedule =
-            Arc::new(ChaosSchedule::new(ChaosConfig::calm(1).with_seed(3).with_skew_rate(1.0)));
+        let schedule = Arc::new(ChaosSchedule::new(
+            ChaosConfig::calm(1).with_seed(3).with_skew_rate(1.0),
+        ));
         let pass = PassCell::new();
         let rel = relation();
         let body = rel.schema().expect_attr("body");
@@ -567,7 +618,9 @@ mod tests {
         // A query constraining the skewed attribute sees stored values.
         let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
         let res = src.query(&q).unwrap();
-        assert!(res.iter().all(|t| t.values()[body.index()] == Value::str("Convt")));
+        assert!(res
+            .iter()
+            .all(|t| t.values()[body.index()] == Value::str("Convt")));
         // A query on another attribute may see skewed bodies, and the skew
         // replays identically for the same pass.
         let q = SelectQuery::new(vec![Predicate::eq(model, "Z4")]);

@@ -27,14 +27,19 @@ impl ColumnarRelation {
     /// downstream id-ordered structure) is deterministic.
     pub fn build(arity: usize, tuples: &[Tuple]) -> Self {
         let mut dict = Dictionary::new();
-        let mut columns: Vec<Vec<ValueId>> =
-            (0..arity).map(|_| Vec::with_capacity(tuples.len())).collect();
+        let mut columns: Vec<Vec<ValueId>> = (0..arity)
+            .map(|_| Vec::with_capacity(tuples.len()))
+            .collect();
         for t in tuples {
             for (col, v) in columns.iter_mut().zip(t.values()) {
                 col.push(dict.intern(v));
             }
         }
-        ColumnarRelation { dict, columns, n_rows: tuples.len() }
+        ColumnarRelation {
+            dict,
+            columns,
+            n_rows: tuples.len(),
+        }
     }
 
     /// The relation-wide dictionary.
@@ -83,8 +88,14 @@ mod tests {
         assert_eq!(c.n_rows(), 3);
         assert_eq!(c.arity(), 2);
         // Row-major interning: "a" = 1, 1i64 = 2.
-        assert_eq!(c.column(AttrId(0)), &[ValueId(1), ValueId::NULL, ValueId(1)]);
-        assert_eq!(c.column(AttrId(1)), &[ValueId(2), ValueId(2), ValueId::NULL]);
+        assert_eq!(
+            c.column(AttrId(0)),
+            &[ValueId(1), ValueId::NULL, ValueId(1)]
+        );
+        assert_eq!(
+            c.column(AttrId(1)),
+            &[ValueId(2), ValueId(2), ValueId::NULL]
+        );
         assert_eq!(c.vid_at(2, AttrId(0)), ValueId(1));
     }
 

@@ -50,7 +50,10 @@ impl Default for Dictionary {
 impl Dictionary {
     /// A dictionary holding only the reserved null id.
     pub fn new() -> Self {
-        Dictionary { values: vec![Value::Null], by_value: FastHashMap::default() }
+        Dictionary {
+            values: vec![Value::Null],
+            by_value: FastHashMap::default(),
+        }
     }
 
     /// Interns a value, returning its id (allocating the next dense id for

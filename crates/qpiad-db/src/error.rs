@@ -102,7 +102,10 @@ impl fmt::Display for SourceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SourceError::NullBindingUnsupported { attr } => {
-                write!(f, "source does not support null binding on attribute {attr}")
+                write!(
+                    f,
+                    "source does not support null binding on attribute {attr}"
+                )
             }
             SourceError::UnsupportedAttribute { attr } => {
                 write!(f, "source does not support queries on attribute {attr}")
@@ -150,9 +153,13 @@ mod tests {
         assert!(e.to_string().contains("temporarily"));
         let e = SourceError::Timeout { waited_ms: 250 };
         assert!(e.to_string().contains("250"));
-        let e = SourceError::Internal { message: "stats missing".into() };
+        let e = SourceError::Internal {
+            message: "stats missing".into(),
+        };
         assert!(e.to_string().contains("stats missing"));
-        assert!(SourceError::CircuitOpen.to_string().contains("circuit breaker"));
+        assert!(SourceError::CircuitOpen
+            .to_string()
+            .contains("circuit breaker"));
         assert!(SourceError::BudgetExhausted.to_string().contains("budget"));
     }
 
@@ -162,11 +169,17 @@ mod tests {
         assert!(SourceError::Timeout { waited_ms: 1 }.is_transient());
         assert!(!SourceError::Unavailable { retryable: false }.is_transient());
         assert!(!SourceError::QueryLimitExceeded { limit: 1 }.is_transient());
-        assert!(!SourceError::Internal { message: String::new() }.is_transient());
+        assert!(!SourceError::Internal {
+            message: String::new()
+        }
+        .is_transient());
 
         assert!(SourceError::Unavailable { retryable: false }.is_failure());
         assert!(SourceError::Timeout { waited_ms: 1 }.is_failure());
-        assert!(SourceError::Internal { message: String::new() }.is_failure());
+        assert!(SourceError::Internal {
+            message: String::new()
+        }
+        .is_failure());
         assert!(!SourceError::NullBindingUnsupported { attr: AttrId(0) }.is_failure());
         assert!(!SourceError::UnsupportedAttribute { attr: AttrId(0) }.is_failure());
         assert!(!SourceError::QueryLimitExceeded { limit: 1 }.is_failure());

@@ -170,7 +170,12 @@ pub struct FaultInjector<S> {
 impl<S: AutonomousSource> FaultInjector<S> {
     /// Wraps `inner` with the given plan.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
-        FaultInjector { inner, plan, attempts: Mutex::new(HashMap::new()), injected: Mutex::new(0) }
+        FaultInjector {
+            inner,
+            plan,
+            attempts: Mutex::new(HashMap::new()),
+            injected: Mutex::new(0),
+        }
     }
 
     /// The wrapped source.
@@ -353,7 +358,12 @@ pub struct SkewPlan {
 impl SkewPlan {
     /// Skews `attr` to `replacement` on the given fraction of tuples.
     pub fn new(attr: AttrId, replacement: crate::value::Value, rate: f64, seed: u64) -> Self {
-        SkewPlan { seed, attr, replacement, rate }
+        SkewPlan {
+            seed,
+            attr,
+            replacement,
+            rate,
+        }
     }
 }
 
@@ -369,7 +379,11 @@ pub struct SkewInjector<S> {
 impl<S: AutonomousSource> SkewInjector<S> {
     /// Wraps `inner` with the given plan.
     pub fn new(inner: S, plan: SkewPlan) -> Self {
-        SkewInjector { inner, plan, skewed: Mutex::new(0) }
+        SkewInjector {
+            inner,
+            plan,
+            skewed: Mutex::new(0),
+        }
     }
 
     /// The wrapped source.
@@ -421,8 +435,7 @@ impl<S: AutonomousSource> AutonomousSource for SkewInjector<S> {
         }
         let mut n = 0usize;
         for t in tuples.iter_mut() {
-            if self.plan.attr.index() >= t.arity() || t.values()[self.plan.attr.index()].is_null()
-            {
+            if self.plan.attr.index() >= t.arity() || t.values()[self.plan.attr.index()].is_null() {
                 continue; // keep the source's incompleteness intact
             }
             let r = splitmix64(self.plan.seed ^ u64::from(t.id().0).rotate_left(32) ^ 0xd21f);
@@ -540,7 +553,10 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// No retries at all: a single attempt, fail-fast.
     pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
+        RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        }
     }
 
     /// Overrides the attempt cap (clamped to at least 1).
@@ -569,7 +585,11 @@ impl RetryPolicy {
             return Duration::ZERO;
         }
         let exp = self.base_delay.saturating_mul(1u32 << attempt.min(16));
-        let capped = if self.max_delay.is_zero() { exp } else { exp.min(self.max_delay) };
+        let capped = if self.max_delay.is_zero() {
+            exp
+        } else {
+            exp.min(self.max_delay)
+        };
         // Up to +50 % deterministic jitter so co-scheduled retries spread.
         let r = splitmix64(self.jitter_seed ^ fingerprint ^ u64::from(attempt));
         let frac = u128::from(r as u32); // uniform in 0..2^32
@@ -633,9 +653,7 @@ mod tests {
         let tuples = rows
             .iter()
             .enumerate()
-            .map(|(i, (m, b))| {
-                Tuple::new(TupleId(i as u32), vec![Value::str(*m), Value::str(*b)])
-            })
+            .map(|(i, (m, b))| Tuple::new(TupleId(i as u32), vec![Value::str(*m), Value::str(*b)]))
             .collect();
         Relation::new(schema, tuples)
     }
@@ -659,8 +677,14 @@ mod tests {
         let plan = FaultPlan::healthy().with_fail_first_attempts(2);
         let src = FaultInjector::new(WebSource::new("cars", relation()), plan);
         let q = model_query(&src);
-        assert_eq!(src.query(&q), Err(SourceError::Unavailable { retryable: true }));
-        assert_eq!(src.query(&q), Err(SourceError::Unavailable { retryable: true }));
+        assert_eq!(
+            src.query(&q),
+            Err(SourceError::Unavailable { retryable: true })
+        );
+        assert_eq!(
+            src.query(&q),
+            Err(SourceError::Unavailable { retryable: true })
+        );
         assert_eq!(src.query(&q).unwrap().len(), 1);
         assert_eq!(src.injected_faults(), 2);
         // Injected failures never reached the inner source.
@@ -673,7 +697,9 @@ mod tests {
         // Injected latency must be visible to the hedging layer via the
         // meter, whether the query succeeds or is failed by the plan.
         let lat = Duration::from_millis(3);
-        let plan = FaultPlan::healthy().with_latency(lat).with_fail_first_attempts(1);
+        let plan = FaultPlan::healthy()
+            .with_latency(lat)
+            .with_fail_first_attempts(1);
         let src = FaultInjector::new(WebSource::new("cars", relation()), plan);
         let q = model_query(&src);
         assert!(src.query(&q).is_err());
@@ -702,7 +728,10 @@ mod tests {
         let src = FaultInjector::new(WebSource::new("cars", relation()), plan);
         let q = model_query(&src);
         for _ in 0..5 {
-            assert_eq!(src.query(&q), Err(SourceError::Unavailable { retryable: false }));
+            assert_eq!(
+                src.query(&q),
+                Err(SourceError::Unavailable { retryable: false })
+            );
         }
         assert_eq!(src.meter().queries, 0);
     }
@@ -807,7 +836,9 @@ mod tests {
         // A query not constraining `body` sees every body skewed...
         let q = SelectQuery::new(vec![Predicate::eq(model, "Z4")]);
         let res = src.query(&q).unwrap();
-        assert!(res.iter().all(|t| t.values()[body.index()] == Value::str("SUV")));
+        assert!(res
+            .iter()
+            .all(|t| t.values()[body.index()] == Value::str("SUV")));
         assert_eq!(src.skewed_values(), 1);
 
         // ...and repeating the query skews the same tuples the same way.
@@ -827,7 +858,9 @@ mod tests {
         let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
         let res = src.query(&q).unwrap();
         assert_eq!(res.len(), 2);
-        assert!(res.iter().all(|t| t.values()[body.index()] == Value::str("Convt")));
+        assert!(res
+            .iter()
+            .all(|t| t.values()[body.index()] == Value::str("Convt")));
         assert_eq!(src.skewed_values(), 0);
     }
 

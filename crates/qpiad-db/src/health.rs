@@ -83,14 +83,20 @@ pub struct MediationClock {
 impl MediationClock {
     /// A wall clock: [`sleep`] really blocks the calling thread.
     pub fn wall() -> Arc<Self> {
-        Arc::new(Self { logical: false, nanos: AtomicU64::new(0) })
+        Arc::new(Self {
+            logical: false,
+            nanos: AtomicU64::new(0),
+        })
     }
 
     /// A logical clock: [`sleep`] advances this clock's counter and returns
     /// immediately. Used by tests, benches, and servers that must not park
     /// worker threads on injected latency.
     pub fn logical() -> Arc<Self> {
-        Arc::new(Self { logical: true, nanos: AtomicU64::new(0) })
+        Arc::new(Self {
+            logical: true,
+            nanos: AtomicU64::new(0),
+        })
     }
 
     /// `true` iff this clock is logical.
@@ -109,8 +115,10 @@ impl MediationClock {
             return;
         }
         if self.logical {
-            self.nanos
-                .fetch_add(d.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::SeqCst);
+            self.nanos.fetch_add(
+                d.as_nanos().min(u128::from(u64::MAX)) as u64,
+                Ordering::SeqCst,
+            );
         } else {
             std::thread::sleep(d);
         }
@@ -298,7 +306,11 @@ pub struct BreakerView {
 impl BreakerView {
     /// The view of an unmanaged source: always Closed, never recording.
     pub fn disabled() -> Self {
-        BreakerView { state: BreakerState::Closed, config: BreakerConfig::default(), enabled: false }
+        BreakerView {
+            state: BreakerState::Closed,
+            config: BreakerConfig::default(),
+            enabled: false,
+        }
     }
 
     /// The snapshotted state.
@@ -403,9 +415,7 @@ impl BreakerProbe {
         self.half_open_successes = 0;
         match self.state {
             BreakerState::HalfOpen => self.state = BreakerState::Open,
-            BreakerState::Closed
-                if self.consecutive_failures >= self.config.failure_threshold =>
-            {
+            BreakerState::Closed if self.consecutive_failures >= self.config.failure_threshold => {
                 self.state = BreakerState::Open
             }
             _ => {}
@@ -448,7 +458,10 @@ struct RegistryInner {
 impl HealthRegistry {
     /// A registry with the given breaker tuning.
     pub fn new(config: BreakerConfig) -> Self {
-        HealthRegistry { config, inner: Mutex::new(RegistryInner::default()) }
+        HealthRegistry {
+            config,
+            inner: Mutex::new(RegistryInner::default()),
+        }
     }
 
     /// The breaker tuning.
@@ -477,12 +490,21 @@ impl HealthRegistry {
     /// Snapshots one source's breaker (sequential point).
     pub fn view(&self, source: &str) -> BreakerView {
         let state = self.state(source);
-        BreakerView { state, config: self.config, enabled: true }
+        BreakerView {
+            state,
+            config: self.config,
+            enabled: true,
+        }
     }
 
     /// The current state of one source's breaker (Closed if unknown).
     pub fn state(&self, source: &str) -> BreakerState {
-        self.inner.lock().cores.get(source).map(|c| c.state).unwrap_or_default()
+        self.inner
+            .lock()
+            .cores
+            .get(source)
+            .map(|c| c.state)
+            .unwrap_or_default()
     }
 
     /// Replays a member pass's observation log into the registry, in the
@@ -530,7 +552,11 @@ pub struct QueryBudget {
 impl QueryBudget {
     /// No limits: every admission passes through the policy unchanged.
     pub fn unlimited() -> Self {
-        QueryBudget { deadline: Duration::MAX, attempts: u32::MAX, query_cost: Duration::ZERO }
+        QueryBudget {
+            deadline: Duration::MAX,
+            attempts: u32::MAX,
+            query_cost: Duration::ZERO,
+        }
     }
 
     /// Caps the pass's cumulative worst-case backoff (+ modeled query cost).
@@ -570,7 +596,9 @@ impl QueryBudget {
         let mut cost = self.query_cost;
         while granted < cap {
             // Retry number `granted` costs its backoff plus one attempt.
-            let step = policy.backoff(fingerprint, granted - 1).saturating_add(self.query_cost);
+            let step = policy
+                .backoff(fingerprint, granted - 1)
+                .saturating_add(self.query_cost);
             match cost.checked_add(step) {
                 Some(c) if c <= self.deadline => {
                     cost = c;
@@ -688,7 +716,14 @@ mod tests {
         reg.absorb("s", &[Observation::Failure, Observation::Failure]);
         assert_eq!(reg.state("s"), BreakerState::Closed);
         // An interleaved success resets the consecutive count.
-        reg.absorb("s", &[Observation::Success, Observation::Failure, Observation::Failure]);
+        reg.absorb(
+            "s",
+            &[
+                Observation::Success,
+                Observation::Failure,
+                Observation::Failure,
+            ],
+        );
         assert_eq!(reg.state("s"), BreakerState::Closed);
         reg.absorb("s", &[Observation::Failure]);
         assert_eq!(reg.state("s"), BreakerState::Open);
@@ -696,7 +731,11 @@ mod tests {
 
     #[test]
     fn open_breaker_half_opens_only_after_the_cooldown() {
-        let reg = registry(BreakerConfig::default().with_failure_threshold(1).with_cooldown_passes(2));
+        let reg = registry(
+            BreakerConfig::default()
+                .with_failure_threshold(1)
+                .with_cooldown_passes(2),
+        );
         reg.begin_pass(); // pass 1
         reg.absorb("s", &[Observation::Failure]);
         assert_eq!(reg.state("s"), BreakerState::Open);
@@ -710,7 +749,9 @@ mod tests {
 
     #[test]
     fn half_open_probe_success_closes_and_failure_reopens() {
-        let config = BreakerConfig::default().with_failure_threshold(1).with_cooldown_passes(0);
+        let config = BreakerConfig::default()
+            .with_failure_threshold(1)
+            .with_cooldown_passes(0);
         let reg = registry(config);
         reg.begin_pass();
         reg.absorb("s", &[Observation::Failure]);
@@ -820,7 +861,9 @@ mod tests {
         // Deadline below any single backoff: only the (free) first attempt
         // fits, and it costs the deadline nothing.
         let mut tight = QueryBudget::unlimited().with_deadline(Duration::from_millis(5));
-        let p = tight.admit(&policy, 42).expect("first attempt is always free");
+        let p = tight
+            .admit(&policy, 42)
+            .expect("first attempt is always free");
         assert_eq!(p.max_attempts, 1, "no retry's backoff fits a 5 ms deadline");
         assert_eq!(tight.deadline, Duration::from_millis(5));
         // A generous deadline admits the full schedule and deducts its
@@ -828,7 +871,10 @@ mod tests {
         let mut roomy = QueryBudget::unlimited().with_deadline(Duration::from_millis(100));
         let p = roomy.admit(&policy, 42).expect("admitted");
         assert_eq!(p.max_attempts, 4);
-        assert!(roomy.deadline <= Duration::from_millis(70), "worst case deducted");
+        assert!(
+            roomy.deadline <= Duration::from_millis(70),
+            "worst case deducted"
+        );
     }
 
     #[test]
@@ -864,7 +910,10 @@ mod tests {
         // The counter is the clock's own, so it saw exactly these sleeps.
         assert_eq!(clock.nanos(), 500_000_000, "counter must cover both sleeps");
         assert_eq!(current_clock().map(|c| c.nanos()), Some(500_000_000));
-        assert!(elapsed < Duration::from_millis(200), "logical sleep must not block");
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "logical sleep must not block"
+        );
     }
 
     #[test]
@@ -911,7 +960,11 @@ mod tests {
             i
         });
         assert_eq!(out, (0..8).collect::<Vec<_>>());
-        assert_eq!(clock.nanos(), 8_000_000, "every worker sleep lands on the caller's clock");
+        assert_eq!(
+            clock.nanos(),
+            8_000_000,
+            "every worker sleep lands on the caller's clock"
+        );
     }
 
     #[test]

@@ -74,12 +74,12 @@ pub mod value;
 pub mod version;
 
 pub use catalog::{GlobalCatalog, SourceBinding};
+pub use chaos::{ChaosConfig, ChaosSchedule, ChaosSource, PassCell, PassChaos};
 pub use columnar::ColumnarRelation;
 pub use dict::{Dictionary, ValueId};
 pub use error::SourceError;
-pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use fault::{query_with_retry, FaultInjector, FaultPlan, RetryPolicy, SkewInjector, SkewPlan};
-pub use chaos::{ChaosConfig, ChaosSchedule, ChaosSource, PassCell, PassChaos};
+pub use hash::{FastHashMap, FastHashSet, FxHasher};
 pub use health::{
     install_clock, BreakerConfig, BreakerProbe, BreakerState, BreakerView, ClockGuard,
     HealthRegistry, MediationClock, Observation, PressureLevel, QueryBudget,

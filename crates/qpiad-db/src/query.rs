@@ -59,17 +59,26 @@ pub struct Predicate {
 impl Predicate {
     /// `attr = value`.
     pub fn eq(attr: AttrId, value: impl Into<Value>) -> Self {
-        Predicate { attr, op: PredOp::Eq(value.into()) }
+        Predicate {
+            attr,
+            op: PredOp::Eq(value.into()),
+        }
     }
 
     /// `attr BETWEEN lo AND hi`.
     pub fn between(attr: AttrId, lo: impl Into<Value>, hi: impl Into<Value>) -> Self {
-        Predicate { attr, op: PredOp::Between(lo.into(), hi.into()) }
+        Predicate {
+            attr,
+            op: PredOp::Between(lo.into(), hi.into()),
+        }
     }
 
     /// `attr IS NULL`.
     pub fn is_null(attr: AttrId) -> Self {
-        Predicate { attr, op: PredOp::IsNull }
+        Predicate {
+            attr,
+            op: PredOp::IsNull,
+        }
     }
 
     /// Certain satisfaction by a tuple.
@@ -143,7 +152,9 @@ fn predicate_cmp(a: &Predicate, b: &Predicate) -> std::cmp::Ordering {
 impl SelectQuery {
     /// The empty query (matches every tuple).
     pub fn all() -> Self {
-        SelectQuery { predicates: Vec::new() }
+        SelectQuery {
+            predicates: Vec::new(),
+        }
     }
 
     /// Builds a query from predicates. Predicates are stored in a canonical
@@ -273,17 +284,29 @@ pub struct AggregateQuery {
 impl AggregateQuery {
     /// `COUNT(*)` over a selection.
     pub fn count(select: SelectQuery) -> Self {
-        AggregateQuery { select, func: AggFunc::Count, attr: None }
+        AggregateQuery {
+            select,
+            func: AggFunc::Count,
+            attr: None,
+        }
     }
 
     /// `SUM(attr)` over a selection.
     pub fn sum(select: SelectQuery, attr: AttrId) -> Self {
-        AggregateQuery { select, func: AggFunc::Sum, attr: Some(attr) }
+        AggregateQuery {
+            select,
+            func: AggFunc::Sum,
+            attr: Some(attr),
+        }
     }
 
     /// `AVG(attr)` over a selection.
     pub fn avg(select: SelectQuery, attr: AttrId) -> Self {
-        AggregateQuery { select, func: AggFunc::Avg, attr: Some(attr) }
+        AggregateQuery {
+            select,
+            func: AggFunc::Avg,
+            attr: Some(attr),
+        }
     }
 
     /// Evaluates the aggregate over an iterator of tuples, skipping tuples
@@ -409,8 +432,14 @@ mod tests {
         let s = schema();
         let make = s.expect_attr("make");
         let year = s.expect_attr("year");
-        let q1 = SelectQuery::new(vec![Predicate::eq(make, "Honda"), Predicate::eq(year, 2004i64)]);
-        let q2 = SelectQuery::new(vec![Predicate::eq(year, 2004i64), Predicate::eq(make, "Honda")]);
+        let q1 = SelectQuery::new(vec![
+            Predicate::eq(make, "Honda"),
+            Predicate::eq(year, 2004i64),
+        ]);
+        let q2 = SelectQuery::new(vec![
+            Predicate::eq(year, 2004i64),
+            Predicate::eq(make, "Honda"),
+        ]);
         assert_eq!(q1, q2);
     }
 
@@ -419,7 +448,10 @@ mod tests {
         let s = schema();
         let make = s.expect_attr("make");
         let year = s.expect_attr("year");
-        let q = SelectQuery::new(vec![Predicate::eq(make, "Honda"), Predicate::eq(year, 2004i64)]);
+        let q = SelectQuery::new(vec![
+            Predicate::eq(make, "Honda"),
+            Predicate::eq(year, 2004i64),
+        ]);
 
         // Certain answer: not a possible answer.
         assert!(q.matches(&tup("Honda", "Civic", 2004, 9000)));

@@ -80,20 +80,27 @@ impl Relation {
             .collect();
         let cell = OnceLock::new();
         let _ = cell.set(columnar);
-        Ok(Relation { schema, tuples, columnar: cell })
+        Ok(Relation {
+            schema,
+            tuples,
+            columnar: cell,
+        })
     }
 
     /// An empty relation over the schema.
     pub fn empty(schema: Arc<Schema>) -> Self {
-        Relation { schema, tuples: Vec::new(), columnar: OnceLock::new() }
+        Relation {
+            schema,
+            tuples: Vec::new(),
+            columnar: OnceLock::new(),
+        }
     }
 
     /// The dictionary-interned columnar image of this relation, building it
     /// if a mutation invalidated the one made at construction.
     pub fn columnar(&self) -> &Arc<ColumnarRelation> {
-        self.columnar.get_or_init(|| {
-            Arc::new(ColumnarRelation::build(self.schema.arity(), &self.tuples))
-        })
+        self.columnar
+            .get_or_init(|| Arc::new(ColumnarRelation::build(self.schema.arity(), &self.tuples)))
     }
 
     /// The relation's schema.
@@ -137,7 +144,11 @@ impl Relation {
 
     /// Certain answers of a selection query, in relation order.
     pub fn select(&self, q: &SelectQuery) -> Vec<Tuple> {
-        self.tuples.iter().filter(|t| q.matches(t)).cloned().collect()
+        self.tuples
+            .iter()
+            .filter(|t| q.matches(t))
+            .cloned()
+            .collect()
     }
 
     /// Number of certain answers (used for selectivity estimation without
@@ -246,7 +257,11 @@ impl Relation {
     pub fn complete_only(&self) -> Relation {
         Relation::new(
             Arc::clone(&self.schema),
-            self.tuples.iter().filter(|t| t.is_complete()).cloned().collect(),
+            self.tuples
+                .iter()
+                .filter(|t| t.is_complete())
+                .cloned()
+                .collect(),
         )
     }
 
@@ -390,7 +405,10 @@ mod tests {
     #[should_panic(expected = "arity")]
     fn rejects_wrong_arity() {
         let schema = Schema::of("one", &[("a", AttrType::Integer)]);
-        Relation::new(schema, vec![Tuple::new(TupleId(0), vec![Value::int(1), Value::int(2)])]);
+        Relation::new(
+            schema,
+            vec![Tuple::new(TupleId(0), vec![Value::int(1), Value::int(2)])],
+        );
     }
 
     #[test]
@@ -400,7 +418,10 @@ mod tests {
             schema.clone(),
             vec![Tuple::new(TupleId(0), vec![Value::int(1), Value::int(2)])],
         );
-        assert!(matches!(bad, Err(crate::error::SourceError::Internal { .. })));
+        assert!(matches!(
+            bad,
+            Err(crate::error::SourceError::Internal { .. })
+        ));
         let good = Relation::try_new(schema, vec![Tuple::new(TupleId(0), vec![Value::int(1)])]);
         assert_eq!(good.unwrap().len(), 1);
     }

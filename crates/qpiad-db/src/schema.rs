@@ -43,7 +43,10 @@ pub struct Attribute {
 impl Attribute {
     /// Creates an attribute with the given name and type.
     pub fn new(name: impl Into<String>, ty: AttrType) -> Self {
-        Attribute { name: name.into(), ty }
+        Attribute {
+            name: name.into(),
+            ty,
+        }
     }
 
     /// The attribute's name.
@@ -80,17 +83,17 @@ impl Schema {
                 assert_ne!(a.name(), b.name(), "duplicate attribute name in schema");
             }
         }
-        Arc::new(Schema { name: name.into(), attrs })
+        Arc::new(Schema {
+            name: name.into(),
+            attrs,
+        })
     }
 
     /// Convenience constructor from `(&str, AttrType)` pairs.
     pub fn of(name: impl Into<String>, attrs: &[(&str, AttrType)]) -> Arc<Self> {
         Schema::new(
             name,
-            attrs
-                .iter()
-                .map(|(n, t)| Attribute::new(*n, *t))
-                .collect(),
+            attrs.iter().map(|(n, t)| Attribute::new(*n, *t)).collect(),
         )
     }
 
@@ -120,10 +123,7 @@ impl Schema {
 
     /// Resolves an attribute name to its [`AttrId`].
     pub fn attr_id(&self, name: &str) -> Option<AttrId> {
-        self.attrs
-            .iter()
-            .position(|a| a.name() == name)
-            .map(AttrId)
+        self.attrs.iter().position(|a| a.name() == name).map(AttrId)
     }
 
     /// Resolves an attribute name, panicking with a helpful message if it is

@@ -336,24 +336,33 @@ impl SourceInner {
             // answering, so the limit check and the query-count bump are
             // one atomic step even under (contractually discouraged)
             // concurrent issuance.
-            let admitted = self.meter.queries.fetch_update(
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-                |q| if q >= limit { None } else { Some(q + 1) },
-            );
+            let admitted =
+                self.meter
+                    .queries
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |q| {
+                        if q >= limit {
+                            None
+                        } else {
+                            Some(q + 1)
+                        }
+                    });
             if admitted.is_err() {
                 MeterCells::bump(&self.meter.rejected);
                 return Err(SourceError::QueryLimitExceeded { limit });
             }
             let result: Vec<Tuple> = self.engine.select(&self.relation, q);
-            self.meter.tuples_returned.fetch_add(result.len(), Ordering::Relaxed);
+            self.meter
+                .tuples_returned
+                .fetch_add(result.len(), Ordering::Relaxed);
             Ok(result)
         } else {
             // Budget-free: concurrent queries never touch a lock, only
             // independent counter cells.
             let result: Vec<Tuple> = self.engine.select(&self.relation, q);
             MeterCells::bump(&self.meter.queries);
-            self.meter.tuples_returned.fetch_add(result.len(), Ordering::Relaxed);
+            self.meter
+                .tuples_returned
+                .fetch_add(result.len(), Ordering::Relaxed);
             Ok(result)
         }
     }
@@ -492,7 +501,10 @@ impl AutonomousSource for WebSource {
 
     fn note_latency(&self, d: std::time::Duration) {
         let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.inner.meter.latency_ns.fetch_add(nanos, Ordering::Relaxed);
+        self.inner
+            .meter
+            .latency_ns
+            .fetch_add(nanos, Ordering::Relaxed);
     }
 
     fn note_plan_cache_hit(&self) {
@@ -615,7 +627,10 @@ impl AutonomousSource for DirectSource {
 
     fn note_latency(&self, d: std::time::Duration) {
         let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.inner.meter.latency_ns.fetch_add(nanos, Ordering::Relaxed);
+        self.inner
+            .meter
+            .latency_ns
+            .fetch_add(nanos, Ordering::Relaxed);
     }
 
     fn note_plan_cache_hit(&self) {

@@ -30,7 +30,10 @@ pub struct Tuple {
 impl Tuple {
     /// Creates a tuple with the given id and values.
     pub fn new(id: TupleId, values: Vec<Value>) -> Self {
-        Tuple { id, values: values.into() }
+        Tuple {
+            id,
+            values: values.into(),
+        }
     }
 
     /// The tuple's stable identifier.
@@ -75,17 +78,17 @@ impl Tuple {
     /// possible answers with at most one null over the constrained
     /// attributes; the rest are output unranked (paper, Assumptions).
     pub fn null_count_among(&self, attrs: &[AttrId]) -> usize {
-        attrs
-            .iter()
-            .filter(|a| self.values[a.0].is_null())
-            .count()
+        attrs.iter().filter(|a| self.values[a.0].is_null()).count()
     }
 
     /// Returns a copy with `attr` set to `value`.
     pub fn with_value(&self, attr: AttrId, value: Value) -> Tuple {
         let mut values = self.values.to_vec();
         values[attr.0] = value;
-        Tuple { id: self.id, values: values.into() }
+        Tuple {
+            id: self.id,
+            values: values.into(),
+        }
     }
 
     /// `true` iff `completion` agrees with this tuple on every non-null
@@ -104,7 +107,10 @@ impl Tuple {
 
     /// Renders the tuple against a schema, for diagnostics.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> TupleDisplay<'a> {
-        TupleDisplay { tuple: self, schema }
+        TupleDisplay {
+            tuple: self,
+            schema,
+        }
     }
 
     /// Projects the tuple onto the given attributes, returning the values in
@@ -166,14 +172,16 @@ mod tests {
 
     #[test]
     fn completeness() {
-        let complete = t(0, Value::str("Honda"), Value::str("Civic"), Value::int(2004));
+        let complete = t(
+            0,
+            Value::str("Honda"),
+            Value::str("Civic"),
+            Value::int(2004),
+        );
         let incomplete = t(1, Value::Null, Value::str("Civic"), Value::int(2004));
         assert!(complete.is_complete());
         assert!(!incomplete.is_complete());
-        assert_eq!(
-            incomplete.null_attrs().collect::<Vec<_>>(),
-            vec![AttrId(0)]
-        );
+        assert_eq!(incomplete.null_attrs().collect::<Vec<_>>(), vec![AttrId(0)]);
     }
 
     #[test]
@@ -187,8 +195,18 @@ mod tests {
     #[test]
     fn completions() {
         let incomplete = t(1, Value::Null, Value::str("Civic"), Value::int(2004));
-        let good = t(2, Value::str("Honda"), Value::str("Civic"), Value::int(2004));
-        let bad_model = t(3, Value::str("Honda"), Value::str("Accord"), Value::int(2004));
+        let good = t(
+            2,
+            Value::str("Honda"),
+            Value::str("Civic"),
+            Value::int(2004),
+        );
+        let bad_model = t(
+            3,
+            Value::str("Honda"),
+            Value::str("Accord"),
+            Value::int(2004),
+        );
         let also_incomplete = t(4, Value::str("Honda"), Value::str("Civic"), Value::Null);
         assert!(Tuple::is_completion_of(&good, &incomplete));
         assert!(!Tuple::is_completion_of(&bad_model, &incomplete));
@@ -207,7 +225,12 @@ mod tests {
     #[test]
     fn projection_and_display() {
         let s = schema();
-        let tup = t(0, Value::str("Honda"), Value::str("Civic"), Value::int(2004));
+        let tup = t(
+            0,
+            Value::str("Honda"),
+            Value::str("Civic"),
+            Value::int(2004),
+        );
         assert_eq!(
             tup.project(&[AttrId(2), AttrId(0)]),
             vec![Value::int(2004), Value::str("Honda")]

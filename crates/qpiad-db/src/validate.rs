@@ -94,7 +94,10 @@ impl std::fmt::Display for QuarantineReason {
                 write!(f, "null-bound-attr: bound attribute {attr} returned null")
             }
             QuarantineReason::PredicateViolation { attr } => {
-                write!(f, "predicate-violation: attribute {attr} fails its predicate")
+                write!(
+                    f,
+                    "predicate-violation: attribute {attr} fails its predicate"
+                )
             }
         }
     }
@@ -157,14 +160,20 @@ impl ResponseValidator {
             let Some(v) = t.values().get(p.attr.index()) else {
                 // Unreachable after the arity check unless the query came
                 // from a wider schema; treat as a violation, never panic.
-                return Err(QuarantineReason::PredicateViolation { attr: p.attr.index() });
+                return Err(QuarantineReason::PredicateViolation {
+                    attr: p.attr.index(),
+                });
             };
             if v.is_null() {
                 if !matches!(p.op, PredOp::IsNull) {
-                    return Err(QuarantineReason::NullBoundAttr { attr: p.attr.index() });
+                    return Err(QuarantineReason::NullBoundAttr {
+                        attr: p.attr.index(),
+                    });
                 }
             } else if !p.op.matches(v) {
-                return Err(QuarantineReason::PredicateViolation { attr: p.attr.index() });
+                return Err(QuarantineReason::PredicateViolation {
+                    attr: p.attr.index(),
+                });
             }
         }
         Ok(())
@@ -216,7 +225,13 @@ mod tests {
     use crate::tuple::TupleId;
 
     fn schema() -> Arc<Schema> {
-        Schema::of("cars", &[("model", AttrType::Categorical), ("year", AttrType::Integer)])
+        Schema::of(
+            "cars",
+            &[
+                ("model", AttrType::Categorical),
+                ("year", AttrType::Integer),
+            ],
+        )
     }
 
     fn tuple(id: u32, model: Value, year: Value) -> Tuple {
@@ -246,7 +261,13 @@ mod tests {
         let report = ResponseValidator.validate(&s, &q, vec![short]);
         assert_eq!(report.quarantined_count(), 1);
         let reason = report.quarantined[0].1;
-        assert_eq!(reason, QuarantineReason::ArityMismatch { expected: 2, got: 1 });
+        assert_eq!(
+            reason,
+            QuarantineReason::ArityMismatch {
+                expected: 2,
+                got: 1
+            }
+        );
         assert_eq!(reason.code(), "arity-mismatch");
     }
 
@@ -256,7 +277,10 @@ mod tests {
         let q = SelectQuery::all();
         let drifted = tuple(1, Value::Int(7), Value::Int(2002));
         let report = ResponseValidator.validate(&s, &q, vec![drifted]);
-        assert_eq!(report.quarantined[0].1, QuarantineReason::TypeMismatch { attr: 0 });
+        assert_eq!(
+            report.quarantined[0].1,
+            QuarantineReason::TypeMismatch { attr: 0 }
+        );
         assert_eq!(report.quarantined[0].1.code(), "type-mismatch");
     }
 
@@ -266,7 +290,10 @@ mod tests {
         let q = SelectQuery::new(vec![Predicate::eq(AttrId(0), "A4")]);
         let leaked = tuple(1, Value::Null, Value::Int(2002));
         let report = ResponseValidator.validate(&s, &q, vec![leaked]);
-        assert_eq!(report.quarantined[0].1, QuarantineReason::NullBoundAttr { attr: 0 });
+        assert_eq!(
+            report.quarantined[0].1,
+            QuarantineReason::NullBoundAttr { attr: 0 }
+        );
         assert_eq!(report.quarantined[0].1.code(), "null-bound-attr");
         // The same null under an explicit IS NULL query is legitimate.
         let q_null = SelectQuery::new(vec![Predicate::is_null(AttrId(0))]);
@@ -280,7 +307,10 @@ mod tests {
         let q = SelectQuery::new(vec![Predicate::eq(AttrId(0), "A4")]);
         let wrong = tuple(1, Value::from("Z4"), Value::Int(2002));
         let report = ResponseValidator.validate(&s, &q, vec![wrong]);
-        assert_eq!(report.quarantined[0].1, QuarantineReason::PredicateViolation { attr: 0 });
+        assert_eq!(
+            report.quarantined[0].1,
+            QuarantineReason::PredicateViolation { attr: 0 }
+        );
         assert_eq!(report.quarantined[0].1.code(), "predicate-violation");
     }
 

@@ -71,7 +71,12 @@ impl World {
         let (ed, provenance) = corrupt(&ground, &CorruptionConfig::default().with_seed(seed));
         let sample = uniform_sample(&ed, sample_fraction, seed ^ 0x5A);
         let stats = SourceStats::mine(&sample, ed.len(), &MiningConfig::default());
-        World { ground, ed, provenance, stats }
+        World {
+            ground,
+            ed,
+            provenance,
+            stats,
+        }
     }
 
     /// A fresh metered web source over ED.
@@ -95,20 +100,30 @@ pub fn cars_world(scale: &Scale) -> World {
 
 /// The Census world.
 pub fn census_world(scale: &Scale) -> World {
-    let ground = CensusConfig { rows: scale.census_rows, ..Default::default() }
-        .generate(scale.seed.wrapping_add(2));
+    let ground = CensusConfig {
+        rows: scale.census_rows,
+        ..Default::default()
+    }
+    .generate(scale.seed.wrapping_add(2));
     World::from_ground(ground, scale.sample_fraction, scale.seed.wrapping_add(3))
 }
 
 /// The Complaints world (for joins).
 pub fn complaints_world(scale: &Scale) -> World {
-    let ground = ComplaintsConfig { rows: scale.complaints_rows }
-        .generate(scale.seed.wrapping_add(4));
+    let ground = ComplaintsConfig {
+        rows: scale.complaints_rows,
+    }
+    .generate(scale.seed.wrapping_add(4));
     World::from_ground(ground, scale.sample_fraction, scale.seed.wrapping_add(5))
 }
 
 /// Runs QPIAD on a world and returns the answer set.
-pub fn run_qpiad(world: &World, source: &WebSource, query: &SelectQuery, config: QpiadConfig) -> AnswerSet {
+pub fn run_qpiad(
+    world: &World,
+    source: &WebSource,
+    query: &SelectQuery,
+    config: QpiadConfig,
+) -> AnswerSet {
     let qpiad = Qpiad::new(world.stats.clone(), config);
     qpiad
         .answer(source, query)
@@ -129,10 +144,7 @@ pub fn pr_series(
     let labels: Vec<bool> = ranked.iter().map(|t| relevant.contains(&t.id())).collect();
     let curve = pr_curve(&labels, relevant.len());
     let pts = crate::metrics::downsample(&curve, max_points);
-    Series::new(
-        name,
-        pts.iter().map(|p| (p.recall, p.precision)),
-    )
+    Series::new(name, pts.iter().map(|p| (p.recall, p.precision)))
 }
 
 /// QPIAD's ranked possible answers as plain tuples.

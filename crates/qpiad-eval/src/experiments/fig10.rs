@@ -30,7 +30,13 @@ pub fn run_census(scale: &Scale) -> Report {
     let world = super::common::census_world(scale);
     let rel = world.ed.schema().expect_attr("relationship");
     let query = SelectQuery::new(vec![Predicate::eq(rel, "Own-child")]);
-    run_on(scale, &world, query, "figure10census", "Census, relationship=Own-child")
+    run_on(
+        scale,
+        &world,
+        query,
+        "figure10census",
+        "Census, relationship=Own-child",
+    )
 }
 
 fn run_on(
@@ -77,7 +83,10 @@ fn run_on(
                 points.push(((i + 1) as f64, hits as f64 / total as f64));
             }
         }
-        report.push_series(Series::new(format!("{}% sample", (frac * 100.0) as u32), points));
+        report.push_series(Series::new(
+            format!("{}% sample", (frac * 100.0) as u32),
+            points,
+        ));
     }
     report
 }
@@ -91,7 +100,10 @@ mod tests {
         // A 3% sample must still contain a few hundred rows (as in the
         // paper, where 3% of ~50k ≈ 1.5k) or the 126-value model column is
         // indistinguishable from a key.
-        let scale = Scale { cars_rows: 12_000, ..Scale::quick() };
+        let scale = Scale {
+            cars_rows: 12_000,
+            ..Scale::quick()
+        };
         let report = run(&scale);
         assert_eq!(report.series.len(), 4);
         // Compare the curves over a shared early prefix (the tail of every

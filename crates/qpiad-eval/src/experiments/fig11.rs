@@ -10,9 +10,11 @@
 use qpiad_core::correlated::answer_from_correlated;
 use qpiad_core::rank::RankConfig;
 use qpiad_core::QueryContext;
-use qpiad_db::RetryPolicy;
 use qpiad_data::cars::CarsConfig;
-use qpiad_db::{AutonomousSource, Predicate, Relation, SelectQuery, SourceBinding, Value, WebSource};
+use qpiad_db::RetryPolicy;
+use qpiad_db::{
+    AutonomousSource, Predicate, Relation, SelectQuery, SourceBinding, Value, WebSource,
+};
 
 use crate::metrics::{accumulated_precision, average_curves, downsample};
 use crate::report::{Report, Series};
@@ -57,8 +59,16 @@ pub fn run(scale: &Scale) -> Report {
     let cars_source = correlated.web_source("cars.com");
 
     let targets = [
-        deficient_source("yahoo-autos-like", scale.cars_rows, scale.seed.wrapping_add(1_000)),
-        deficient_source("carsdirect-like", scale.cars_rows, scale.seed.wrapping_add(1_001)),
+        deficient_source(
+            "yahoo-autos-like",
+            scale.cars_rows,
+            scale.seed.wrapping_add(1_000),
+        ),
+        deficient_source(
+            "carsdirect-like",
+            scale.cars_rows,
+            scale.seed.wrapping_add(1_001),
+        ),
     ];
 
     let mut report = Report::new(
@@ -105,10 +115,7 @@ pub fn run(scale: &Scale) -> Report {
             .enumerate()
             .map(|(i, p)| ((i + 1) as f64, *p))
             .collect();
-        report.push_series(Series::new(
-            target.source.name(),
-            downsample(&pts, 20),
-        ));
+        report.push_series(Series::new(target.source.name(), downsample(&pts, 20)));
     }
     report.note("judged against each target's hidden full-schema ground truth".to_string());
     report

@@ -106,8 +106,14 @@ pub fn run_query(scale: &Scale, query_idx: usize) -> Report {
         let cars_source = cars.web_source("cars.com");
         let comps_source = comps.web_source("complaints");
         let ans = answer_join(
-            &JoinSide { source: &cars_source, stats: &cars.stats },
-            &JoinSide { source: &comps_source, stats: &comps.stats },
+            &JoinSide {
+                source: &cars_source,
+                stats: &cars.stats,
+            },
+            &JoinSide {
+                source: &comps_source,
+                stats: &comps.stats,
+            },
             &JoinConfig { alpha, k_pairs: 10 },
             &jq,
         )
@@ -126,7 +132,10 @@ pub fn run_query(scale: &Scale, query_idx: usize) -> Report {
             pts.iter().map(|p| (p.recall, p.precision)),
         ));
     }
-    report.note(format!("{} true possible joined pairs in the oracle", truth.len()));
+    report.note(format!(
+        "{} true possible joined pairs in the oracle",
+        truth.len()
+    ));
     report
 }
 

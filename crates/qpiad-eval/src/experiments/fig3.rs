@@ -42,7 +42,13 @@ pub fn run(scale: &Scale) -> Report {
         "recall",
         "precision",
     );
-    report.push_series(pr_series("QPIAD", &world, &query, &possible_tuples(&answers), 40));
+    report.push_series(pr_series(
+        "QPIAD",
+        &world,
+        &query,
+        &possible_tuples(&answers),
+        40,
+    ));
     report.push_series(pr_series("AllReturned", &world, &query, &returned_refs, 40));
     report.note(format!(
         "QPIAD retrieved {} possible answers with {} rewritten queries; AllReturned transferred {} tuples",
@@ -69,6 +75,10 @@ mod tests {
         let (aq, ab) = (avg(qpiad), avg(base));
         assert!(aq > ab + 0.2, "QPIAD {aq} vs AllReturned {ab}");
         // QPIAD's early answers are nearly all relevant.
-        assert!(qpiad.points[0].y > 0.7, "early precision {}", qpiad.points[0].y);
+        assert!(
+            qpiad.points[0].y > 0.7,
+            "early precision {}",
+            qpiad.points[0].y
+        );
     }
 }

@@ -34,7 +34,13 @@ pub fn run(scale: &Scale) -> Report {
         "recall",
         "precision",
     );
-    report.push_series(pr_series("QPIAD", &world, &query, &possible_tuples(&answers), 40));
+    report.push_series(pr_series(
+        "QPIAD",
+        &world,
+        &query,
+        &possible_tuples(&answers),
+        40,
+    ));
     report.push_series(pr_series("AllReturned", &world, &query, &returned_refs, 40));
     report.note(format!(
         "QPIAD: {} possible answers via {} queries; AllReturned: {} tuples",

@@ -130,7 +130,10 @@ mod tests {
     use super::*;
 
     fn scale() -> Scale {
-        Scale { cars_rows: 12_000, ..Scale::quick() }
+        Scale {
+            cars_rows: 12_000,
+            ..Scale::quick()
+        }
     }
 
     fn max_recall(report: &Report, name: &str) -> f64 {

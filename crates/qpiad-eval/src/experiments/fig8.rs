@@ -56,7 +56,10 @@ pub fn run(scale: &Scale) -> Report {
     for i in 0..answers.issued.len() {
         cumulative_tuples += per_query_transfer[i];
         cumulative_hits += hits_per_query[i];
-        trajectory.push((cumulative_hits as f64 / total_relevant as f64, cumulative_tuples));
+        trajectory.push((
+            cumulative_hits as f64 / total_relevant as f64,
+            cumulative_tuples,
+        ));
     }
 
     // AllRanked: must fetch every null-body tuple, whatever the recall.
@@ -116,11 +119,7 @@ mod tests {
         }
         // At moderate recall QPIAD should be a small fraction of the cost.
         if let Some(p) = qpiad.points.iter().find(|p| (p.x - 0.3).abs() < 1e-9) {
-            assert!(
-                p.y < all_cost,
-                "recall 0.3 cost {} vs {all_cost}",
-                p.y
-            );
+            assert!(p.y < all_cost, "recall 0.3 cost {} vs {all_cost}", p.y);
         }
     }
 }

@@ -76,8 +76,7 @@ pub fn run(scale: &Scale) -> Report {
     for threshold in THRESHOLDS {
         let mut precisions = Vec::new();
         for answers in &per_query {
-            let kept: Vec<&(f64, bool)> =
-                answers.iter().filter(|(c, _)| *c >= threshold).collect();
+            let kept: Vec<&(f64, bool)> = answers.iter().filter(|(c, _)| *c >= threshold).collect();
             if kept.is_empty() {
                 continue;
             }
@@ -97,7 +96,10 @@ pub fn run(scale: &Scale) -> Report {
         "avg precision",
     );
     report.push_series(Series::new("QPIAD", points));
-    report.note(format!("{} queries contributed possible answers", per_query.len()));
+    report.note(format!(
+        "{} queries contributed possible answers",
+        per_query.len()
+    ));
     report
 }
 

@@ -33,11 +33,26 @@ struct SourceSpec {
 
 const SOURCES: [SourceSpec; 3] = [
     // AutoTrader: 33.67% incomplete, Body 3.6%, Engine 8.1%.
-    SourceSpec { name: "autotrader-like", body: 0.036, engine: 0.081, other: 0.055 },
+    SourceSpec {
+        name: "autotrader-like",
+        body: 0.036,
+        engine: 0.081,
+        other: 0.055,
+    },
     // CarsDirect: 98.74% incomplete, Body 55.7%, Engine 55.8%.
-    SourceSpec { name: "carsdirect-like", body: 0.557, engine: 0.558, other: 0.45 },
+    SourceSpec {
+        name: "carsdirect-like",
+        body: 0.557,
+        engine: 0.558,
+        other: 0.45,
+    },
     // Google Base: 100% incomplete, Body 83.36%, Engine 91.98%.
-    SourceSpec { name: "googlebase-like", body: 0.8336, engine: 0.9198, other: 0.65 },
+    SourceSpec {
+        name: "googlebase-like",
+        body: 0.8336,
+        engine: 0.9198,
+        other: 0.65,
+    },
 ];
 
 /// Runs the experiment.
@@ -98,9 +113,7 @@ mod tests {
     fn calibration_matches_paper_targets() {
         let report = run(&Scale::quick());
         assert_eq!(report.series.len(), 3);
-        let get = |name: &str, idx: usize| {
-            report.series_named(name).unwrap().points[idx].y
-        };
+        let get = |name: &str, idx: usize| report.series_named(name).unwrap().points[idx].y;
         // AutoTrader-like: roughly a third incomplete, body ≈ 3.6%.
         assert!((get("autotrader-like", 0) - 0.3367).abs() < 0.05);
         assert!((get("autotrader-like", 1) - 0.036).abs() < 0.02);

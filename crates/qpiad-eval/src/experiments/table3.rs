@@ -29,7 +29,10 @@ pub fn strategies() -> Vec<(&'static str, FeatureStrategy)> {
     vec![
         ("Best AFD", FeatureStrategy::BestAfd),
         ("All Attributes", FeatureStrategy::AllAttributes),
-        ("Hybrid One-AFD", FeatureStrategy::HybridOneAfd { min_conf: 0.5 }),
+        (
+            "Hybrid One-AFD",
+            FeatureStrategy::HybridOneAfd { min_conf: 0.5 },
+        ),
         ("Ensemble", FeatureStrategy::Ensemble),
     ]
 }
@@ -48,8 +51,11 @@ pub fn run(scale: &Scale) -> Report {
     let cars = CarsConfig::default()
         .with_rows(scale.cars_rows)
         .generate(scale.seed.wrapping_add(200));
-    let census = CensusConfig { rows: scale.census_rows, ..Default::default() }
-        .generate(scale.seed.wrapping_add(201));
+    let census = CensusConfig {
+        rows: scale.census_rows,
+        ..Default::default()
+    }
+    .generate(scale.seed.wrapping_add(201));
 
     for (name, strategy) in strategies() {
         let acc_cars = average_accuracy(&cars, strategy, scale);
@@ -69,13 +75,19 @@ pub fn run(scale: &Scale) -> Report {
     // Decision-tree comparator (interaction-capturing but sample-hungry).
     report.push_series(Series::new(
         "Decision tree",
-        vec![(0.0, tree_accuracy(&cars, scale)), (1.0, tree_accuracy(&census, scale))],
+        vec![
+            (0.0, tree_accuracy(&cars, scale)),
+            (1.0, tree_accuracy(&census, scale)),
+        ],
     ));
 
     // TAN — the restricted Bayes network (§6.5's WEKA comparison stand-in).
     report.push_series(Series::new(
         "TAN Bayes net",
-        vec![(0.0, tan_accuracy(&cars, scale)), (1.0, tan_accuracy(&census, scale))],
+        vec![
+            (0.0, tan_accuracy(&cars, scale)),
+            (1.0, tan_accuracy(&census, scale)),
+        ],
     ));
     report
 }

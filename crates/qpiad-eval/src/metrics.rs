@@ -113,9 +113,23 @@ mod tests {
     fn pr_curve_hand_checked() {
         let curve = pr_curve(&L, 4);
         assert_eq!(curve.len(), 6);
-        assert_eq!(curve[0], PrPoint { k: 1, precision: 1.0, recall: 0.25 });
+        assert_eq!(
+            curve[0],
+            PrPoint {
+                k: 1,
+                precision: 1.0,
+                recall: 0.25
+            }
+        );
         assert_eq!(curve[2].precision, 2.0 / 3.0);
-        assert_eq!(curve[3], PrPoint { k: 4, precision: 0.75, recall: 0.75 });
+        assert_eq!(
+            curve[3],
+            PrPoint {
+                k: 4,
+                precision: 0.75,
+                recall: 0.75
+            }
+        );
         assert_eq!(curve[5].recall, 0.75);
     }
 

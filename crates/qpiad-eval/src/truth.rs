@@ -72,10 +72,7 @@ mod tests {
     fn relevant_possible_matches_provenance() {
         let ground = CarsConfig::default().with_rows(5_000).generate(91);
         let body = ground.schema().expect_attr("body_style");
-        let (ed, prov) = corrupt(
-            &ground,
-            &CorruptionConfig::default().with_attrs(vec![body]),
-        );
+        let (ed, prov) = corrupt(&ground, &CorruptionConfig::default().with_attrs(vec![body]));
         let oracle = Oracle::new(&ground, &ed);
         let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
         let relevant = oracle.relevant_possible(&q);

@@ -23,7 +23,11 @@ impl Afd {
     pub fn new(mut lhs: Vec<AttrId>, rhs: AttrId, confidence: f64) -> Self {
         lhs.sort_unstable();
         debug_assert!(!lhs.contains(&rhs), "rhs may not appear in lhs");
-        Afd { lhs, rhs, confidence }
+        Afd {
+            lhs,
+            rhs,
+            confidence,
+        }
     }
 
     /// Renders the AFD against a schema, e.g. `{Model} ⇝ Body Style (0.88)`.
@@ -211,6 +215,9 @@ mod tests {
             schema.expect_attr("body_style"),
             0.883,
         );
-        assert_eq!(afd.display(&schema).to_string(), "{model} ⇝ body_style (0.883)");
+        assert_eq!(
+            afd.display(&schema).to_string(),
+            "{model} ⇝ body_style (0.883)"
+        );
     }
 }

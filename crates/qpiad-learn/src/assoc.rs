@@ -105,7 +105,10 @@ mod tests {
     fn sample() -> Relation {
         let schema = Schema::of(
             "cars",
-            &[("model", AttrType::Categorical), ("body", AttrType::Categorical)],
+            &[
+                ("model", AttrType::Categorical),
+                ("body", AttrType::Categorical),
+            ],
         );
         let rows = [
             ("Z4", "Convt"),
@@ -118,9 +121,7 @@ mod tests {
         let tuples = rows
             .iter()
             .enumerate()
-            .map(|(i, (m, b))| {
-                Tuple::new(TupleId(i as u32), vec![Value::str(m), Value::str(b)])
-            })
+            .map(|(i, (m, b))| Tuple::new(TupleId(i as u32), vec![Value::str(m), Value::str(b)]))
             .collect();
         Relation::new(schema, tuples)
     }

@@ -231,13 +231,23 @@ mod tests {
             Afd::new(vec![AttrId(1)], AttrId(2), 0.4),
         ]);
         let p = ValuePredictor::train(&sample(), &afds, FeatureStrategy::Ensemble, 1.0);
-        assert!(p.features(AttrId(2)).is_none(), "ensemble has no single feature set");
+        assert!(
+            p.features(AttrId(2)).is_none(),
+            "ensemble has no single feature set"
+        );
         let cache = PredictionCache::new();
         // Color differs, so the conservative full-tuple key must not alias.
         let red = cache.distribution(&p, AttrId(2), &probe(1, "Z4", "Red"));
         let blue = cache.distribution(&p, AttrId(2), &probe(2, "Z4", "Blue"));
         assert_eq!(cache.misses(), 2);
-        assert_eq!(red.as_ref(), p.distribution(AttrId(2), &probe(1, "Z4", "Red")).as_slice());
-        assert_eq!(blue.as_ref(), p.distribution(AttrId(2), &probe(2, "Z4", "Blue")).as_slice());
+        assert_eq!(
+            red.as_ref(),
+            p.distribution(AttrId(2), &probe(1, "Z4", "Red")).as_slice()
+        );
+        assert_eq!(
+            blue.as_ref(),
+            p.distribution(AttrId(2), &probe(2, "Z4", "Blue"))
+                .as_slice()
+        );
     }
 }

@@ -61,7 +61,10 @@ impl PartialEq for ValueIds {
 impl ValueIds {
     /// The space of `sample`'s dictionary, with no novel value yet.
     pub(crate) fn over(sample: Arc<ColumnarRelation>) -> Self {
-        ValueIds { sample, novel: Dictionary::new() }
+        ValueIds {
+            sample,
+            novel: Dictionary::new(),
+        }
     }
 
     /// The sample whose dictionary this space extends.
@@ -85,10 +88,11 @@ impl ValueIds {
 
     /// `v`'s id, if the space holds it.
     pub(crate) fn lookup(&self, v: &Value) -> Option<ValueId> {
-        self.sample
-            .dict()
-            .lookup(v)
-            .or_else(|| self.novel.lookup(v).map(|id| ValueId(self.base() - 1 + id.0)))
+        self.sample.dict().lookup(v).or_else(|| {
+            self.novel
+                .lookup(v)
+                .map(|id| ValueId(self.base() - 1 + id.0))
+        })
     }
 
     /// The value `id` names in this space.
@@ -111,7 +115,13 @@ impl ValueIds {
     pub(crate) fn adopt(&mut self, src: &ValueIds) -> impl Fn(ValueId) -> ValueId {
         let base = self.base();
         let novel: Vec<ValueId> = src.novel.values()[1..].iter().map(|v| self.id(v)).collect();
-        move |id| if id.0 < base { id } else { novel[(id.0 - base) as usize] }
+        move |id| {
+            if id.0 < base {
+                id
+            } else {
+                novel[(id.0 - base) as usize]
+            }
+        }
     }
 }
 
@@ -239,7 +249,9 @@ pub(crate) struct GroupCounts<G: Eq + Hash> {
 
 impl<G: Eq + Hash> Default for GroupCounts<G> {
     fn default() -> Self {
-        GroupCounts { groups: FastHashMap::default() }
+        GroupCounts {
+            groups: FastHashMap::default(),
+        }
     }
 }
 
@@ -277,7 +289,10 @@ impl<G: Eq + Hash> GroupCounts<G> {
         rename: impl Fn(ValueId) -> ValueId + Copy,
     ) {
         for (key, counts) in src.groups {
-            self.groups.entry(rename_key(key)).or_default().merge_mapped(counts, rename);
+            self.groups
+                .entry(rename_key(key))
+                .or_default()
+                .merge_mapped(counts, rename);
         }
     }
 
@@ -428,7 +443,9 @@ mod tests {
 
     /// Each group's `(rows, non-null rows, majority)`, sorted.
     fn totals<'a>(groups: impl Iterator<Item = &'a ValueCounts>) -> Vec<(u64, u64, u64)> {
-        let mut totals: Vec<_> = groups.map(|g| (g.rows(), g.non_null(), g.majority())).collect();
+        let mut totals: Vec<_> = groups
+            .map(|g| (g.rows(), g.non_null(), g.majority()))
+            .collect();
         totals.sort_unstable();
         totals
     }
@@ -489,7 +506,10 @@ mod tests {
         };
         let one = table(&[(1, true), (1, true)]);
         assert!(one.by_value.is_empty());
-        assert_eq!((one.non_null(), one.majority(), one.get(ValueId(1))), (2, 2, 2));
+        assert_eq!(
+            (one.non_null(), one.majority(), one.get(ValueId(1))),
+            (2, 2, 2)
+        );
         // Spilled into the table and back: the same state, inline again.
         let back = table(&[(1, true), (2, true), (1, true), (2, false)]);
         assert_eq!(back, one);
@@ -500,11 +520,17 @@ mod tests {
         assert_eq!(merged, one);
         merged.merge(table(&[(3, true)]));
         assert_eq!(merged, table(&[(3, true), (1, true), (1, true)]));
-        assert_eq!((merged.rows(), merged.majority(), merged.get(ValueId(3))), (3, 2, 1));
+        assert_eq!(
+            (merged.rows(), merged.majority(), merged.get(ValueId(3))),
+            (3, 2, 1)
+        );
         // Emptied entirely, nulls aside.
         let mut emptied = table(&[(1, true), (1, false)]);
         emptied.add(ValueId::NULL);
-        assert_eq!((emptied.rows(), emptied.non_null(), emptied.iter().count()), (1, 0, 0));
+        assert_eq!(
+            (emptied.rows(), emptied.non_null(), emptied.iter().count()),
+            (1, 0, 0)
+        );
         assert_eq!(emptied.only, None);
     }
 
@@ -522,7 +548,10 @@ mod tests {
     fn id_groups_uncount_what_they_counted() {
         // An inline and a wide set; rows with a null on the set join no
         // group, so removing them is a no-op too.
-        for attrs in [&[AttrId(0), AttrId(1)][..], &[AttrId(0), AttrId(1), AttrId(2), AttrId(3)]] {
+        for attrs in [
+            &[AttrId(0), AttrId(1)][..],
+            &[AttrId(0), AttrId(1), AttrId(2), AttrId(3)],
+        ] {
             let mut all = IdGroupCounts::over(attrs);
             let mut front = IdGroupCounts::over(attrs);
             for (i, (ids, target)) in ROWS.into_iter().enumerate() {
@@ -549,7 +578,10 @@ mod tests {
             _ => id,
         };
         // An inline and a wide set.
-        for attrs in [&[AttrId(0), AttrId(2)][..], &[AttrId(0), AttrId(1), AttrId(2), AttrId(3)]] {
+        for attrs in [
+            &[AttrId(0), AttrId(2)][..],
+            &[AttrId(0), AttrId(1), AttrId(2), AttrId(3)],
+        ] {
             let mut src = IdGroupCounts::over(attrs);
             for (ids, target) in ROWS {
                 src.add(attrs, &row(ids), ValueId(target));
@@ -591,17 +623,26 @@ mod tests {
 
     #[test]
     fn value_ids_extend_the_sample_dictionary() {
-        let sample = [Tuple::new(qpiad_db::TupleId(0), vec![Value::str("a"), Value::int(1)])];
+        let sample = [Tuple::new(
+            qpiad_db::TupleId(0),
+            vec![Value::str("a"), Value::int(1)],
+        )];
         let sample = Arc::new(ColumnarRelation::build(2, &sample));
         let mut ids = ValueIds::over(Arc::clone(&sample));
         // Sample values keep their dictionary ids; novel ones number on
         // from its end, in first-sight order, and resolve back.
-        assert_eq!(ids.id(&Value::str("a")), sample.dict().lookup(&Value::str("a")).unwrap());
+        assert_eq!(
+            ids.id(&Value::str("a")),
+            sample.dict().lookup(&Value::str("a")).unwrap()
+        );
         assert_eq!(ids.id(&Value::Null), ValueId::NULL);
         let (b, c) = (ids.id(&Value::str("b")), ids.id(&Value::int(2)));
         assert_eq!((b.0, c.0), (3, 4));
         assert_eq!(ids.id(&Value::str("b")), b);
-        assert_eq!((ids.value(b), ids.value(c)), (&Value::str("b"), &Value::int(2)));
+        assert_eq!(
+            (ids.value(b), ids.value(c)),
+            (&Value::str("b"), &Value::int(2))
+        );
         assert_eq!(ids.value(ValueId(1)), &Value::str("a"));
         assert_eq!(ids.lookup(&Value::int(2)), Some(c));
         assert_eq!(ids.lookup(&Value::int(3)), None);
@@ -620,6 +661,9 @@ mod tests {
         let mut other = ValueIds::over(Arc::clone(&sample));
         let (o9, ob) = (other.id(&Value::int(9)), other.id(&Value::str("b")));
         let rename = next.adopt(&other);
-        assert_eq!((rename(o9), rename(ob), rename(ValueId(1))), (ValueId(5), b, ValueId(1)));
+        assert_eq!(
+            (rename(o9), rename(ob), rename(ValueId(1))),
+            (ValueId(5), b, ValueId(1))
+        );
     }
 }

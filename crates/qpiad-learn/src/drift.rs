@@ -122,7 +122,10 @@ impl DriftConfig {
 
     /// Overrides the demotion factor.
     pub fn with_demote_factor(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0, "demote_factor must lie in (0, 1]");
+        assert!(
+            factor > 0.0 && factor <= 1.0,
+            "demote_factor must lie in (0, 1]"
+        );
         self.demote_factor = factor;
         self
     }
@@ -301,8 +304,10 @@ impl DriftProbe {
     /// Tuples whose arity disagrees with the mined schema are skipped
     /// (validation already quarantines them; this is belt and braces).
     pub fn observe(&mut self, reference: &[Tuple], live: &[Tuple]) {
-        self.reference.add_rows(&self.tracked, &mut self.ids, &mut self.row, reference);
-        self.live.add_rows(&self.tracked, &mut self.ids, &mut self.row, live);
+        self.reference
+            .add_rows(&self.tracked, &mut self.ids, &mut self.row, reference);
+        self.live
+            .add_rows(&self.tracked, &mut self.ids, &mut self.row, live);
         let arity = self.live.values.len();
         for t in live {
             if self.live_rows.len() >= self.row_capacity {
@@ -387,7 +392,12 @@ impl DriftDetector {
     /// Builds a detector against a source's mined statistics.
     pub fn new(source: impl Into<String>, stats: &SourceStats, config: DriftConfig) -> Self {
         let accumulated = DriftProbe::accumulator(stats);
-        DriftDetector { source: source.into(), config, accumulated, verdict: None }
+        DriftDetector {
+            source: source.into(),
+            config,
+            accumulated,
+            verdict: None,
+        }
     }
 
     /// An empty pass-local probe shaped like this detector's statistics.
@@ -469,7 +479,11 @@ impl DriftDetector {
 
     /// The knowledge weight: `demote_factor` once drifted, `1.0` before.
     pub fn weight(&self) -> f64 {
-        if self.is_drifted() { self.config.demote_factor } else { 1.0 }
+        if self.is_drifted() {
+            self.config.demote_factor
+        } else {
+            1.0
+        }
     }
 
     /// Live tuples absorbed so far.
@@ -529,12 +543,16 @@ impl DriftRegistry {
     pub fn register(&self, source: &str, stats: &SourceStats) {
         {
             let mut inner = self.inner.lock();
-            inner.insert(source.to_string(), DriftDetector::new(source, stats, self.config));
+            inner.insert(
+                source.to_string(),
+                DriftDetector::new(source, stats, self.config),
+            );
             self.versions.bump(source);
         }
-        self.streams
-            .lock()
-            .insert(source.to_string(), SampleStream::new(self.config.stream_capacity));
+        self.streams.lock().insert(
+            source.to_string(),
+            SampleStream::new(self.config.stream_capacity),
+        );
     }
 
     /// An empty pass-local probe for a registered source, stamped with the
@@ -591,17 +609,26 @@ impl DriftRegistry {
 
     /// Whether the source's verdict has fired.
     pub fn is_drifted(&self, source: &str) -> bool {
-        self.inner.lock().get(source).is_some_and(DriftDetector::is_drifted)
+        self.inner
+            .lock()
+            .get(source)
+            .is_some_and(DriftDetector::is_drifted)
     }
 
     /// The source's knowledge weight (1.0 for unregistered sources).
     pub fn weight(&self, source: &str) -> f64 {
-        self.inner.lock().get(source).map_or(1.0, DriftDetector::weight)
+        self.inner
+            .lock()
+            .get(source)
+            .map_or(1.0, DriftDetector::weight)
     }
 
     /// The source's sticky verdict, if fired.
     pub fn verdict(&self, source: &str) -> Option<DriftVerdict> {
-        self.inner.lock().get(source).and_then(|d| d.verdict().cloned())
+        self.inner
+            .lock()
+            .get(source)
+            .and_then(|d| d.verdict().cloned())
     }
 
     /// The source's current statistic, if registered.
@@ -611,7 +638,10 @@ impl DriftRegistry {
 
     /// Live tuples absorbed for the source so far.
     pub fn observed_rows(&self, source: &str) -> u64 {
-        self.inner.lock().get(source).map_or(0, DriftDetector::observed_rows)
+        self.inner
+            .lock()
+            .get(source)
+            .map_or(0, DriftDetector::observed_rows)
     }
 
     /// Sources whose verdict has fired and that await re-mining, in
@@ -681,7 +711,10 @@ impl DriftRegistry {
 
     /// Rows currently queued for a source (0 if unregistered).
     pub fn stream_pending(&self, source: &str) -> usize {
-        self.streams.lock().get(source).map_or(0, SampleStream::pending)
+        self.streams
+            .lock()
+            .get(source)
+            .map_or(0, SampleStream::pending)
     }
 
     /// Aggregate sample-stream counters across all registered sources.
@@ -734,9 +767,14 @@ mod tests {
         config.tane.minimality_epsilon = 0.0;
         config.tane.near_key_conf = f64::INFINITY;
         let world = mined_with(7, &config);
-        let tracked = DriftDetector::new("s", &world.1, DriftConfig::default()).accumulated.tracked;
+        let tracked = DriftDetector::new("s", &world.1, DriftConfig::default())
+            .accumulated
+            .tracked;
         assert!(
-            tracked.iter().flatten().any(|lhs| lhs.len() > crate::counts::INLINE_LHS),
+            tracked
+                .iter()
+                .flatten()
+                .any(|lhs| lhs.len() > crate::counts::INLINE_LHS),
             "the wide world must track a set wider than the inline keys: {tracked:?}"
         );
         world
@@ -786,9 +824,9 @@ mod tests {
                         if rhs.is_null() || lhs.iter().any(|a| t.values()[a.index()].is_null()) {
                             continue;
                         }
-                        let key: Vec<Value> = lhs.iter().map(|a| t.values()[a.index()].clone()).collect();
-                        *self
-                            .afd_counts[i]
+                        let key: Vec<Value> =
+                            lhs.iter().map(|a| t.values()[a.index()].clone()).collect();
+                        *self.afd_counts[i]
                             .entry(key)
                             .or_default()
                             .entry(rhs.clone())
@@ -822,7 +860,10 @@ mod tests {
                 if total == 0 {
                     return None;
                 }
-                let agree: u64 = groups.values().map(|m| m.values().copied().max().unwrap_or(0)).sum();
+                let agree: u64 = groups
+                    .values()
+                    .map(|m| m.values().copied().max().unwrap_or(0))
+                    .sum();
                 Some(agree as f64 / total as f64)
             }
         }
@@ -875,7 +916,11 @@ mod tests {
                 };
                 afd_divergence = (ref_conf - live_conf).abs().max(afd_divergence);
             }
-            (value_divergence, afd_divergence, value_divergence.max(afd_divergence))
+            (
+                value_divergence,
+                afd_divergence,
+                value_divergence.max(afd_divergence),
+            )
         }
     }
 
@@ -943,7 +988,10 @@ mod tests {
             probe_ref.merge_into(&mut naive_ref);
             probe_live.merge_into(&mut naive_live);
         }
-        (detector.statistic(), naive::statistic(&tracked, &naive_ref, &naive_live))
+        (
+            detector.statistic(),
+            naive::statistic(&tracked, &naive_ref, &naive_live),
+        )
     }
 
     fn assert_bit_equal(got: DriftStatistic, (value, afd, stat): (f64, f64, f64)) {
@@ -1027,7 +1075,10 @@ mod tests {
                 .collect()
         };
         let (forward, backward) = (relabel([0, 1, 2]), relabel([2, 1, 0]));
-        let probes = vec![vec![(&rows[..], &forward[..])], vec![(&rows[..], &backward[..])]];
+        let probes = vec![
+            vec![(&rows[..], &forward[..])],
+            vec![(&rows[..], &backward[..])],
+        ];
         let (got, naive) = against_naive(&stats, &probes);
         assert!(got.value_divergence > 0.0);
         assert_bit_equal(got, naive);
@@ -1039,15 +1090,23 @@ mod tests {
         // values: the wide groups now disagree, and the novel ids land in
         // wide keys and targets alike, first seen by the second probe.
         let (ed, stats) = mined_wide();
-        let tracked = DriftDetector::new("s", &stats, DriftConfig::default()).accumulated.tracked;
+        let tracked = DriftDetector::new("s", &stats, DriftConfig::default())
+            .accumulated
+            .tracked;
         let target = tracked
             .iter()
-            .position(|lhs| lhs.as_ref().is_some_and(|lhs| lhs.len() > crate::counts::INLINE_LHS))
+            .position(|lhs| {
+                lhs.as_ref()
+                    .is_some_and(|lhs| lhs.len() > crate::counts::INLINE_LHS)
+            })
             .map(AttrId)
             .expect("a wide set");
         let rows = &ed.tuples()[..400];
-        let changed: Vec<Tuple> =
-            rows.iter().enumerate().map(|(i, t)| t.with_value(target, novel_value(i))).collect();
+        let changed: Vec<Tuple> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, t)| t.with_value(target, novel_value(i)))
+            .collect();
         let probes = vec![vec![(rows, rows)], vec![(rows, &changed[..])]];
         let (got, naive) = against_naive(&stats, &probes);
         assert!(got.afd_divergence > 0.0);
@@ -1079,7 +1138,9 @@ mod tests {
         let mut detector = DriftDetector::new(
             "cars.com",
             &stats,
-            DriftConfig::default().with_threshold(0.3).with_min_observations(10),
+            DriftConfig::default()
+                .with_threshold(0.3)
+                .with_min_observations(10),
         );
         // Live responses where every make collapsed to one value the
         // reference never saw: large TV distance on `make`, broken
@@ -1142,7 +1203,9 @@ mod tests {
         let mut detector = DriftDetector::new(
             "cars.com",
             &stats,
-            DriftConfig::default().with_threshold(0.2).with_min_observations(5),
+            DriftConfig::default()
+                .with_threshold(0.2)
+                .with_min_observations(5),
         );
         let reference: Vec<_> = ed.tuples().iter().take(100).cloned().collect();
         let skewed: Vec<_> = reference
@@ -1163,11 +1226,15 @@ mod tests {
     fn a_probe_over_another_sample_adds_no_counts() {
         let (ed, stats) = mined();
         let make = ed.schema().expect_attr("make");
-        let config = DriftConfig::default().with_threshold(0.2).with_min_observations(5);
+        let config = DriftConfig::default()
+            .with_threshold(0.2)
+            .with_min_observations(5);
         let mut detector = DriftDetector::new("cars.com", &stats, config);
         let reference: Vec<_> = ed.tuples().iter().take(100).cloned().collect();
-        let skewed: Vec<_> =
-            reference.iter().map(|t| t.with_value(make, Value::str("Monopoly"))).collect();
+        let skewed: Vec<_> = reference
+            .iter()
+            .map(|t| t.with_value(make, Value::str("Monopoly")))
+            .collect();
 
         // Taken, then outlived by a reset to knowledge mined from another
         // sample: its ids index the old sample's dictionary.
@@ -1189,7 +1256,10 @@ mod tests {
         // So does a probe from the detector itself.
         let mut fresh = detector.probe();
         fresh.observe(&reference, &skewed);
-        assert!(detector.absorb(fresh).is_none(), "the verdict already fired");
+        assert!(
+            detector.absorb(fresh).is_none(),
+            "the verdict already fired"
+        );
         assert_eq!(detector.observed_rows(), 200);
     }
 
@@ -1198,7 +1268,9 @@ mod tests {
         let (ed, stats) = mined();
         let make = ed.schema().expect_attr("make");
         let registry = DriftRegistry::new(
-            DriftConfig::default().with_threshold(0.2).with_min_observations(5),
+            DriftConfig::default()
+                .with_threshold(0.2)
+                .with_min_observations(5),
         );
         registry.register("zeta", &stats);
         registry.register("alpha", &stats);
@@ -1215,7 +1287,10 @@ mod tests {
             probe.observe(&reference, &skewed);
             assert!(registry.absorb(name, probe).is_some());
         }
-        assert_eq!(registry.pending_refresh(), vec!["alpha".to_string(), "zeta".to_string()]);
+        assert_eq!(
+            registry.pending_refresh(),
+            vec!["alpha".to_string(), "zeta".to_string()]
+        );
 
         registry.note_refreshed("alpha", &stats);
         assert_eq!(registry.pending_refresh(), vec!["zeta".to_string()]);
@@ -1228,7 +1303,9 @@ mod tests {
         let (ed, stats) = mined();
         let make = ed.schema().expect_attr("make");
         let registry = DriftRegistry::new(
-            DriftConfig::default().with_threshold(0.2).with_min_observations(5),
+            DriftConfig::default()
+                .with_threshold(0.2)
+                .with_min_observations(5),
         );
         registry.register("s", &stats);
 
@@ -1295,8 +1372,7 @@ mod tests {
     #[test]
     fn stream_capacity_bounds_queued_rows() {
         let (ed, stats) = mined();
-        let registry =
-            DriftRegistry::new(DriftConfig::default().with_stream_capacity(10));
+        let registry = DriftRegistry::new(DriftConfig::default().with_stream_capacity(10));
         registry.register("s", &stats);
         let live: Vec<_> = ed.tuples().iter().take(25).cloned().collect();
         let mut probe = registry.probe("s").unwrap();

@@ -96,7 +96,10 @@ impl MemberKnowledge {
 
     /// Knowledge restored from a durable snapshot (stale until re-mined).
     pub fn restored(stats: SourceStats) -> Self {
-        MemberKnowledge { stale: true, ..MemberKnowledge::mined(stats) }
+        MemberKnowledge {
+            stale: true,
+            ..MemberKnowledge::mined(stats)
+        }
     }
 
     /// A contained load failure: the member serves certain answers only.
@@ -139,7 +142,9 @@ pub struct KnowledgeCell {
 impl KnowledgeCell {
     /// Seeds the cell with a member's registration-time knowledge.
     pub fn new(initial: MemberKnowledge) -> Self {
-        KnowledgeCell { current: RwLock::new(Arc::new(initial)) }
+        KnowledgeCell {
+            current: RwLock::new(Arc::new(initial)),
+        }
     }
 
     /// Pins the current generation. The returned `Arc` stays valid (and

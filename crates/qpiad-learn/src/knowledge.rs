@@ -169,7 +169,12 @@ impl SourceStats {
         );
         let afds = AfdSet::new(pruned);
         let predictor = ValuePredictor::train(sample, &afds, config.strategy, config.m_estimate);
-        let fold = FoldState::build(sample, &afds, &tane_result.akeys, &predictor.single_features());
+        let fold = FoldState::build(
+            sample,
+            &afds,
+            &tane_result.akeys,
+            &predictor.single_features(),
+        );
         SourceStats {
             inner: Arc::new(StatsInner {
                 schema: sample.schema().clone(),
@@ -296,7 +301,10 @@ impl SourceStats {
                         }
                         None => {
                             let nbc = NaiveBayes::train(&merged, *target, features.clone(), m);
-                            (AttrPredictor::Single { nbc, afd }, CountAction::Reseed(features))
+                            (
+                                AttrPredictor::Single { nbc, afd },
+                                CountAction::Reseed(features),
+                            )
                         }
                     }
                 }

@@ -68,9 +68,9 @@ pub use cache::PredictionCache;
 pub use drift::{DriftConfig, DriftDetector, DriftProbe, DriftRegistry, DriftVerdict};
 pub use epoch::{KnowledgeCell, MemberKnowledge, RefreshKind};
 pub use knowledge::{FoldOutcome, MiningConfig, RefreshError, SourceStats};
+pub use nbc::{NaiveBayes, RowScorer};
 pub use persist::{PersistError, StatsSnapshot};
 pub use qpiad_db::par;
-pub use nbc::{NaiveBayes, RowScorer};
 pub use selectivity::SelectivityEstimator;
 pub use store::{KnowledgeStore, PersistFault};
 pub use strategy::{FeatureStrategy, RowMatcher, ValuePredictor};

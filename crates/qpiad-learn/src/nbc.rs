@@ -84,8 +84,11 @@ impl NaiveBayes {
             }
         }
         let k = classes.len();
-        let class_index: FastHashMap<Value, usize> =
-            classes.iter().enumerate().map(|(i, v)| (v.clone(), i)).collect();
+        let class_index: FastHashMap<Value, usize> = classes
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.clone(), i))
+            .collect();
 
         let mut class_counts = vec![0f64; k];
         let mut total = 0f64;
@@ -200,8 +203,11 @@ impl NaiveBayes {
         assert_eq!(features.len(), cond.len());
 
         let k = classes.len();
-        let class_index: FastHashMap<Value, usize> =
-            classes.iter().enumerate().map(|(i, v)| (v.clone(), i)).collect();
+        let class_index: FastHashMap<Value, usize> = classes
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.clone(), i))
+            .collect();
         let total: f64 = class_counts.iter().sum();
         let domain_size: Vec<usize> = cond.iter().map(|rows| rows.len().max(1)).collect();
 
@@ -265,8 +271,7 @@ impl NaiveBayes {
     /// null features are skipped. The result sums to 1 (uniform when the
     /// classifier saw no training data).
     pub fn distribution(&self, tuple: &Tuple) -> Vec<(Value, f64)> {
-        let feature_values: Vec<&Value> =
-            self.features.iter().map(|f| tuple.value(*f)).collect();
+        let feature_values: Vec<&Value> = self.features.iter().map(|f| tuple.value(*f)).collect();
         self.distribution_of(&feature_values)
     }
 
@@ -326,8 +331,7 @@ impl NaiveBayes {
     /// Probability that the (missing) target value satisfies the given
     /// predicate operator: `Σ_{v ⊨ op} P(Am = v | tuple)`.
     pub fn prob_matching(&self, tuple: &Tuple, op: &PredOp) -> f64 {
-        let feature_values: Vec<&Value> =
-            self.features.iter().map(|f| tuple.value(*f)).collect();
+        let feature_values: Vec<&Value> = self.features.iter().map(|f| tuple.value(*f)).collect();
         self.posterior_of(&feature_values)
             .into_iter()
             .zip(self.classes.iter())
@@ -341,8 +345,7 @@ impl NaiveBayes {
     /// the rewrite generator scores hundreds of determining-set
     /// combinations per plan through this path.
     pub fn prob_matching_row(&self, row: &[Value], op: &PredOp) -> f64 {
-        let feature_values: Vec<&Value> =
-            self.features.iter().map(|f| &row[f.index()]).collect();
+        let feature_values: Vec<&Value> = self.features.iter().map(|f| &row[f.index()]).collect();
         self.posterior_of(&feature_values)
             .into_iter()
             .zip(self.classes.iter())
@@ -364,7 +367,11 @@ impl NaiveBayes {
             .enumerate()
             .map(|(fi, f)| self.table_for(fi, &row[f.index()]))
             .collect();
-        RowScorer { nbc: self, tables, scratch: Vec::with_capacity(self.classes.len()) }
+        RowScorer {
+            nbc: self,
+            tables,
+            scratch: Vec::with_capacity(self.classes.len()),
+        }
     }
 
     /// The per-class log-likelihood row feature `fi` contributes for value
@@ -374,7 +381,12 @@ impl NaiveBayes {
         if v.is_null() {
             None
         } else {
-            Some(self.log_cond[fi].get(v).unwrap_or(&self.log_unseen[fi]).as_slice())
+            Some(
+                self.log_cond[fi]
+                    .get(v)
+                    .unwrap_or(&self.log_unseen[fi])
+                    .as_slice(),
+            )
         }
     }
 
@@ -384,7 +396,10 @@ impl NaiveBayes {
             Some(&c) => {
                 let feature_values: Vec<&Value> =
                     self.features.iter().map(|f| tuple.value(*f)).collect();
-                self.posterior_of(&feature_values).get(c).copied().unwrap_or(0.0)
+                self.posterior_of(&feature_values)
+                    .get(c)
+                    .copied()
+                    .unwrap_or(0.0)
             }
             None => 0.0,
         }
@@ -425,7 +440,12 @@ impl RowScorer<'_> {
         }
         if nbc.total == 0.0 {
             let uniform = 1.0 / k as f64;
-            return nbc.classes.iter().filter(|v| op.matches(v)).map(|_| uniform).sum();
+            return nbc
+                .classes
+                .iter()
+                .filter(|v| op.matches(v))
+                .map(|_| uniform)
+                .sum();
         }
         self.scratch.clear();
         self.scratch.extend_from_slice(&nbc.log_prior);
@@ -434,7 +454,11 @@ impl RowScorer<'_> {
                 *score += lp;
             }
         }
-        let max = self.scratch.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let max = self
+            .scratch
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
         for s in &mut self.scratch {
             *s = (*s - max).exp();
         }
@@ -457,7 +481,10 @@ mod tests {
     fn sample() -> Relation {
         let schema = Schema::of(
             "cars",
-            &[("model", AttrType::Categorical), ("body", AttrType::Categorical)],
+            &[
+                ("model", AttrType::Categorical),
+                ("body", AttrType::Categorical),
+            ],
         );
         let rows = [
             ("Z4", "Convt"),
@@ -472,9 +499,7 @@ mod tests {
         let tuples = rows
             .iter()
             .enumerate()
-            .map(|(i, (m, b))| {
-                Tuple::new(TupleId(i as u32), vec![Value::str(m), Value::str(b)])
-            })
+            .map(|(i, (m, b))| Tuple::new(TupleId(i as u32), vec![Value::str(m), Value::str(b)]))
             .collect();
         Relation::new(schema, tuples)
     }
@@ -515,7 +540,11 @@ mod tests {
         // Scores: Convt 5/11·3/4 = 15/44, Coupe 2/11·1 = 8/44, Sedan 0.
         let expect_convt = 15.0 / 23.0;
         let expect_coupe = 8.0 / 23.0;
-        assert!((get("Convt") - expect_convt).abs() < 1e-9, "{}", get("Convt"));
+        assert!(
+            (get("Convt") - expect_convt).abs() < 1e-9,
+            "{}",
+            get("Convt")
+        );
         assert!((get("Coupe") - expect_coupe).abs() < 1e-9);
         assert!(get("Sedan") < 1e-12);
     }

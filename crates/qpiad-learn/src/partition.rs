@@ -41,10 +41,12 @@ impl StrippedPartition {
             }
             buckets[vid.index()].push(row as u32);
         }
-        let mut classes: Vec<Vec<u32>> =
-            buckets.into_iter().filter(|c| c.len() >= 2).collect();
+        let mut classes: Vec<Vec<u32>> = buckets.into_iter().filter(|c| c.len() >= 2).collect();
         classes.sort_by_key(|c| c[0]);
-        StrippedPartition { n_rows: relation.len(), classes }
+        StrippedPartition {
+            n_rows: relation.len(),
+            classes,
+        }
     }
 
     /// Builds a partition directly from classes (test helper).
@@ -113,7 +115,10 @@ impl StrippedPartition {
             }
         }
         classes.sort_by_key(|c| c[0]);
-        StrippedPartition { n_rows: self.n_rows, classes }
+        StrippedPartition {
+            n_rows: self.n_rows,
+            classes,
+        }
     }
 
     /// The `g3` error of the dependency `X → A`, where `self` is `Π_X` and

@@ -174,7 +174,11 @@ impl StatsSnapshot {
                 .map(|(name, is_int)| {
                     qpiad_db::Attribute::new(
                         name.clone(),
-                        if *is_int { AttrType::Integer } else { AttrType::Categorical },
+                        if *is_int {
+                            AttrType::Integer
+                        } else {
+                            AttrType::Categorical
+                        },
                     )
                 })
                 .collect(),
@@ -288,7 +292,9 @@ mod tests {
             }
         }
         // ...same selectivity parameters...
-        assert!((restored.selectivity().smpl_ratio() - stats.selectivity().smpl_ratio()).abs() < 1e-12);
+        assert!(
+            (restored.selectivity().smpl_ratio() - stats.selectivity().smpl_ratio()).abs() < 1e-12
+        );
         assert!((restored.selectivity().per_inc() - stats.selectivity().per_inc()).abs() < 1e-12);
         // ...and identical predictions.
         let body = stats.schema().expect_attr("body_style");
@@ -401,7 +407,10 @@ mod tests {
             bad.smpl_ratio = ratio;
             bad.per_inc = inc;
             assert!(
-                matches!(StatsSnapshot::from_json(&bad.to_json()), Err(PersistError::Malformed(_))),
+                matches!(
+                    StatsSnapshot::from_json(&bad.to_json()),
+                    Err(PersistError::Malformed(_))
+                ),
                 "smpl_ratio={ratio} per_inc={inc} must be rejected"
             );
         }

@@ -113,7 +113,10 @@ mod tests {
     fn sample() -> Relation {
         let schema = Schema::of(
             "t",
-            &[("model", AttrType::Categorical), ("body", AttrType::Categorical)],
+            &[
+                ("model", AttrType::Categorical),
+                ("body", AttrType::Categorical),
+            ],
         );
         let rows: Vec<(&str, Option<&str>)> = vec![
             ("Z4", Some("Convt")),

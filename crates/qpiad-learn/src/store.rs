@@ -98,7 +98,10 @@ pub fn decode_snapshot(text: &str) -> Result<StatsSnapshot, PersistError> {
         .parse::<u32>()
         .map_err(|_| PersistError::Corrupt(format!("unreadable version `{version_text}`")))?;
     if found != FORMAT_VERSION {
-        return Err(PersistError::VersionMismatch { found, expected: FORMAT_VERSION });
+        return Err(PersistError::VersionMismatch {
+            found,
+            expected: FORMAT_VERSION,
+        });
     }
     let checksum_hex = checksum_field
         .strip_prefix("fnv1a64=")
@@ -183,7 +186,10 @@ impl KnowledgeStore {
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, PersistError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| classify_io(&e))?;
-        let store = KnowledgeStore { root, faults: Arc::default() };
+        let store = KnowledgeStore {
+            root,
+            faults: Arc::default(),
+        };
         store.recover()?;
         Ok(store)
     }
@@ -198,7 +204,13 @@ impl KnowledgeStore {
     pub fn path_for(&self, source: &str) -> PathBuf {
         let safe: String = source
             .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                    c
+                } else {
+                    '_'
+                }
+            })
             .collect();
         self.root.join(format!("{safe}.qks"))
     }
@@ -382,7 +394,10 @@ mod tests {
         let path = store.save("cars.com", &snapshot).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert!(matches!(store.load("cars.com"), Err(PersistError::Corrupt(_))));
+        assert!(matches!(
+            store.load("cars.com"),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -394,7 +409,10 @@ mod tests {
         let flip = bytes.len() - 10;
         bytes[flip] = if bytes[flip] == b'x' { b'y' } else { b'x' };
         let text = String::from_utf8(bytes).unwrap();
-        assert!(matches!(decode_snapshot(&text), Err(PersistError::Corrupt(_))));
+        assert!(matches!(
+            decode_snapshot(&text),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -405,7 +423,10 @@ mod tests {
         let bumped = text.replacen(&format!("v{FORMAT_VERSION} "), "v99 ", 1);
         assert_eq!(
             decode_snapshot(&bumped).unwrap_err(),
-            PersistError::VersionMismatch { found: 99, expected: FORMAT_VERSION }
+            PersistError::VersionMismatch {
+                found: 99,
+                expected: FORMAT_VERSION
+            }
         );
     }
 
@@ -413,7 +434,9 @@ mod tests {
     fn wrong_schema_classifies_as_schema_mismatch() {
         let (stats, config) = mined();
         let store = KnowledgeStore::open(scratch("schema")).unwrap();
-        store.save("cars.com", &StatsSnapshot::capture(&stats, &config)).unwrap();
+        store
+            .save("cars.com", &StatsSnapshot::capture(&stats, &config))
+            .unwrap();
         // Load the cars snapshot for a source that dropped an attribute.
         let keep: Vec<_> = stats
             .schema()
@@ -429,7 +452,14 @@ mod tests {
 
     #[test]
     fn garbled_header_classifies_as_corrupt() {
-        for text in ["", "no newline here", "WRONG-MAGIC v1 fnv1a64=0\n{}", "QPIAD-KNOWLEDGE vX fnv1a64=0\n{}", "QPIAD-KNOWLEDGE v1 crc=0\n{}", "QPIAD-KNOWLEDGE v1 fnv1a64=zz\n{}"] {
+        for text in [
+            "",
+            "no newline here",
+            "WRONG-MAGIC v1 fnv1a64=0\n{}",
+            "QPIAD-KNOWLEDGE vX fnv1a64=0\n{}",
+            "QPIAD-KNOWLEDGE v1 crc=0\n{}",
+            "QPIAD-KNOWLEDGE v1 fnv1a64=zz\n{}",
+        ] {
             assert!(
                 matches!(decode_snapshot(text), Err(PersistError::Corrupt(_))),
                 "{text:?} must classify as corrupt"
@@ -447,8 +477,14 @@ mod tests {
         fs::write(&path, "garbage").unwrap();
         store.save("cars.com", &snapshot).unwrap();
         assert!(store.load("cars.com").is_ok());
-        assert!(!path.with_extension("qks.tmp").exists(), "temp file must not linger");
-        assert!(!path.with_extension("qks.journal").exists(), "journal must not linger");
+        assert!(
+            !path.with_extension("qks.tmp").exists(),
+            "temp file must not linger"
+        );
+        assert!(
+            !path.with_extension("qks.journal").exists(),
+            "journal must not linger"
+        );
     }
 
     #[test]
@@ -507,7 +543,10 @@ mod tests {
         assert!(!path.with_extension("qks.tmp").exists());
         assert!(!path.with_extension("qks.journal").exists());
         assert!(reopened.load("cars.com").is_ok());
-        assert!(reopened.recover().unwrap().is_empty(), "nothing left to sweep");
+        assert!(
+            reopened.recover().unwrap().is_empty(),
+            "nothing left to sweep"
+        );
     }
 
     #[test]

@@ -88,25 +88,37 @@ pub(crate) fn feature_choice(
             .collect::<Vec<_>>()
     };
     match strategy {
-        FeatureStrategy::AllAttributes => FeatureChoice::Single { features: others(), afd: None },
+        FeatureStrategy::AllAttributes => FeatureChoice::Single {
+            features: others(),
+            afd: None,
+        },
         FeatureStrategy::BestAfd => match afds.best(target) {
             Some(afd) => FeatureChoice::Single {
                 features: afd.lhs.clone(),
                 afd: Some(afd.clone()),
             },
-            None => FeatureChoice::Single { features: others(), afd: None },
+            None => FeatureChoice::Single {
+                features: others(),
+                afd: None,
+            },
         },
         FeatureStrategy::HybridOneAfd { min_conf } => match afds.best(target) {
             Some(afd) if afd.confidence >= min_conf => FeatureChoice::Single {
                 features: afd.lhs.clone(),
                 afd: Some(afd.clone()),
             },
-            _ => FeatureChoice::Single { features: others(), afd: None },
+            _ => FeatureChoice::Single {
+                features: others(),
+                afd: None,
+            },
         },
         FeatureStrategy::Ensemble => {
             let members: Vec<Afd> = afds.for_attr(target).to_vec();
             if members.is_empty() {
-                FeatureChoice::Single { features: others(), afd: None }
+                FeatureChoice::Single {
+                    features: others(),
+                    afd: None,
+                }
             } else {
                 FeatureChoice::Ensemble(members)
             }
@@ -198,8 +210,7 @@ impl ValuePredictor {
         let trained = crate::par::parallel_map(&all_attrs, |target| {
             train_one(sample, afds, strategy, m, *target, &all_attrs)
         });
-        let per_attr: HashMap<AttrId, AttrPredictor> =
-            all_attrs.into_iter().zip(trained).collect();
+        let per_attr: HashMap<AttrId, AttrPredictor> = all_attrs.into_iter().zip(trained).collect();
         ValuePredictor { per_attr, strategy }
     }
 
@@ -357,9 +368,11 @@ impl RowMatcher<'_> {
         match self {
             RowMatcher::None => 0.0,
             RowMatcher::Single(scorer) => scorer.prob_matching(op),
-            RowMatcher::Ensemble { predictor, attr, row } => {
-                predictor.prob_matching_row(*attr, row, op)
-            }
+            RowMatcher::Ensemble {
+                predictor,
+                attr,
+                row,
+            } => predictor.prob_matching_row(*attr, row, op),
         }
     }
 }
@@ -481,9 +494,7 @@ mod tests {
         assert!(pm > 0.5);
         let pm_all: f64 = ["Convt", "Coupe", "Sedan"]
             .iter()
-            .map(|b| {
-                p.prob_matching(AttrId(2), &probe("Z4", "Red"), &PredOp::Eq(Value::str(*b)))
-            })
+            .map(|b| p.prob_matching(AttrId(2), &probe("Z4", "Red"), &PredOp::Eq(Value::str(*b))))
             .sum();
         assert!((pm_all - 1.0).abs() < 1e-9);
     }

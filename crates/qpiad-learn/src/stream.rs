@@ -163,7 +163,14 @@ impl SampleStream {
         } else if self.rows.len() < self.capacity {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.rows.insert(tuple.id(), StreamedRow { tuple, seq, touched: seq });
+            self.rows.insert(
+                tuple.id(),
+                StreamedRow {
+                    tuple,
+                    seq,
+                    touched: seq,
+                },
+            );
         } else {
             self.dropped += 1;
             return false;
@@ -188,10 +195,12 @@ impl SampleStream {
     /// The queued rows in arrival order plus the watermark to pass back to
     /// [`SampleStream::clear_through`] once they have been folded.
     pub fn snapshot(&self) -> (Vec<Tuple>, u64) {
-        let mut rows: Vec<(u64, &Tuple)> =
-            self.rows.values().map(|r| (r.seq, &r.tuple)).collect();
+        let mut rows: Vec<(u64, &Tuple)> = self.rows.values().map(|r| (r.seq, &r.tuple)).collect();
         rows.sort_unstable_by_key(|(seq, _)| *seq);
-        (rows.into_iter().map(|(_, t)| t.clone()).collect(), self.next_seq)
+        (
+            rows.into_iter().map(|(_, t)| t.clone()).collect(),
+            self.next_seq,
+        )
     }
 
     /// Drops rows whose latest push happened before the `through`
@@ -245,7 +254,9 @@ fn id_rows(rows: &[ValueId], arity: usize) -> std::slice::ChunksExact<'_, ValueI
 
 /// Rows `range` of `sample` as id rows in its dictionary's ids, row-major.
 fn sample_rows(sample: &ColumnarRelation, range: Range<usize>) -> Vec<ValueId> {
-    let columns: Vec<&[ValueId]> = (0..sample.arity()).map(|a| sample.column(AttrId(a))).collect();
+    let columns: Vec<&[ValueId]> = (0..sample.arity())
+        .map(|a| sample.column(AttrId(a)))
+        .collect();
     let mut rows = Vec::with_capacity(range.len() * columns.len());
     for r in range {
         rows.extend(columns.iter().map(|column| column[r]));
@@ -321,7 +332,11 @@ impl AfdCounts {
         }
         // Every group holds a row, so one whose rhs values are all null
         // keeps one of them: `keep = max(majority, 1)`.
-        let removals: u64 = self.groups.groups().map(|g| g.rows() - g.majority().max(1)).sum();
+        let removals: u64 = self
+            .groups
+            .groups()
+            .map(|g| g.rows() - g.majority().max(1))
+            .sum();
         1.0 - removals as f64 / n_rows as f64
     }
 }
@@ -447,7 +462,12 @@ impl Counted for NbcCounts {
 impl NbcCounts {
     fn shaped(target: AttrId, features: Vec<AttrId>) -> Self {
         let cond = vec![GroupCounts::default(); features.len()];
-        NbcCounts { target, features, class_counts: ValueCounts::default(), cond }
+        NbcCounts {
+            target,
+            features,
+            class_counts: ValueCounts::default(),
+            cond,
+        }
     }
 
     /// Classes in first-appearance order over `sample`'s target column —
@@ -755,7 +775,10 @@ mod tests {
         let state = FoldState::build(&r, &AfdSet::default(), &[akey], &[]);
         let p = StrippedPartition::from_column(&r, AttrId(0));
         let expect = 1.0 - p.g3_key_error();
-        assert_eq!(state.akeys[0].confidence(state.n_rows).to_bits(), expect.to_bits());
+        assert_eq!(
+            state.akeys[0].confidence(state.n_rows).to_bits(),
+            expect.to_bits()
+        );
     }
 
     #[test]
@@ -790,9 +813,11 @@ mod tests {
         // rebuilt one under the merged sample's dictionary ids: the tables
         // resolve both back to the same values.
         let tables = |state: &FoldState| {
-            let (classes, counts, mut cond) =
-                state.nbc_tables(AttrId(1), &[AttrId(0)], merged.columnar()).unwrap();
-            cond.iter_mut().for_each(|rows| rows.sort_by(|a, b| a.0.cmp(&b.0)));
+            let (classes, counts, mut cond) = state
+                .nbc_tables(AttrId(1), &[AttrId(0)], merged.columnar())
+                .unwrap();
+            cond.iter_mut()
+                .for_each(|rows| rows.sort_by(|a, b| a.0.cmp(&b.0)));
             (classes, counts, cond)
         };
         assert_eq!(tables(&state), tables(&rebuilt));
@@ -815,7 +840,11 @@ mod tests {
         );
         let cell = |i: usize, salt: usize, domain: usize| {
             let h = i.wrapping_mul(2_654_435_761).wrapping_add(salt * 97) % 1_000;
-            if h.is_multiple_of(11) { Value::Null } else { Value::str(format!("v{}", h % domain)) }
+            if h.is_multiple_of(11) {
+                Value::Null
+            } else {
+                Value::str(format!("v{}", h % domain))
+            }
         };
         let tuples = (0..n)
             .map(|i| {

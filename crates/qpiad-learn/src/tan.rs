@@ -144,7 +144,9 @@ impl TanClassifier {
         let mut parent_class_counts: Vec<HashMap<Value, Vec<f64>>> = vec![HashMap::new(); n];
 
         for t in sample.tuples() {
-            let Some(&c) = class_index.get(t.value(target)) else { continue };
+            let Some(&c) = class_index.get(t.value(target)) else {
+                continue;
+            };
             total += 1.0;
             class_counts[c] += 1.0;
             for (fi, f) in features.iter().enumerate() {
@@ -223,8 +225,7 @@ impl TanClassifier {
                     let denom = self.parent_class_counts[fi].get(pv);
                     match denom {
                         Some(denoms) => {
-                            let counts =
-                                self.conditional[fi].get(&(fv.clone(), pv.clone()));
+                            let counts = self.conditional[fi].get(&(fv.clone(), pv.clone()));
                             for (c, score) in log_scores.iter_mut().enumerate() {
                                 let n_xc = counts.map(|v| v[c]).unwrap_or(0.0);
                                 let p = (n_xc + self.m * p_uniform) / (denoms[c] + self.m);
@@ -314,7 +315,12 @@ mod tests {
         let features = vec![AttrId(0), AttrId(1), AttrId(2)];
         let tan = TanClassifier::train(&r, AttrId(3), features.clone(), 1.0);
         let nbc = crate::nbc::NaiveBayes::train(&r, AttrId(3), features, 1.0);
-        let cases = [("0", "0", "same"), ("0", "1", "diff"), ("1", "0", "diff"), ("1", "1", "same")];
+        let cases = [
+            ("0", "0", "same"),
+            ("0", "1", "diff"),
+            ("1", "0", "diff"),
+            ("1", "1", "same"),
+        ];
         let mut tan_hits = 0;
         let mut nbc_hits = 0;
         for (a, b, want) in cases {
@@ -345,9 +351,23 @@ mod tests {
         let tan = TanClassifier::train(&r, AttrId(3), vec![AttrId(0), AttrId(1), AttrId(2)], 1.0);
         for t in [
             probe("0", "1"),
-            Tuple::new(TupleId(99), vec![Value::Null, Value::str("1"), Value::Null, Value::Null]),
-            Tuple::new(TupleId(99), vec![Value::str("0"), Value::Null, Value::Null, Value::Null]),
-            Tuple::new(TupleId(99), vec![Value::str("weird"), Value::str("unseen"), Value::Null, Value::Null]),
+            Tuple::new(
+                TupleId(99),
+                vec![Value::Null, Value::str("1"), Value::Null, Value::Null],
+            ),
+            Tuple::new(
+                TupleId(99),
+                vec![Value::str("0"), Value::Null, Value::Null, Value::Null],
+            ),
+            Tuple::new(
+                TupleId(99),
+                vec![
+                    Value::str("weird"),
+                    Value::str("unseen"),
+                    Value::Null,
+                    Value::Null,
+                ],
+            ),
         ] {
             let d = tan.distribution(&t);
             let sum: f64 = d.iter().map(|(_, p)| p).sum();
@@ -378,8 +398,7 @@ mod tests {
         let (ed, prov) = corrupt(&ground, &CorruptionConfig::default());
         let sample = uniform_sample(&ed, 0.10, 1);
         let body = ed.schema().expect_attr("body_style");
-        let features: Vec<AttrId> =
-            ed.schema().attr_ids().filter(|a| *a != body).collect();
+        let features: Vec<AttrId> = ed.schema().attr_ids().filter(|a| *a != body).collect();
         let tan = TanClassifier::train(&sample, body, features, 1.0);
         let (mut hits, mut n) = (0usize, 0usize);
         for (id, truth) in prov.corrupted_on(body) {

@@ -115,7 +115,13 @@ pub fn discover(relation: &Relation, config: &TaneConfig) -> TaneResult {
     // pair, evaluated in parallel, consumed in attribute order below.
     let single_confs: Vec<Vec<f64>> = par::parallel_map_indexed(attrs.len(), |i| {
         (0..attrs.len())
-            .map(|j| if i == j { 0.0 } else { 1.0 - singles[i].g3_error(&lookups[j]) })
+            .map(|j| {
+                if i == j {
+                    0.0
+                } else {
+                    1.0 - singles[i].g3_error(&lookups[j])
+                }
+            })
             .collect()
     });
 
@@ -191,9 +197,7 @@ pub fn discover(relation: &Relation, config: &TaneConfig) -> TaneResult {
         // Emit in enumeration order. Minimality only consults immediate
         // subsets, which are one level down and thus already in conf_map.
         let mut next: Vec<(Vec<AttrId>, StrippedPartition)> = Vec::new();
-        for ((_, _, new_set), (p, key_conf, rhs_confs)) in
-            candidates.into_iter().zip(evaluated)
-        {
+        for ((_, _, new_set), (p, key_conf, rhs_confs)) in candidates.into_iter().zip(evaluated) {
             result.akey_conf.insert(new_set.clone(), key_conf);
             if key_conf >= config.akey_min_conf {
                 result.akeys.push(AKey::new(new_set.clone(), key_conf));
@@ -335,7 +339,13 @@ mod tests {
     #[test]
     fn respects_max_lhs() {
         let r = fixture();
-        let res = discover(&r, &TaneConfig { max_lhs: 1, ..Default::default() });
+        let res = discover(
+            &r,
+            &TaneConfig {
+                max_lhs: 1,
+                ..Default::default()
+            },
+        );
         assert!(res.afds.iter().all(|a| a.lhs.len() == 1));
     }
 
@@ -383,7 +393,13 @@ mod tests {
         // The tiny fixture's {make, seats} classes are size 2, i.e. AKey
         // confidence 0.5 — relax near-key suppression, which targets
         // realistic samples.
-        let res = discover(&r, &TaneConfig { near_key_conf: 0.9, ..Default::default() });
+        let res = discover(
+            &r,
+            &TaneConfig {
+                near_key_conf: 0.9,
+                ..Default::default()
+            },
+        );
         let afd = find(&res.afds, &[0, 1], 2).expect("{make, seats} → body");
         assert!((afd.confidence - 1.0).abs() < 1e-12);
         // Each single attribute alone reaches confidence 0.5 only.

@@ -22,7 +22,10 @@ pub struct TreeConfig {
 
 impl Default for TreeConfig {
     fn default() -> Self {
-        TreeConfig { max_depth: 3, min_split: 8 }
+        TreeConfig {
+            max_depth: 3,
+            min_split: 8,
+        }
     }
 }
 
@@ -82,7 +85,13 @@ fn leaf(rows: &[&Tuple], target: AttrId) -> Node {
     Node::Leaf { distribution }
 }
 
-fn build(rows: &[&Tuple], target: AttrId, features: &[AttrId], depth: usize, config: &TreeConfig) -> Node {
+fn build(
+    rows: &[&Tuple],
+    target: AttrId,
+    features: &[AttrId],
+    depth: usize,
+    config: &TreeConfig,
+) -> Node {
     let (counts, total) = class_counts(rows, target);
     if depth >= config.max_depth
         || total < config.min_split
@@ -145,7 +154,11 @@ fn build(rows: &[&Tuple], target: AttrId, features: &[AttrId], depth: usize, con
         }
     };
 
-    let remaining: Vec<AttrId> = features.iter().copied().filter(|f| *f != split_attr).collect();
+    let remaining: Vec<AttrId> = features
+        .iter()
+        .copied()
+        .filter(|f| *f != split_attr)
+        .collect();
     let mut by_value: HashMap<Value, Vec<&Tuple>> = HashMap::new();
     for t in rows {
         let v = t.value(split_attr);
@@ -166,14 +179,22 @@ fn build(rows: &[&Tuple], target: AttrId, features: &[AttrId], depth: usize, con
 
 impl DecisionTree {
     /// Trains a tree on all sample rows with a non-null target.
-    pub fn train(sample: &Relation, target: AttrId, features: Vec<AttrId>, config: &TreeConfig) -> Self {
+    pub fn train(
+        sample: &Relation,
+        target: AttrId,
+        features: Vec<AttrId>,
+        config: &TreeConfig,
+    ) -> Self {
         assert!(!features.contains(&target), "target cannot be a feature");
         let rows: Vec<&Tuple> = sample
             .tuples()
             .iter()
             .filter(|t| !t.value(target).is_null())
             .collect();
-        DecisionTree { target, root: build(&rows, target, &features, 0, config) }
+        DecisionTree {
+            target,
+            root: build(&rows, target, &features, 0, config),
+        }
     }
 
     /// The target attribute.
@@ -186,9 +207,7 @@ impl DecisionTree {
         fn walk(n: &Node) -> usize {
             match n {
                 Node::Leaf { .. } => 0,
-                Node::Split { children, .. } => {
-                    1 + children.values().map(walk).max().unwrap_or(0)
-                }
+                Node::Split { children, .. } => 1 + children.values().map(walk).max().unwrap_or(0),
             }
         }
         walk(&self.root)
@@ -201,7 +220,11 @@ impl DecisionTree {
         loop {
             match node {
                 Node::Leaf { distribution } => return distribution,
-                Node::Split { attr, children, fallback } => {
+                Node::Split {
+                    attr,
+                    children,
+                    fallback,
+                } => {
                     let v = tuple.value(*attr);
                     node = if v.is_null() {
                         fallback
@@ -262,7 +285,12 @@ mod tests {
             &TreeConfig::default(),
         );
         assert!(tree.depth() >= 2);
-        for (a, b, want) in [("0", "0", "same"), ("0", "1", "diff"), ("1", "0", "diff"), ("1", "1", "same")] {
+        for (a, b, want) in [
+            ("0", "0", "same"),
+            ("0", "1", "diff"),
+            ("1", "0", "diff"),
+            ("1", "1", "same"),
+        ] {
             let t = Tuple::new(TupleId(99), vec![Value::str(a), Value::str(b), Value::Null]);
             let (got, p) = tree.predict(&t).unwrap();
             assert_eq!(got, Value::str(want), "a={a} b={b}");
@@ -282,7 +310,12 @@ mod tests {
             &TreeConfig::default(),
         );
         let mut tree_hits = 0;
-        for (a, b, want) in [("0", "0", "same"), ("0", "1", "diff"), ("1", "0", "diff"), ("1", "1", "same")] {
+        for (a, b, want) in [
+            ("0", "0", "same"),
+            ("0", "1", "diff"),
+            ("1", "0", "diff"),
+            ("1", "1", "same"),
+        ] {
             let t = Tuple::new(TupleId(99), vec![Value::str(a), Value::str(b), Value::Null]);
             if nbc.predict(&t).unwrap().0 == Value::str(want) {
                 nbc_hits += 1;
@@ -303,7 +336,10 @@ mod tests {
             &r,
             AttrId(2),
             vec![AttrId(0), AttrId(1)],
-            &TreeConfig { max_depth: 1, min_split: 2 },
+            &TreeConfig {
+                max_depth: 1,
+                min_split: 2,
+            },
         );
         assert!(tree.depth() <= 1);
     }
@@ -317,7 +353,10 @@ mod tests {
             vec![AttrId(0), AttrId(1)],
             &TreeConfig::default(),
         );
-        let t = Tuple::new(TupleId(99), vec![Value::str("weird"), Value::Null, Value::Null]);
+        let t = Tuple::new(
+            TupleId(99),
+            vec![Value::str("weird"), Value::Null, Value::Null],
+        );
         // Still answers something from the fallback distribution.
         assert!(tree.predict(&t).is_some());
     }
@@ -357,7 +396,10 @@ mod tests {
             &sample,
             body,
             vec![model],
-            &TreeConfig { max_depth: 2, min_split: 2 },
+            &TreeConfig {
+                max_depth: 2,
+                min_split: 2,
+            },
         );
         let (mut hits, mut n) = (0usize, 0usize);
         for (id, truth) in prov.corrupted_on(body) {

@@ -70,7 +70,9 @@ fn re_observing_counted_rows_allocates_independently_of_the_row_count() {
     let stats = SourceStats::mine(&sample, source.len(), &MiningConfig::default());
     let schema = source.schema();
     assert!(
-        schema.attr_ids().any(|a| stats.afds().best(a).is_some_and(|afd| afd.lhs.len() > 1)),
+        schema
+            .attr_ids()
+            .any(|a| stats.afds().best(a).is_some_and(|afd| afd.lhs.len() > 1)),
         "some tracked determining set must span several attributes"
     );
 
@@ -93,5 +95,8 @@ fn re_observing_counted_rows_allocates_independently_of_the_row_count() {
         assert_eq!(probe.observed_rows(), 2 * rows as u64);
         counted.push(again);
     }
-    assert!(counted.windows(2).all(|w| w[0] == w[1]), "allocations grew with rows: {counted:?}");
+    assert!(
+        counted.windows(2).all(|w| w[0] == w[1]),
+        "allocations grew with rows: {counted:?}"
+    );
 }

@@ -219,11 +219,17 @@ mod tests {
         assert!(matches!(sf.join(&a, || {}, || {}), Role::Leader(_)));
         assert!(matches!(sf.join(&b, || {}, || {}), Role::Leader(_)));
         // Same template, different epoch: knowledge moved, no coalescing.
-        let refreshed = FlightKey { epoch: a.epoch + 1, ..a.clone() };
+        let refreshed = FlightKey {
+            epoch: a.epoch + 1,
+            ..a.clone()
+        };
         assert!(matches!(sf.join(&refreshed, || {}, || {}), Role::Leader(_)));
         // Same template, different ladder rung: clamped plans answer
         // differently, so pressure is part of the key.
-        let pressured = FlightKey { pressure: PressureLevel::High, ..a.clone() };
+        let pressured = FlightKey {
+            pressure: PressureLevel::High,
+            ..a.clone()
+        };
         assert!(matches!(sf.join(&pressured, || {}, || {}), Role::Leader(_)));
         assert_eq!(sf.inflight_len(), 4);
     }
@@ -232,7 +238,9 @@ mod tests {
     fn completed_key_admits_a_fresh_leader() {
         let sf = Singleflight::default();
         let k = key("Convt");
-        let Role::Leader(flight) = sf.join(&k, || {}, || {}) else { panic!() };
+        let Role::Leader(flight) = sf.join(&k, || {}, || {}) else {
+            panic!()
+        };
         sf.complete(&k, &flight, Err(SourceError::BudgetExhausted));
         assert!(matches!(sf.join(&k, || {}, || {}), Role::Leader(_)));
     }

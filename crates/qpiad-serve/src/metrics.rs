@@ -224,8 +224,18 @@ mod tests {
     #[test]
     fn snapshot_copies_cells_and_rates_divide_safely() {
         let cells = MetricCells::default();
-        assert_eq!(cells.snapshot(Vec::new(), Vec::new(), 0, StreamStats::default()).coalesce_hit_rate(), 0.0);
-        assert_eq!(cells.snapshot(Vec::new(), Vec::new(), 0, StreamStats::default()).shed_rate(), 0.0);
+        assert_eq!(
+            cells
+                .snapshot(Vec::new(), Vec::new(), 0, StreamStats::default())
+                .coalesce_hit_rate(),
+            0.0
+        );
+        assert_eq!(
+            cells
+                .snapshot(Vec::new(), Vec::new(), 0, StreamStats::default())
+                .shed_rate(),
+            0.0
+        );
         for _ in 0..4 {
             MetricCells::bump(&cells.admitted);
         }
@@ -237,7 +247,13 @@ mod tests {
         MetricCells::raise_gauge(&cells.batch_in_flight, &cells.batch_in_flight_peak);
         MetricCells::lower_gauge(&cells.batch_in_flight);
         let m = cells.snapshot(
-            vec![("s".into(), SourceMeter { queries: 7, ..Default::default() })],
+            vec![(
+                "s".into(),
+                SourceMeter {
+                    queries: 7,
+                    ..Default::default()
+                },
+            )],
             vec![("s".into(), 3)],
             1,
             StreamStats::default(),
@@ -254,7 +270,12 @@ mod tests {
     fn lowering_a_zero_gauge_saturates_instead_of_wrapping() {
         let cells = MetricCells::default();
         MetricCells::lower_gauge(&cells.coalesce_waiters);
-        assert_eq!(cells.snapshot(Vec::new(), Vec::new(), 0, StreamStats::default()).coalesce_waiters, 0);
+        assert_eq!(
+            cells
+                .snapshot(Vec::new(), Vec::new(), 0, StreamStats::default())
+                .coalesce_waiters,
+            0
+        );
         MetricCells::raise_gauge(&cells.in_flight, &cells.in_flight_peak);
         MetricCells::lower_gauge(&cells.in_flight);
         MetricCells::lower_gauge(&cells.in_flight);
@@ -277,8 +298,12 @@ mod tests {
         }
         MetricCells::bump(&cells.deadline_refused);
         MetricCells::bump(&cells.errors);
-        assert!(cells.snapshot(Vec::new(), Vec::new(), 0, StreamStats::default()).conserves());
+        assert!(cells
+            .snapshot(Vec::new(), Vec::new(), 0, StreamStats::default())
+            .conserves());
         MetricCells::bump(&cells.admitted);
-        assert!(!cells.snapshot(Vec::new(), Vec::new(), 0, StreamStats::default()).conserves());
+        assert!(!cells
+            .snapshot(Vec::new(), Vec::new(), 0, StreamStats::default())
+            .conserves());
     }
 }

@@ -212,7 +212,10 @@ impl std::fmt::Display for ServeError {
                 "shed: {in_flight} batch requests in flight exceed the limit of {limit}"
             ),
             ServeError::DeadlineRefused => {
-                write!(f, "deadline refused: budget cannot fund a single mediation attempt")
+                write!(
+                    f,
+                    "deadline refused: budget cannot fund a single mediation attempt"
+                )
             }
             ServeError::Source(e) => write!(f, "mediation failed: {e}"),
         }
@@ -238,7 +241,10 @@ impl BatchGate {
     fn acquire(&self, cap: usize) {
         let mut used = lock(&self.used);
         while *used >= cap {
-            used = self.freed.wait(used).unwrap_or_else(std::sync::PoisonError::into_inner);
+            used = self
+                .freed
+                .wait(used)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
         *used += 1;
     }
@@ -422,15 +428,24 @@ impl<'a> QpiadServer<'a> {
         pass: u64,
         mine: impl Fn(&str, &dyn AutonomousSource) -> Result<SourceStats, SourceError>,
     ) -> MaintenanceReport {
-        let mut report = MaintenanceReport { pass, ..MaintenanceReport::default() };
-        let mining_config =
-            self.store.as_ref().map(|(_, c)| c.clone()).unwrap_or_default();
+        let mut report = MaintenanceReport {
+            pass,
+            ..MaintenanceReport::default()
+        };
+        let mining_config = self
+            .store
+            .as_ref()
+            .map(|(_, c)| c.clone())
+            .unwrap_or_default();
         // Candidates come back in name order, so a pass's work list — and
         // with a deterministic `mine`, its outcome — is reproducible.
         for name in self.network.refresh_candidates() {
             let eligible = {
                 let state = lock(&self.maintenance);
-                state.backoff.get(&name).is_none_or(|b| pass >= b.next_eligible)
+                state
+                    .backoff
+                    .get(&name)
+                    .is_none_or(|b| pass >= b.next_eligible)
             };
             if !eligible {
                 report.deferred.push(name);
@@ -452,7 +467,9 @@ impl<'a> QpiadServer<'a> {
                     lock(&self.maintenance).backoff.remove(&name);
                     MetricCells::bump(&self.metrics.refresh_success);
                     MetricCells::bump(&self.metrics.refresh_incremental);
-                    self.metrics.last_refresh_pass.fetch_max(pass, Ordering::Relaxed);
+                    self.metrics
+                        .last_refresh_pass
+                        .fetch_max(pass, Ordering::Relaxed);
                     report.folded.push(name);
                     continue;
                 }
@@ -481,7 +498,9 @@ impl<'a> QpiadServer<'a> {
                     lock(&self.maintenance).backoff.remove(&name);
                     MetricCells::bump(&self.metrics.refresh_success);
                     MetricCells::bump(&self.metrics.refresh_full);
-                    self.metrics.last_refresh_pass.fetch_max(pass, Ordering::Relaxed);
+                    self.metrics
+                        .last_refresh_pass
+                        .fetch_max(pass, Ordering::Relaxed);
                     report.refreshed.push(name);
                 }
                 Some(e) => {
@@ -507,7 +526,11 @@ impl<'a> QpiadServer<'a> {
     /// coalescing, scheduling, then a budgeted mediation pass funded from
     /// the tenant's [`QueryBudget`]. The ladder rung is derived from live
     /// load; use [`Self::query_under`] to pin it.
-    pub fn query(&self, tenant: &str, query: &SelectQuery) -> Result<Arc<NetworkAnswer>, ServeError> {
+    pub fn query(
+        &self,
+        tenant: &str,
+        query: &SelectQuery,
+    ) -> Result<Arc<NetworkAnswer>, ServeError> {
         self.serve(tenant, query, None)
     }
 
@@ -542,7 +565,9 @@ impl<'a> QpiadServer<'a> {
             Some(t) => t.clone(),
             None => {
                 MetricCells::bump(&self.metrics.rejected);
-                return Err(ServeError::UnknownTenant { name: tenant.to_string() });
+                return Err(ServeError::UnknownTenant {
+                    name: tenant.to_string(),
+                });
             }
         };
         if let Err(reason) = self.validate(query) {
@@ -566,7 +591,10 @@ impl<'a> QpiadServer<'a> {
             if live > self.config.batch_queue_limit {
                 MetricCells::bump(&self.metrics.shed);
                 guard.settle();
-                return Err(ServeError::Shed { in_flight: live, limit: self.config.batch_queue_limit });
+                return Err(ServeError::Shed {
+                    in_flight: live,
+                    limit: self.config.batch_queue_limit,
+                });
             }
         }
 
@@ -619,7 +647,8 @@ impl<'a> QpiadServer<'a> {
 
     /// Renders the network's EXPLAIN for a validated query.
     pub fn explain(&self, query: &SelectQuery) -> Result<String, ServeError> {
-        self.validate(query).map_err(|reason| ServeError::MalformedQuery { reason })?;
+        self.validate(query)
+            .map_err(|reason| ServeError::MalformedQuery { reason })?;
         Ok(self.network.explain(query))
     }
 
@@ -631,7 +660,8 @@ impl<'a> QpiadServer<'a> {
         query: &SelectQuery,
         pressure: PressureLevel,
     ) -> Result<String, ServeError> {
-        self.validate(query).map_err(|reason| ServeError::MalformedQuery { reason })?;
+        self.validate(query)
+            .map_err(|reason| ServeError::MalformedQuery { reason })?;
         Ok(self.network.explain_under(query, pressure))
     }
 
@@ -643,7 +673,10 @@ impl<'a> QpiadServer<'a> {
             self.network.member_meters(),
             self.network.member_epochs(),
             self.network.refresh_candidates().len(),
-            self.network.drift().map(|d| d.stream_stats()).unwrap_or_default(),
+            self.network
+                .drift()
+                .map(|d| d.stream_stats())
+                .unwrap_or_default(),
         )
     }
 
@@ -667,16 +700,27 @@ impl<'a> QpiadServer<'a> {
         pressure: PressureLevel,
     ) -> SharedAnswer {
         MetricCells::bump(&self.metrics.leaders);
-        let mut publish = LeaderPublish { flights: &self.flights, key, flight, published: false };
+        let mut publish = LeaderPublish {
+            flights: &self.flights,
+            key,
+            flight,
+            published: false,
+        };
         let permit = (spec.class() == TenantClass::Batch).then(|| {
             self.batch_gate.acquire(self.config.batch_concurrency);
             MetricCells::raise_gauge(
                 &self.metrics.batch_in_flight,
                 &self.metrics.batch_in_flight_peak,
             );
-            BatchPermit { gate: &self.batch_gate, metrics: &self.metrics }
+            BatchPermit {
+                gate: &self.batch_gate,
+                metrics: &self.metrics,
+            }
         });
-        let result = self.network.answer_under(query, budget, pressure).map(Arc::new);
+        let result = self
+            .network
+            .answer_under(query, budget, pressure)
+            .map(Arc::new);
         drop(permit);
         publish.publish(result)
     }
@@ -764,7 +808,11 @@ impl<'s> RequestGuard<'s> {
         if batch {
             metrics.batch_live.fetch_add(1, Ordering::Relaxed);
         }
-        RequestGuard { metrics, batch, settled: false }
+        RequestGuard {
+            metrics,
+            batch,
+            settled: false,
+        }
     }
 
     /// Marks the request's outcome as already counted; the drop that

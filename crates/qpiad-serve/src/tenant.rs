@@ -46,12 +46,20 @@ pub struct Tenant {
 impl Tenant {
     /// An interactive tenant with an unlimited per-query budget.
     pub fn interactive(name: impl Into<String>) -> Self {
-        Tenant { name: name.into(), class: TenantClass::Interactive, budget: QueryBudget::unlimited() }
+        Tenant {
+            name: name.into(),
+            class: TenantClass::Interactive,
+            budget: QueryBudget::unlimited(),
+        }
     }
 
     /// A batch tenant with an unlimited per-query budget.
     pub fn batch(name: impl Into<String>) -> Self {
-        Tenant { name: name.into(), class: TenantClass::Batch, budget: QueryBudget::unlimited() }
+        Tenant {
+            name: name.into(),
+            class: TenantClass::Batch,
+            budget: QueryBudget::unlimited(),
+        }
     }
 
     /// Overrides the per-query budget every pass for this tenant is funded

@@ -30,8 +30,14 @@ fn main() {
     for style in ["Convt", "SUV", "Truck", "Sedan"] {
         let select = SelectQuery::new(vec![Predicate::eq(body, style)]);
         for (label, aq) in [
-            (format!("Count(*) where body={style}"), AggregateQuery::count(select.clone())),
-            (format!("Sum(price) where body={style}"), AggregateQuery::sum(select.clone(), price)),
+            (
+                format!("Count(*) where body={style}"),
+                AggregateQuery::count(select.clone()),
+            ),
+            (
+                format!("Sum(price) where body={style}"),
+                AggregateQuery::sum(select.clone(), price),
+            ),
         ] {
             let truth = aq.evaluate(ground.tuples().iter().filter(|t| select.matches(t)));
             let ans = answer_aggregate(&stats, &AggregateConfig::default(), &source, &aq)

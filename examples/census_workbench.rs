@@ -19,7 +19,11 @@ use qpiad::learn::knowledge::{MiningConfig, SourceStats};
 use qpiad::learn::strategy::FeatureStrategy;
 
 fn main() {
-    let ground = CensusConfig { rows: 20_000, ..Default::default() }.generate(5);
+    let ground = CensusConfig {
+        rows: 20_000,
+        ..Default::default()
+    }
+    .generate(5);
     let (ed, provenance) = corrupt(&ground, &CorruptionConfig::default());
     let sample = uniform_sample(&ed, 0.10, 9);
     let schema = ed.schema().clone();
@@ -29,7 +33,10 @@ fn main() {
     let strategies = [
         ("Best AFD", FeatureStrategy::BestAfd),
         ("All attributes", FeatureStrategy::AllAttributes),
-        ("Hybrid One-AFD", FeatureStrategy::HybridOneAfd { min_conf: 0.5 }),
+        (
+            "Hybrid One-AFD",
+            FeatureStrategy::HybridOneAfd { min_conf: 0.5 },
+        ),
         ("Ensemble", FeatureStrategy::Ensemble),
     ];
     for (name, strategy) in strategies {
@@ -46,7 +53,10 @@ fn main() {
                 hits += usize::from(&predicted == truth);
             }
         }
-        println!("  {name:<16} {:.3} ({n} cells)", hits as f64 / n.max(1) as f64);
+        println!(
+            "  {name:<16} {:.3} ({n} cells)",
+            hits as f64 / n.max(1) as f64
+        );
     }
 
     // --- The paper's Figure 4 query. ---------------------------------------

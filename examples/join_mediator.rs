@@ -54,8 +54,14 @@ fn main() {
         cars.reset_meter();
         comps.reset_meter();
         let answer = answer_join(
-            &JoinSide { source: &cars, stats: &cars_stats },
-            &JoinSide { source: &comps, stats: &comp_stats },
+            &JoinSide {
+                source: &cars,
+                stats: &cars_stats,
+            },
+            &JoinSide {
+                source: &comps,
+                stats: &comp_stats,
+            },
             &JoinConfig { alpha, k_pairs: 10 },
             &jq,
         )

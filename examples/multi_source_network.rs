@@ -42,11 +42,11 @@ use qpiad::core::network::{MediatorNetwork, SourceOutcome};
 use qpiad::data::cars::CarsConfig;
 use qpiad::data::corrupt::{corrupt, CorruptionConfig};
 use qpiad::data::sample::uniform_sample;
+use qpiad::db::PressureLevel;
 use qpiad::db::{
     AutonomousSource, BreakerConfig, FaultInjector, FaultPlan, HealthRegistry, Predicate,
     RetryPolicy, SelectQuery, WebSource,
 };
-use qpiad::db::PressureLevel;
 use qpiad::learn::knowledge::{MiningConfig, SourceStats};
 use qpiad::serve::{QpiadServer, ServeConfig, ServeError, Tenant};
 
@@ -87,8 +87,9 @@ fn main() {
     let config = QpiadConfig::default()
         .with_k(8)
         .with_retry(RetryPolicy::default().with_max_attempts(3));
-    let registry =
-        Arc::new(HealthRegistry::new(BreakerConfig::default().with_failure_threshold(3)));
+    let registry = Arc::new(HealthRegistry::new(
+        BreakerConfig::default().with_failure_threshold(3),
+    ));
     let network = MediatorNetwork::new(global.clone(), config)
         .with_health(registry.clone())
         .add_supporting(&cars, stats.clone())
@@ -197,8 +198,9 @@ fn main() {
                 // racing threads keep landing on in-flight passes.
                 for _ in 0..4 {
                     for query in &queries {
-                        let answer =
-                            server.query("dashboard", query).expect("serving never aborts");
+                        let answer = server
+                            .query("dashboard", query)
+                            .expect("serving never aborts");
                         assert!(answer.possible_count() > 0);
                     }
                 }
@@ -242,8 +244,9 @@ fn main() {
         PressureLevel::Critical,
     ];
     for rung in rungs {
-        let answer =
-            bounded.query_under("dashboard", &convt, rung).expect("the ladder never refuses");
+        let answer = bounded
+            .query_under("dashboard", &convt, rung)
+            .expect("the ladder never refuses");
         let (sheds, mass) = answer
             .per_source
             .iter()
@@ -269,7 +272,9 @@ fn main() {
     println!("\n=== EXPLAIN (pinned at High pressure — ladder skips visible) ===\n");
     println!(
         "{}",
-        bounded.explain_under(&convt, PressureLevel::High).expect("valid template")
+        bounded
+            .explain_under(&convt, PressureLevel::High)
+            .expect("valid template")
     );
 
     // Flood the batch gate from six crawler threads while the dashboard
@@ -290,7 +295,9 @@ fn main() {
             });
         }
         for _ in 0..4 {
-            bounded.query("dashboard", &convt).expect("interactive work is never shed");
+            bounded
+                .query("dashboard", &convt)
+                .expect("interactive work is never shed");
         }
     });
     let m = bounded.metrics();

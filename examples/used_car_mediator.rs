@@ -73,7 +73,10 @@ fn main() {
     println!("\nquery {}:", query.display(&schema));
     for alpha in [0.0, 0.5, 2.0] {
         cars.reset_meter();
-        let qpiad = Qpiad::new(stats.clone(), QpiadConfig::default().with_k(10).with_alpha(alpha));
+        let qpiad = Qpiad::new(
+            stats.clone(),
+            QpiadConfig::default().with_k(10).with_alpha(alpha),
+        );
         let answers = qpiad.answer(&cars, &query).expect("accepted");
         println!(
             "  alpha={alpha:<4} -> {} possible answers, mean confidence {:.3}",
@@ -91,7 +94,10 @@ fn main() {
         Predicate::eq(year, 2004i64),
     ]);
     cars.reset_meter();
-    let qpiad = Qpiad::new(stats.clone(), QpiadConfig::default().with_k(12).with_alpha(1.0));
+    let qpiad = Qpiad::new(
+        stats.clone(),
+        QpiadConfig::default().with_k(12).with_alpha(1.0),
+    );
     let answers = qpiad.answer(&cars, &query).expect("accepted");
     println!(
         "\nmulti-attribute {}: {} certain, {} possible, {} deferred (two nulls)",

@@ -18,9 +18,7 @@ use std::sync::Arc;
 use qpiad::core::mediator::{explain, Qpiad, QpiadConfig};
 use qpiad::data::io::{relation_from_csv, CsvOptions};
 use qpiad::data::sample::uniform_sample;
-use qpiad::db::{
-    AttrType, Predicate, Schema, SelectQuery, Value, WebSource,
-};
+use qpiad::db::{AttrType, Predicate, Schema, SelectQuery, Value, WebSource};
 use qpiad::learn::knowledge::{MiningConfig, SourceStats};
 
 /// Parsed command line.
@@ -127,12 +125,14 @@ fn parse_predicate(schema: &Arc<Schema>, text: &str) -> Result<Predicate, String
     let (name, rhs) = text
         .split_once('=')
         .ok_or_else(|| format!("`{text}` is not of the form attr=value"))?;
-    let attr = schema
-        .attr_id(name.trim())
-        .ok_or_else(|| {
-            let known: Vec<&str> = schema.attributes().iter().map(|a| a.name()).collect();
-            format!("unknown attribute `{}` (have: {})", name.trim(), known.join(", "))
-        })?;
+    let attr = schema.attr_id(name.trim()).ok_or_else(|| {
+        let known: Vec<&str> = schema.attributes().iter().map(|a| a.name()).collect();
+        format!(
+            "unknown attribute `{}` (have: {})",
+            name.trim(),
+            known.join(", ")
+        )
+    })?;
     let rhs = rhs.trim();
     if let Some((lo, hi)) = rhs.split_once("..") {
         let lo: i64 = lo
@@ -145,13 +145,13 @@ fn parse_predicate(schema: &Arc<Schema>, text: &str) -> Result<Predicate, String
             .map_err(|_| format!("range bound `{hi}` is not an integer"))?;
         return Ok(Predicate::between(attr, lo, hi));
     }
-    let value = match schema.attr(attr).ty() {
-        AttrType::Integer => Value::int(
-            rhs.parse()
-                .map_err(|_| format!("`{rhs}` is not an integer (attribute `{name}` is numeric)"))?,
-        ),
-        AttrType::Categorical => Value::str(rhs),
-    };
+    let value =
+        match schema.attr(attr).ty() {
+            AttrType::Integer => Value::int(rhs.parse().map_err(|_| {
+                format!("`{rhs}` is not an integer (attribute `{name}` is numeric)")
+            })?),
+            AttrType::Categorical => Value::str(rhs),
+        };
     Ok(Predicate::eq(attr, value))
 }
 
@@ -160,7 +160,10 @@ fn run(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("cannot read {}: {e}", args.csv_path))?;
     let relation = relation_from_csv(
         &text,
-        &CsvOptions { relation_name: args.csv_path.clone(), null_token: args.null_token.clone() },
+        &CsvOptions {
+            relation_name: args.csv_path.clone(),
+            null_token: args.null_token.clone(),
+        },
     )
     .map_err(|e| e.to_string())?;
     let stats_sample = uniform_sample(&relation, args.sample_fraction, args.seed);
@@ -200,9 +203,7 @@ fn run(args: &Args) -> Result<(), String> {
             .with_alpha(args.alpha)
             .with_confidence_threshold(args.threshold),
     );
-    let answers = qpiad
-        .answer(&source, &query)
-        .map_err(|e| e.to_string())?;
+    let answers = qpiad.answer(&source, &query).map_err(|e| e.to_string())?;
 
     println!(
         "{} -> {} certain answers, {} ranked possible answers ({} rewritten queries)",
@@ -215,16 +216,29 @@ fn run(args: &Args) -> Result<(), String> {
         println!("  certain   {}", t.display(&schema));
     }
     if answers.certain.len() > args.limit {
-        println!("  ... {} more certain answers", answers.certain.len() - args.limit);
+        println!(
+            "  ... {} more certain answers",
+            answers.certain.len() - args.limit
+        );
     }
     for a in answers.possible.iter().take(args.limit) {
-        println!("  possible  {}  [{}]", a.tuple.display(&schema), explain(a, &schema));
+        println!(
+            "  possible  {}  [{}]",
+            a.tuple.display(&schema),
+            explain(a, &schema)
+        );
     }
     if answers.possible.len() > args.limit {
-        println!("  ... {} more possible answers", answers.possible.len() - args.limit);
+        println!(
+            "  ... {} more possible answers",
+            answers.possible.len() - args.limit
+        );
     }
     if !answers.deferred.is_empty() {
-        println!("  ({} tuples with several missing constrained values deferred)", answers.deferred.len());
+        println!(
+            "  ({} tuples with several missing constrained values deferred)",
+            answers.deferred.len()
+        );
     }
     Ok(())
 }
@@ -247,7 +261,10 @@ mod tests {
     fn schema() -> Arc<Schema> {
         Schema::of(
             "t",
-            &[("model", AttrType::Categorical), ("price", AttrType::Integer)],
+            &[
+                ("model", AttrType::Categorical),
+                ("price", AttrType::Integer),
+            ],
         )
     }
 
@@ -257,7 +274,16 @@ mod tests {
 
     #[test]
     fn parses_flags_and_predicates() {
-        let a = args(&["--csv", "cars.csv", "--k", "5", "--alpha", "0.5", "model=Civic"]).unwrap();
+        let a = args(&[
+            "--csv",
+            "cars.csv",
+            "--k",
+            "5",
+            "--alpha",
+            "0.5",
+            "model=Civic",
+        ])
+        .unwrap();
         assert_eq!(a.csv_path, "cars.csv");
         assert_eq!(a.k, 5);
         assert_eq!(a.alpha, 0.5);
@@ -274,7 +300,9 @@ mod tests {
 
     #[test]
     fn rejects_unknown_options() {
-        assert!(args(&["--csv", "x", "--bogus", "y"]).unwrap_err().contains("unknown option"));
+        assert!(args(&["--csv", "x", "--bogus", "y"])
+            .unwrap_err()
+            .contains("unknown option"));
     }
 
     #[test]
@@ -285,16 +313,27 @@ mod tests {
         let p = parse_predicate(&s, "price=9000").unwrap();
         assert_eq!(p, Predicate::eq(s.expect_attr("price"), 9000i64));
         let p = parse_predicate(&s, "price=8000..12000").unwrap();
-        assert_eq!(p, Predicate::between(s.expect_attr("price"), 8000i64, 12000i64));
+        assert_eq!(
+            p,
+            Predicate::between(s.expect_attr("price"), 8000i64, 12000i64)
+        );
     }
 
     #[test]
     fn predicate_errors_are_helpful() {
         let s = schema();
-        assert!(parse_predicate(&s, "nope=1").unwrap_err().contains("unknown attribute"));
-        assert!(parse_predicate(&s, "model").unwrap_err().contains("attr=value"));
-        assert!(parse_predicate(&s, "price=cheap").unwrap_err().contains("not an integer"));
-        assert!(parse_predicate(&s, "price=1..x").unwrap_err().contains("not an integer"));
+        assert!(parse_predicate(&s, "nope=1")
+            .unwrap_err()
+            .contains("unknown attribute"));
+        assert!(parse_predicate(&s, "model")
+            .unwrap_err()
+            .contains("attr=value"));
+        assert!(parse_predicate(&s, "price=cheap")
+            .unwrap_err()
+            .contains("not an integer"));
+        assert!(parse_predicate(&s, "price=1..x")
+            .unwrap_err()
+            .contains("not an integer"));
     }
 
     #[test]

@@ -64,7 +64,14 @@ static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 const PASSES: u64 = 220;
 const MEMBERS: [&str; 2] = ["cars.com", "auctions"];
 const STYLES: [&str; 8] = [
-    "Sedan", "Coupe", "Convt", "SUV", "Hatchback", "Truck", "Van", "Wagon",
+    "Sedan",
+    "Coupe",
+    "Convt",
+    "SUV",
+    "Hatchback",
+    "Truck",
+    "Van",
+    "Wagon",
 ];
 const RUNGS: [PressureLevel; 4] = [
     PressureLevel::Normal,
@@ -74,7 +81,10 @@ const RUNGS: [PressureLevel; 4] = [
 ];
 
 fn chaos_seed() -> u64 {
-    std::env::var("QPIAD_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+    std::env::var("QPIAD_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
 }
 
 fn schedule() -> Arc<ChaosSchedule> {
@@ -203,8 +213,13 @@ fn run_soak(threads: usize) -> Vec<String> {
         .zip(MEMBERS)
         .enumerate()
         .map(|(m, ((relation, _), name))| {
-            ChaosSource::new(WebSource::new(name, relation.clone()), m, Arc::clone(&schedule), Arc::clone(&cell))
-                .with_skew(model, Value::str("Drifted"))
+            ChaosSource::new(
+                WebSource::new(name, relation.clone()),
+                m,
+                Arc::clone(&schedule),
+                Arc::clone(&cell),
+            )
+            .with_skew(model, Value::str("Drifted"))
         })
         .collect();
     let health = Arc::new(HealthRegistry::new(BreakerConfig::default()));
@@ -219,7 +234,10 @@ fn run_soak(threads: usize) -> Vec<String> {
 
     // A healthy snapshot whose corrupted variants the corruption events
     // feed to the decoder — it must always fail closed, never panic.
-    let snapshot = encode_snapshot(&StatsSnapshot::capture(&worlds[0].1, &MiningConfig::default()));
+    let snapshot = encode_snapshot(&StatsSnapshot::capture(
+        &worlds[0].1,
+        &MiningConfig::default(),
+    ));
 
     let mut log = Vec::with_capacity(PASSES as usize);
     for pass in 0..PASSES {
@@ -279,7 +297,8 @@ fn run_soak(threads: usize) -> Vec<String> {
                 for (source, (_, stats)) in chaotic.iter().zip(&worlds) {
                     net = net.add_supporting(source, stats.clone());
                 }
-                net.answer_under(&query, QueryBudget::unlimited(), rung).unwrap()
+                net.answer_under(&query, QueryBudget::unlimited(), rung)
+                    .unwrap()
             };
             let lo = twin(pressure);
             let hi = twin(higher);
@@ -293,7 +312,10 @@ fn run_soak(threads: usize) -> Vec<String> {
                 .iter()
                 .flat_map(|s| s.certain.iter().map(|t| t.id()))
                 .collect();
-            assert_eq!(lo_certain, hi_certain, "pass {pass}: certain answers moved with pressure");
+            assert_eq!(
+                lo_certain, hi_certain,
+                "pass {pass}: certain answers moved with pressure"
+            );
             let lo_possible: HashSet<(TupleId, usize)> = lo
                 .per_source
                 .iter()
@@ -322,7 +344,11 @@ fn run_soak(threads: usize) -> Vec<String> {
             m.errors
         );
         assert_eq!(m.in_flight, 0, "pass {pass}: request left in flight");
-        assert_eq!(server.inflight(), 0, "pass {pass}: wedged singleflight entry");
+        assert_eq!(
+            server.inflight(),
+            0,
+            "pass {pass}: wedged singleflight entry"
+        );
 
         log.push(digest(pass, pressure, &answer));
     }
@@ -336,7 +362,10 @@ fn chaos_soak_replays_byte_identically_and_stays_sound() {
     assert_eq!(serial.len(), PASSES as usize);
     let parallel = run_soak(8);
     for (pass, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(s, p, "pass {pass} diverged between 1 and 8 mediation workers");
+        assert_eq!(
+            s, p,
+            "pass {pass} diverged between 1 and 8 mediation workers"
+        );
     }
 }
 
@@ -385,7 +414,10 @@ fn chaos_floods_conserve_and_never_wedge() {
         let expected = &reference[(template_pass as usize) % STYLES.len()];
         for s in &answer.per_source {
             for t in &s.certain {
-                assert!(expected.contains(&t.id()), "flood invented a certain answer");
+                assert!(
+                    expected.contains(&t.id()),
+                    "flood invented a certain answer"
+                );
             }
         }
     };
@@ -412,7 +444,10 @@ fn chaos_floods_conserve_and_never_wedge() {
                 .map(|i| {
                     let query = soak_query(&global, pass + i);
                     let server = &server;
-                    (pass + i, scope.spawn(move || server.query("nightly", &query)))
+                    (
+                        pass + i,
+                        scope.spawn(move || server.query("nightly", &query)),
+                    )
                 })
                 .collect();
 
@@ -444,7 +479,11 @@ fn chaos_floods_conserve_and_never_wedge() {
         assert!(m.conserves(), "pass {pass}: conservation violated: {m:?}");
         assert_eq!(m.in_flight, 0, "pass {pass}: request left in flight");
         assert_eq!(m.coalesce_waiters, 0, "pass {pass}: waiter left parked");
-        assert_eq!(server.inflight(), 0, "pass {pass}: wedged singleflight entry");
+        assert_eq!(
+            server.inflight(),
+            0,
+            "pass {pass}: wedged singleflight entry"
+        );
     }
 
     let m = server.metrics();
@@ -487,7 +526,10 @@ fn refresh_schedule() -> Arc<ChaosSchedule> {
 /// a pure function of the member, so every run (and both worker-pool
 /// sizes) publishes identical refreshed generations.
 fn remine(worlds: &[(Relation, SourceStats)], name: &str) -> SourceStats {
-    let m = MEMBERS.iter().position(|&n| n == name).expect("mine called for unknown member");
+    let m = MEMBERS
+        .iter()
+        .position(|&n| n == name)
+        .expect("mine called for unknown member");
     let (relation, _) = &worlds[m];
     SourceStats::mine(
         &uniform_sample(relation, 0.10, 5 + m as u64),
@@ -550,7 +592,9 @@ fn run_refresh_soak(threads: usize) -> Vec<String> {
         .collect();
     let health = Arc::new(HealthRegistry::new(BreakerConfig::default()));
     let drift = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_threshold(0.25).with_min_observations(40),
+        DriftConfig::default()
+            .with_threshold(0.25)
+            .with_min_observations(40),
     ));
     let store = scratch_store(&format!("refresh-soak-{threads}"));
     let mut network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(6))
@@ -566,7 +610,11 @@ fn run_refresh_soak(threads: usize) -> Vec<String> {
     // refresh (the in-pass retry rung is the flood suite's job), so the
     // soak walks the cross-pass ladder — failure, backoff, deferral, heal.
     let server = QpiadServer::new(network)
-        .with_config(ServeConfig::default().with_refresh_retries(1).with_refresh_backoff_base(2))
+        .with_config(
+            ServeConfig::default()
+                .with_refresh_retries(1)
+                .with_refresh_backoff_base(2),
+        )
         .with_knowledge_store(store.clone(), MiningConfig::default());
     server.register(Tenant::interactive("web"));
 
@@ -607,7 +655,11 @@ fn run_refresh_soak(threads: usize) -> Vec<String> {
         let m = server.metrics();
         assert!(m.conserves(), "pass {pass}: conservation violated: {m:?}");
         assert_eq!(m.in_flight, 0, "pass {pass}: request left in flight");
-        assert_eq!(server.inflight(), 0, "pass {pass}: wedged singleflight entry");
+        assert_eq!(
+            server.inflight(),
+            0,
+            "pass {pass}: wedged singleflight entry"
+        );
         let epochs = server.network().member_epochs();
         assert_eq!(
             epochs.iter().map(|(_, e)| *e as usize).sum::<usize>(),
@@ -634,7 +686,10 @@ fn run_refresh_soak(threads: usize) -> Vec<String> {
     // published, scheduled persist faults failed some of them.
     let m = server.metrics();
     assert!(m.refresh_success > 0, "the soak never published a refresh");
-    assert!(m.refresh_failure > 0, "the scheduled persist faults never landed");
+    assert!(
+        m.refresh_failure > 0,
+        "the scheduled persist faults never landed"
+    );
     // Whatever the fault schedule did, every persisted snapshot must load.
     for name in MEMBERS {
         if store.contains(name) {
@@ -652,7 +707,10 @@ fn refresh_soak_heals_drift_and_replays_byte_identically() {
     let serial = run_refresh_soak(1);
     let parallel = run_refresh_soak(8);
     for (pass, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-        assert_eq!(s, p, "pass {pass} diverged between 1 and 8 mediation workers");
+        assert_eq!(
+            s, p,
+            "pass {pass} diverged between 1 and 8 mediation workers"
+        );
     }
 }
 
@@ -690,7 +748,9 @@ fn refresh_under_flood_heals_and_never_refuses() {
         .collect();
     let health = Arc::new(HealthRegistry::new(BreakerConfig::default()));
     let drift = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_threshold(0.25).with_min_observations(40),
+        DriftConfig::default()
+            .with_threshold(0.25)
+            .with_min_observations(40),
     ));
     let store = scratch_store("refresh-flood");
     let mut network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(6))
@@ -747,12 +807,14 @@ fn refresh_under_flood_heals_and_never_refuses() {
                 .map(|i| {
                     let query = soak_query(&global, pass + i);
                     let server = &server;
-                    (pass + i, scope.spawn(move || server.query("nightly", &query)))
+                    (
+                        pass + i,
+                        scope.spawn(move || server.query("nightly", &query)),
+                    )
                 })
                 .collect();
-            let maintainer = scope.spawn(|| {
-                server.maintain_at(pass + 1, |name, _| Ok(remine(&worlds, name)))
-            });
+            let maintainer =
+                scope.spawn(|| server.maintain_at(pass + 1, |name, _| Ok(remine(&worlds, name))));
 
             for (template_pass, h) in interactive {
                 match h.join().expect("interactive caller must not panic") {
@@ -773,7 +835,9 @@ fn refresh_under_flood_heals_and_never_refuses() {
                     Err(other) => panic!("unexpected admission failure: {other}"),
                 }
             }
-            maintainer.join().expect("maintenance must not panic under flood");
+            maintainer
+                .join()
+                .expect("maintenance must not panic under flood");
         });
 
         // Quiescent after every wave: exact conservation, nothing wedged,
@@ -782,9 +846,16 @@ fn refresh_under_flood_heals_and_never_refuses() {
         assert!(m.conserves(), "pass {pass}: conservation violated: {m:?}");
         assert_eq!(m.in_flight, 0, "pass {pass}: request left in flight");
         assert_eq!(m.coalesce_waiters, 0, "pass {pass}: waiter left parked");
-        assert_eq!(server.inflight(), 0, "pass {pass}: wedged singleflight entry");
         assert_eq!(
-            m.knowledge_epochs.iter().map(|(_, e)| *e as usize).sum::<usize>(),
+            server.inflight(),
+            0,
+            "pass {pass}: wedged singleflight entry"
+        );
+        assert_eq!(
+            m.knowledge_epochs
+                .iter()
+                .map(|(_, e)| *e as usize)
+                .sum::<usize>(),
             m.refresh_success,
             "pass {pass}: every successful refresh bumps exactly one epoch"
         );
@@ -793,7 +864,10 @@ fn refresh_under_flood_heals_and_never_refuses() {
     let m = server.metrics();
     assert!(m.conserves(), "final conservation must be exact");
     assert!(m.completed > 0, "the flood must not have starved all work");
-    assert!(m.refresh_success > 0, "drift-triggered maintenance never healed a member");
+    assert!(
+        m.refresh_success > 0,
+        "drift-triggered maintenance never healed a member"
+    );
     for name in MEMBERS {
         if store.contains(name) {
             store

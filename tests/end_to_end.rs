@@ -6,9 +6,7 @@ use qpiad::core::mediator::{flatten_answers, Qpiad, QpiadConfig};
 use qpiad::data::cars::CarsConfig;
 use qpiad::data::corrupt::{corrupt, CorruptionConfig};
 use qpiad::data::sample::uniform_sample;
-use qpiad::db::{
-    DirectSource, Predicate, Relation, SelectQuery, TupleId, Value, WebSource,
-};
+use qpiad::db::{DirectSource, Predicate, Relation, SelectQuery, TupleId, Value, WebSource};
 use qpiad::eval::Oracle;
 use qpiad::learn::knowledge::{MiningConfig, SourceStats};
 
@@ -35,7 +33,10 @@ fn convt_query(ed: &Relation) -> SelectQuery {
 fn answer_sets_partition_cleanly() {
     let f = fixture(1);
     let source = WebSource::new("cars", f.ed.clone());
-    let qpiad = Qpiad::new(f.stats.clone(), QpiadConfig::default().with_k(20).with_alpha(1.0));
+    let qpiad = Qpiad::new(
+        f.stats.clone(),
+        QpiadConfig::default().with_k(20).with_alpha(1.0),
+    );
     let q = convt_query(&f.ed);
     let answers = qpiad.answer(&source, &q).unwrap();
 
@@ -64,7 +65,10 @@ fn qpiad_beats_all_returned_on_precision() {
     let oracle = Oracle::new(&f.ground, &f.ed);
     let relevant = oracle.relevant_possible(&q);
 
-    let qpiad = Qpiad::new(f.stats.clone(), QpiadConfig::default().with_k(15).with_alpha(1.0));
+    let qpiad = Qpiad::new(
+        f.stats.clone(),
+        QpiadConfig::default().with_k(15).with_alpha(1.0),
+    );
     let answers = qpiad.answer(&source, &q).unwrap();
     let qpiad_hits = answers
         .possible
@@ -95,7 +99,10 @@ fn qpiad_matches_all_ranked_quality_at_lower_cost() {
     let oracle = Oracle::new(&f.ground, &f.ed);
     let relevant = oracle.relevant_possible(&q);
 
-    let qpiad = Qpiad::new(f.stats.clone(), QpiadConfig::default().with_k(15).with_alpha(0.0));
+    let qpiad = Qpiad::new(
+        f.stats.clone(),
+        QpiadConfig::default().with_k(15).with_alpha(0.0),
+    );
     let answers = qpiad.answer(&source, &q).unwrap();
     let k = answers.possible.len().clamp(1, 20);
     let qpiad_top: f64 = answers.possible[..k]
@@ -118,7 +125,11 @@ fn qpiad_matches_all_ranked_quality_at_lower_cost() {
     );
     // ...but AllRanked needed every null-body tuple transferred.
     let body = f.ed.schema().expect_attr("body_style");
-    let null_body = f.ed.tuples().iter().filter(|t| t.value(body).is_null()).count();
+    let null_body =
+        f.ed.tuples()
+            .iter()
+            .filter(|t| t.value(body).is_null())
+            .count();
     assert_eq!(
         ranked.len(),
         null_body,
@@ -147,7 +158,10 @@ fn ranked_confidences_track_ground_truth_frequencies() {
     let q = convt_query(&f.ed);
     let oracle = Oracle::new(&f.ground, &f.ed);
     let relevant = oracle.relevant_possible(&q);
-    let qpiad = Qpiad::new(f.stats.clone(), QpiadConfig::default().with_k(40).with_alpha(1.0));
+    let qpiad = Qpiad::new(
+        f.stats.clone(),
+        QpiadConfig::default().with_k(40).with_alpha(1.0),
+    );
     let answers = qpiad.answer(&source, &q).unwrap();
 
     let (mut hi_hit, mut hi_n, mut lo_hit, mut lo_n) = (0usize, 0usize, 0usize, 0usize);
@@ -177,7 +191,10 @@ fn mediator_works_on_multi_attribute_range_queries() {
         Predicate::eq(schema.expect_attr("body_style"), "Sedan"),
         Predicate::between(schema.expect_attr("price"), 12_000i64, 18_000i64),
     ]);
-    let qpiad = Qpiad::new(f.stats.clone(), QpiadConfig::default().with_k(20).with_alpha(1.0));
+    let qpiad = Qpiad::new(
+        f.stats.clone(),
+        QpiadConfig::default().with_k(20).with_alpha(1.0),
+    );
     let answers = qpiad.answer(&source, &q).unwrap();
     assert!(!answers.certain.is_empty());
     // All ranked possible answers are sound.
@@ -187,7 +204,10 @@ fn mediator_works_on_multi_attribute_range_queries() {
     // At least one possible answer chases a missing price and one a missing
     // body style across the run (both attributes have AFDs).
     let body = schema.expect_attr("body_style");
-    let have_body_null = answers.possible.iter().any(|a| a.tuple.value(body).is_null());
+    let have_body_null = answers
+        .possible
+        .iter()
+        .any(|a| a.tuple.value(body).is_null());
     assert!(
         have_body_null || answers.possible.is_empty(),
         "expected body-style possible answers"

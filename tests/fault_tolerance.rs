@@ -93,7 +93,12 @@ fn fixture() -> Fixture {
     let (auctions_ed, _) = corrupt(&auctions_gd, &CorruptionConfig::default().with_seed(3));
     let auctions_ed = auctions_ed.project_to("auctions", &global.attr_ids().collect::<Vec<_>>());
 
-    Fixture { cars_ed, cars_stats, yahoo_local, auctions_ed }
+    Fixture {
+        cars_ed,
+        cars_stats,
+        yahoo_local,
+        auctions_ed,
+    }
 }
 
 /// Everything order- and rank-sensitive about a network answer, with float
@@ -137,15 +142,15 @@ fn run_network(
 ) -> (NetworkAnswer, [qpiad::db::SourceMeter; 3]) {
     let global = f.cars_ed.schema().clone();
     let cars = FaultInjector::new(WebSource::new("cars.com", f.cars_ed.clone()), plans[0]);
-    let yahoo = FaultInjector::new(WebSource::new("yahoo_autos", f.yahoo_local.clone()), plans[1]);
+    let yahoo = FaultInjector::new(
+        WebSource::new("yahoo_autos", f.yahoo_local.clone()),
+        plans[1],
+    );
     let auctions = FaultInjector::new(WebSource::new("auctions", f.auctions_ed.clone()), plans[2]);
-    let network = MediatorNetwork::new(
-        global,
-        QpiadConfig::default().with_k(8).with_retry(retry),
-    )
-    .add_supporting(&cars, f.cars_stats.clone())
-    .add_deficient(&yahoo)
-    .add_deficient(&auctions);
+    let network = MediatorNetwork::new(global, QpiadConfig::default().with_k(8).with_retry(retry))
+        .add_supporting(&cars, f.cars_stats.clone())
+        .add_deficient(&yahoo)
+        .add_deficient(&auctions);
     let answer = network.answer(query).expect("mediation never aborts");
     (answer, [cars.meter(), yahoo.meter(), auctions.meter()])
 }
@@ -180,12 +185,18 @@ fn transient_failures_with_retries_converge_to_the_healthy_answer() {
         // Every member was retried and every failed attempt was metered.
         for m in &meters {
             assert!(m.retries > 0, "retries went unmetered: {m:?}");
-            assert_eq!(m.failures, m.retries, "each absorbed failure costs one retry");
+            assert_eq!(
+                m.failures, m.retries,
+                "each absorbed failure costs one retry"
+            );
             assert_eq!(m.degraded, 0);
         }
         signatures.push(signature(&faulted));
     }
-    assert_eq!(signatures[0], signatures[1], "fault decisions must be content-keyed");
+    assert_eq!(
+        signatures[0], signatures[1],
+        "fault decisions must be content-keyed"
+    );
 }
 
 #[test]
@@ -204,8 +215,7 @@ fn permanent_outage_is_isolated_to_the_failed_member() {
     let mut signatures = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
-        let (healthy, _) =
-            run_network(&f, &query, RetryPolicy::none(), [FaultPlan::healthy(); 3]);
+        let (healthy, _) = run_network(&f, &query, RetryPolicy::none(), [FaultPlan::healthy(); 3]);
         assert!(healthy.fully_healthy());
         assert!(healthy.certain_count() > 0);
 
@@ -220,7 +230,10 @@ fn permanent_outage_is_isolated_to_the_failed_member() {
         let failed = faulted.failed_sources();
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].0, "auctions");
-        assert!(matches!(failed[0].1, SourceError::Unavailable { retryable: false }));
+        assert!(matches!(
+            failed[0].1,
+            SourceError::Unavailable { retryable: false }
+        ));
         assert!(faulted.per_source[2].outcome.is_failed());
         assert!(faulted.per_source[2].certain.is_empty());
 
@@ -264,13 +277,16 @@ fn failed_rewrites_degrade_the_member_and_keep_its_certain_answers() {
     let mut signatures = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
-        let (healthy, _) =
-            run_network(&f, &query, RetryPolicy::none(), [FaultPlan::healthy(); 3]);
+        let (healthy, _) = run_network(&f, &query, RetryPolicy::none(), [FaultPlan::healthy(); 3]);
         let (faulted, meters) = run_network(
             &f,
             &query,
             RetryPolicy::default().with_max_attempts(2),
-            [FaultPlan::healthy().with_fail_on_attr(target), FaultPlan::healthy(), FaultPlan::healthy()],
+            [
+                FaultPlan::healthy().with_fail_on_attr(target),
+                FaultPlan::healthy(),
+                FaultPlan::healthy(),
+            ],
         );
 
         // cars.com is degraded, not failed: its certain answers are intact
@@ -282,10 +298,17 @@ fn failed_rewrites_degrade_the_member_and_keep_its_certain_answers() {
         };
         assert!(d.dropped_rewrites > 0);
         assert!(d.dropped_fmeasure > 0.0);
-        assert!(matches!(d.last_error, Some(SourceError::Unavailable { retryable: true })));
+        assert!(matches!(
+            d.last_error,
+            Some(SourceError::Unavailable { retryable: true })
+        ));
         assert_eq!(
             part.certain.iter().map(|t| t.id()).collect::<Vec<_>>(),
-            healthy.per_source[0].certain.iter().map(|t| t.id()).collect::<Vec<_>>(),
+            healthy.per_source[0]
+                .certain
+                .iter()
+                .map(|t| t.id())
+                .collect::<Vec<_>>(),
         );
         assert!(part.possible.len() < healthy.per_source[0].possible.len());
         assert_eq!(faulted.degraded_count(), 1);
@@ -295,7 +318,10 @@ fn failed_rewrites_degrade_the_member_and_keep_its_certain_answers() {
         // The degradation and the exhausted retries are metered.
         assert_eq!(meters[0].degraded, 1);
         assert!(meters[0].failures > 0);
-        assert!(meters[0].retries > 0, "retryable faults must be retried before dropping");
+        assert!(
+            meters[0].retries > 0,
+            "retryable faults must be retried before dropping"
+        );
 
         // The other members are untouched.
         assert_eq!(per_part(&healthy)[1..], per_part(&faulted)[1..]);
@@ -348,15 +374,21 @@ fn hashed_fault_decisions_replay_identically_across_thread_counts() {
     // than call order. cars.com stays healthy so the one query two members
     // legitimately share (the correlated base retrieval) cannot split its
     // injected-failure budget across callers in interleaving-dependent ways.
-    let noisy = FaultPlan::healthy().with_seed(0xfau64).with_transient_rate(0.35);
-    let retry = RetryPolicy::default().with_max_attempts(3).with_jitter_seed(7);
+    let noisy = FaultPlan::healthy()
+        .with_seed(0xfau64)
+        .with_transient_rate(0.35);
+    let retry = RetryPolicy::default()
+        .with_max_attempts(3)
+        .with_jitter_seed(7);
 
     let mut signatures = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
-        let (answer, meters) =
-            run_network(&f, &query, retry, [FaultPlan::healthy(), noisy, noisy]);
-        signatures.push((signature(&answer), meters.map(|m| (m.retries, m.failures, m.degraded))));
+        let (answer, meters) = run_network(&f, &query, retry, [FaultPlan::healthy(), noisy, noisy]);
+        signatures.push((
+            signature(&answer),
+            meters.map(|m| (m.retries, m.failures, m.degraded)),
+        ));
     }
     assert_eq!(signatures[0], signatures[1]);
 }
@@ -381,10 +413,13 @@ fn breaker_caps_probe_attempts_against_a_downed_target() {
     let mut runs = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
-        let registry =
-            Arc::new(HealthRegistry::new(BreakerConfig::default().with_failure_threshold(3)));
-        let cars =
-            FaultInjector::new(WebSource::new("cars.com", f.cars_ed.clone()), FaultPlan::healthy());
+        let registry = Arc::new(HealthRegistry::new(
+            BreakerConfig::default().with_failure_threshold(3),
+        ));
+        let cars = FaultInjector::new(
+            WebSource::new("cars.com", f.cars_ed.clone()),
+            FaultPlan::healthy(),
+        );
         let yahoo = FaultInjector::new(
             WebSource::new("yahoo_autos", f.yahoo_local.clone()),
             FaultPlan::healthy().with_permanent_outage(),
@@ -403,13 +438,30 @@ fn breaker_caps_probe_attempts_against_a_downed_target() {
 
         // Yahoo is served through the correlated plan: 8 ranked rewrites
         // were headed its way, but the breaker admitted exactly 3 probes.
-        assert_eq!(yahoo.meter().failures, 3, "breaker must cap probes at failure_threshold");
-        assert_eq!(yahoo.meter().retries, 0, "a non-retryable outage is never retried");
+        assert_eq!(
+            yahoo.meter().failures,
+            3,
+            "breaker must cap probes at failure_threshold"
+        );
+        assert_eq!(
+            yahoo.meter().retries,
+            0,
+            "a non-retryable outage is never retried"
+        );
         let SourceOutcome::Degraded(d) = &first.per_source[1].outcome else {
-            panic!("expected a degraded outcome, got {:?}", first.per_source[1].outcome);
+            panic!(
+                "expected a degraded outcome, got {:?}",
+                first.per_source[1].outcome
+            );
         };
-        assert_eq!(d.dropped_rewrites, 3, "each admitted probe is a recorded drop");
-        assert!(d.breaker_skips > 0, "the rest of the plan must be breaker-skipped");
+        assert_eq!(
+            d.dropped_rewrites, 3,
+            "each admitted probe is a recorded drop"
+        );
+        assert!(
+            d.breaker_skips > 0,
+            "the rest of the plan must be breaker-skipped"
+        );
         assert!(d.dropped_fmeasure > 0.0);
         assert_eq!(registry.state("yahoo_autos"), BreakerState::Open);
         // The healthy member is untouched.
@@ -422,13 +474,19 @@ fn breaker_caps_probe_attempts_against_a_downed_target() {
         assert_eq!(yahoo.meter().failures, 3);
         assert_eq!(yahoo.meter().breaker_skips, 1);
         let SourceOutcome::Degraded(d2) = &second.per_source[1].outcome else {
-            panic!("expected a degraded outcome, got {:?}", second.per_source[1].outcome);
+            panic!(
+                "expected a degraded outcome, got {:?}",
+                second.per_source[1].outcome
+            );
         };
         assert_eq!(d2.breaker_skips, 1);
         assert!(matches!(d2.last_error, Some(SourceError::CircuitOpen)));
         runs.push((signature(&first), signature(&second)));
     }
-    assert_eq!(runs[0], runs[1], "breaker decisions must replay across thread counts");
+    assert_eq!(
+        runs[0], runs[1],
+        "breaker decisions must replay across thread counts"
+    );
 }
 
 /// The full breaker life cycle over repeated passes: trip on the first
@@ -446,10 +504,13 @@ fn open_breaker_skips_up_front_and_recovers_through_half_open_probes() {
     let mut per_thread = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
-        let registry =
-            Arc::new(HealthRegistry::new(BreakerConfig::default().with_failure_threshold(1)));
-        let cars =
-            FaultInjector::new(WebSource::new("cars.com", f.cars_ed.clone()), FaultPlan::healthy());
+        let registry = Arc::new(HealthRegistry::new(
+            BreakerConfig::default().with_failure_threshold(1),
+        ));
+        let cars = FaultInjector::new(
+            WebSource::new("cars.com", f.cars_ed.clone()),
+            FaultPlan::healthy(),
+        );
         // Certain-answers-only member whose first two attempts at the query
         // fail; pass-level probing (not wall time) drives recovery.
         let auctions = FaultInjector::new(
@@ -458,7 +519,9 @@ fn open_breaker_skips_up_front_and_recovers_through_half_open_probes() {
         );
         let network = MediatorNetwork::new(
             global.clone(),
-            QpiadConfig::default().with_k(8).with_retry(RetryPolicy::none()),
+            QpiadConfig::default()
+                .with_k(8)
+                .with_retry(RetryPolicy::none()),
         )
         .with_health(registry.clone())
         .add_supporting(&cars, f.cars_stats.clone())
@@ -488,8 +551,14 @@ fn open_breaker_skips_up_front_and_recovers_through_half_open_probes() {
         assert_eq!(registry.state("auctions"), BreakerState::Closed);
 
         let meter = auctions.meter();
-        assert_eq!(meter.failures, 2, "exactly the two injected failures reached the source");
-        assert_eq!(meter.breaker_skips, 4, "both cooldowns cost two skipped passes each");
+        assert_eq!(
+            meter.failures, 2,
+            "exactly the two injected failures reached the source"
+        );
+        assert_eq!(
+            meter.breaker_skips, 4,
+            "both cooldowns cost two skipped passes each"
+        );
         per_thread.push(passes.iter().map(signature).collect::<Vec<_>>());
     }
     assert_eq!(per_thread[0], per_thread[1]);
@@ -517,14 +586,19 @@ fn slow_member_hedges_rewrites_to_an_aligned_partner() {
     );
     // cars.com is slow (injected latency) AND fails every rewrite that
     // constrains body_style's first determining attribute.
-    let dtr = f.cars_stats.determining_set(body).expect("body_style has an AFD")[0];
+    let dtr = f
+        .cars_stats
+        .determining_set(body)
+        .expect("body_style has an AFD")[0];
 
     let mut per_thread = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
         let cars = FaultInjector::new(
             WebSource::new("cars.com", f.cars_ed.clone()),
-            FaultPlan::healthy().with_latency(Duration::from_millis(2)).with_fail_on_attr(dtr),
+            FaultPlan::healthy()
+                .with_latency(Duration::from_millis(2))
+                .with_fail_on_attr(dtr),
         );
         let carsdirect = FaultInjector::new(
             WebSource::new("carsdirect", carsdirect_ed.clone()),
@@ -539,25 +613,37 @@ fn slow_member_hedges_rewrites_to_an_aligned_partner() {
         let first = network.answer(&query).expect("mediation never aborts");
         assert_eq!(cars.meter().hedges, 0);
         let SourceOutcome::Degraded(d) = &first.per_source[0].outcome else {
-            panic!("expected a degraded first pass, got {:?}", first.per_source[0].outcome);
+            panic!(
+                "expected a degraded first pass, got {:?}",
+                first.per_source[0].outcome
+            );
         };
         assert!(d.dropped_rewrites > 0);
 
         // Pass 2: cars.com's metered latency marks it slow; its queries are
         // hedged to carsdirect and the injected failures are covered.
         let second = network.answer(&query).expect("mediation never aborts");
-        assert!(cars.meter().hedges > 0, "failing primary must be covered by the partner");
+        assert!(
+            cars.meter().hedges > 0,
+            "failing primary must be covered by the partner"
+        );
         let part = &second.per_source[0];
         let dropped = match &part.outcome {
             SourceOutcome::Degraded(d) => d.dropped_rewrites,
             SourceOutcome::Healthy => 0,
             other => panic!("unexpected outcome {other:?}"),
         };
-        assert_eq!(dropped, 0, "every failing rewrite is served by the hedge partner");
+        assert_eq!(
+            dropped, 0,
+            "every failing rewrite is served by the hedge partner"
+        );
         assert!(!part.possible.is_empty());
         per_thread.push((signature(&first), signature(&second), cars.meter().hedges));
     }
-    assert_eq!(per_thread[0], per_thread[1], "hedge decisions must replay across thread counts");
+    assert_eq!(
+        per_thread[0], per_thread[1],
+        "hedge decisions must replay across thread counts"
+    );
 }
 
 /// A source whose responses drift from its advertised contract: it appends
@@ -635,8 +721,9 @@ fn drifting_responses_are_quarantined_and_trip_the_breaker() {
     let mut per_thread = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
-        let registry =
-            Arc::new(HealthRegistry::new(BreakerConfig::default().with_failure_threshold(1)));
+        let registry = Arc::new(HealthRegistry::new(
+            BreakerConfig::default().with_failure_threshold(1),
+        ));
         let drifty = DriftSource {
             inner: WebSource::new("auctions", f.auctions_ed.clone()),
             noise: noise.clone(),
@@ -649,10 +736,16 @@ fn drifting_responses_are_quarantined_and_trip_the_breaker() {
         // quarantined, and the dirty response counts as a breaker failure.
         let first = network.answer(&query).expect("mediation never aborts");
         let SourceOutcome::Degraded(d) = &first.per_source[0].outcome else {
-            panic!("expected a degraded outcome, got {:?}", first.per_source[0].outcome);
+            panic!(
+                "expected a degraded outcome, got {:?}",
+                first.per_source[0].outcome
+            );
         };
         assert_eq!(d.quarantined, 2);
-        assert!(!first.per_source[0].certain.is_empty(), "clean tuples must be kept");
+        assert!(
+            !first.per_source[0].certain.is_empty(),
+            "clean tuples must be kept"
+        );
         for t in &first.per_source[0].certain {
             assert_eq!(t.value(model), &qpiad::db::Value::str("Civic"));
         }
@@ -662,10 +755,17 @@ fn drifting_responses_are_quarantined_and_trip_the_breaker() {
         // Pass 2: the member is skipped before the drift can recur.
         let second = network.answer(&query).expect("mediation never aborts");
         let SourceOutcome::Degraded(d2) = &second.per_source[0].outcome else {
-            panic!("expected a breaker skip, got {:?}", second.per_source[0].outcome);
+            panic!(
+                "expected a breaker skip, got {:?}",
+                second.per_source[0].outcome
+            );
         };
         assert_eq!(d2.breaker_skips, 1);
-        assert_eq!(drifty.meter().quarantined, 2, "no new tuples reached validation");
+        assert_eq!(
+            drifty.meter().quarantined,
+            2,
+            "no new tuples reached validation"
+        );
         per_thread.push((signature(&first), signature(&second)));
     }
     assert_eq!(per_thread[0], per_thread[1]);
@@ -685,8 +785,10 @@ fn query_budget_truncates_the_plan_and_degrades_gracefully() {
     let mut per_thread = Vec::new();
     for threads in [1usize, 8] {
         par::set_thread_override(Some(threads));
-        let cars =
-            FaultInjector::new(WebSource::new("cars.com", f.cars_ed.clone()), FaultPlan::healthy());
+        let cars = FaultInjector::new(
+            WebSource::new("cars.com", f.cars_ed.clone()),
+            FaultPlan::healthy(),
+        );
         let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
             .add_supporting(&cars, f.cars_stats.clone());
 
@@ -708,18 +810,31 @@ fn query_budget_truncates_the_plan_and_degrades_gracefully() {
         };
         assert!(d.budget_skips > 0, "the plan must be truncated: {d:?}");
         assert!(d.dropped_fmeasure > 0.0);
-        assert_eq!(d.dropped_rewrites, 0, "nothing failed — skipped is not dropped");
+        assert_eq!(
+            d.dropped_rewrites, 0,
+            "nothing failed — skipped is not dropped"
+        );
         assert!(matches!(d.last_error, Some(SourceError::BudgetExhausted)));
         // Certain answers always survive the budget; possible answers are a
         // subset of the unbudgeted run's.
         assert_eq!(
             part.certain.iter().map(|t| t.id()).collect::<Vec<_>>(),
-            full.per_source[0].certain.iter().map(|t| t.id()).collect::<Vec<_>>(),
+            full.per_source[0]
+                .certain
+                .iter()
+                .map(|t| t.id())
+                .collect::<Vec<_>>(),
         );
         assert!(part.possible.len() < full.per_source[0].possible.len());
-        let full_ids: std::collections::HashSet<_> =
-            full.per_source[0].possible.iter().map(|r| r.tuple.id()).collect();
-        assert!(part.possible.iter().all(|r| full_ids.contains(&r.tuple.id())));
+        let full_ids: std::collections::HashSet<_> = full.per_source[0]
+            .possible
+            .iter()
+            .map(|r| r.tuple.id())
+            .collect();
+        assert!(part
+            .possible
+            .iter()
+            .all(|r| full_ids.contains(&r.tuple.id())));
         per_thread.push((signature(&full), signature(&capped)));
     }
     assert_eq!(per_thread[0], per_thread[1]);
@@ -737,8 +852,9 @@ fn snapshot_statistics_serve_when_mining_is_blocked() {
     let query = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
     let snapshot = StatsSnapshot::capture(&f.cars_stats, &MiningConfig::default());
 
-    let registry =
-        Arc::new(HealthRegistry::new(BreakerConfig::default().with_failure_threshold(1)));
+    let registry = Arc::new(HealthRegistry::new(
+        BreakerConfig::default().with_failure_threshold(1),
+    ));
     let cars = WebSource::new("cars.com", f.cars_ed.clone());
 
     // Mining fails outright: the failure is recorded against the breaker
@@ -782,8 +898,9 @@ fn snapshot_statistics_serve_when_mining_is_blocked() {
     assert!(matches!(err, SourceError::Unavailable { retryable: false }));
 
     // A breaker already open at registration skips mining entirely.
-    let registry2 =
-        Arc::new(HealthRegistry::new(BreakerConfig::default().with_failure_threshold(1)));
+    let registry2 = Arc::new(HealthRegistry::new(
+        BreakerConfig::default().with_failure_threshold(1),
+    ));
     registry2.begin_pass();
     registry2.absorb("cars.com", &[qpiad::db::Observation::Failure]);
     assert_eq!(registry2.state("cars.com"), BreakerState::Open);

@@ -84,7 +84,11 @@ fn fixture() -> Fixture {
     let (cars_ed, _) = corrupt(&cars_gd, &CorruptionConfig::default().with_seed(1));
     let config = MiningConfig::default();
     let cars_stats = SourceStats::mine(&uniform_sample(&cars_ed, 0.10, 2), cars_ed.len(), &config);
-    Fixture { cars_ed, cars_stats, config }
+    Fixture {
+        cars_ed,
+        cars_stats,
+        config,
+    }
 }
 
 /// Everything order- and rank-sensitive about a network answer, with float
@@ -147,9 +151,21 @@ fn every_load_failure_class_degrades_to_certain_answers_only() {
 
     let cases: [(&str, Option<String>, &str); 5] = [
         ("missing", None, "missing"),
-        ("garbage", Some("not a snapshot at all".to_string()), "corrupt"),
-        ("truncated", Some(good[..good.len() / 2].to_string()), "corrupt"),
-        ("future-version", Some(good.replacen(" v1 ", " v9 ", 1)), "version-mismatch"),
+        (
+            "garbage",
+            Some("not a snapshot at all".to_string()),
+            "corrupt",
+        ),
+        (
+            "truncated",
+            Some(good[..good.len() / 2].to_string()),
+            "corrupt",
+        ),
+        (
+            "future-version",
+            Some(good.replacen(" v1 ", " v9 ", 1)),
+            "version-mismatch",
+        ),
         ("other-schema", Some(narrow_text), "schema-mismatch"),
     ];
 
@@ -171,8 +187,14 @@ fn every_load_failure_class_degrades_to_certain_answers_only() {
 
         let answer = network.answer(&q).unwrap();
         let part = &answer.per_source[0];
-        assert!(!part.certain.is_empty(), "case `{name}`: certain answers must survive");
-        assert!(part.possible.is_empty(), "case `{name}`: no statistics, no possible answers");
+        assert!(
+            !part.certain.is_empty(),
+            "case `{name}`: certain answers must survive"
+        );
+        assert!(
+            part.possible.is_empty(),
+            "case `{name}`: no statistics, no possible answers"
+        );
         match &part.outcome {
             SourceOutcome::Degraded(d) => {
                 assert_eq!(d.knowledge_unavailable, 1, "case `{name}`");
@@ -189,7 +211,12 @@ fn a_healthy_snapshot_round_trips_through_the_store() {
     let f = fixture();
     let global = f.cars_ed.schema().clone();
     let store = scratch_store("round-trip");
-    store.save("cars.com", &StatsSnapshot::capture(&f.cars_stats, &f.config)).unwrap();
+    store
+        .save(
+            "cars.com",
+            &StatsSnapshot::capture(&f.cars_stats, &f.config),
+        )
+        .unwrap();
 
     let cars = WebSource::new("cars.com", f.cars_ed.clone());
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -230,7 +257,9 @@ fn drift_lifecycle(f: &Fixture, threads: usize) -> [Vec<String>; 3] {
     let cars = SkewInjector::new(WebSource::new("cars.com", f.cars_ed.clone()), plan);
 
     let registry = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_min_observations(20).with_threshold(0.35),
+        DriftConfig::default()
+            .with_min_observations(20)
+            .with_threshold(0.35),
     ));
     let store = scratch_store(&format!("drift-{threads}"));
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -260,9 +289,15 @@ fn drift_lifecycle(f: &Fixture, threads: usize) -> [Vec<String>; 3] {
         other => panic!("expected drift-demoted outcome, got {other:?}"),
     }
     // Demotion scales every possible answer's precision by the factor.
-    for (before, after) in first.per_source[0].possible.iter().zip(&demoted.per_source[0].possible)
+    for (before, after) in first.per_source[0]
+        .possible
+        .iter()
+        .zip(&demoted.per_source[0].possible)
     {
-        assert_eq!(after.query_precision.to_bits(), (before.query_precision * 0.5).to_bits());
+        assert_eq!(
+            after.query_precision.to_bits(),
+            (before.query_precision * 0.5).to_bits()
+        );
     }
 
     // Re-mine from what the source returns *now* (the skewed
@@ -280,10 +315,17 @@ fn drift_lifecycle(f: &Fixture, threads: usize) -> [Vec<String>; 3] {
         })
         .collect();
     let skewed_ed = Relation::new(global.clone(), skewed_rows);
-    let fresh_stats =
-        SourceStats::mine(&uniform_sample(&skewed_ed, 0.10, 2), skewed_ed.len(), &f.config);
+    let fresh_stats = SourceStats::mine(
+        &uniform_sample(&skewed_ed, 0.10, 2),
+        skewed_ed.len(),
+        &f.config,
+    );
     network
-        .refresh_member("cars.com", |_| Ok(fresh_stats.clone()), Some((&store, &f.config)))
+        .refresh_member(
+            "cars.com",
+            |_| Ok(fresh_stats.clone()),
+            Some((&store, &f.config)),
+        )
         .unwrap();
     assert!(!registry.is_drifted("cars.com"), "threads={threads}");
     assert!(registry.pending_refresh().is_empty());
@@ -297,12 +339,19 @@ fn drift_lifecycle(f: &Fixture, threads: usize) -> [Vec<String>; 3] {
     match &refreshed.per_source[0].outcome {
         SourceOutcome::Healthy => {}
         SourceOutcome::Degraded(d) => {
-            assert!(!d.drift_demoted, "threads={threads}: refresh must clear the demotion")
+            assert!(
+                !d.drift_demoted,
+                "threads={threads}: refresh must clear the demotion"
+            )
         }
         other => panic!("unexpected outcome after refresh: {other:?}"),
     }
 
-    [signature(&first), signature(&demoted), signature(&refreshed)]
+    [
+        signature(&first),
+        signature(&demoted),
+        signature(&refreshed),
+    ]
 }
 
 #[test]
@@ -344,8 +393,7 @@ fn mixed_network_passes(f: &Fixture, threads: usize) -> Vec<Vec<String>> {
     std::fs::write(store.path_for("auctions"), "garbage").unwrap();
     let auctions_gd = CarsConfig::default().with_rows(5_000).generate(93);
     let (auctions_ed, _) = corrupt(&auctions_gd, &CorruptionConfig::default().with_seed(3));
-    let auctions_ed =
-        auctions_ed.project_to("auctions", &global.attr_ids().collect::<Vec<_>>());
+    let auctions_ed = auctions_ed.project_to("auctions", &global.attr_ids().collect::<Vec<_>>());
     let auctions = WebSource::new("auctions", auctions_ed);
 
     // yahoo: deficient (no body_style), served through the correlated
@@ -360,8 +408,9 @@ fn mixed_network_passes(f: &Fixture, threads: usize) -> Vec<Vec<String>> {
         .project_to("yahoo_autos", &keep);
     let yahoo = WebSource::new("yahoo_autos", yahoo_local);
 
-    let registry =
-        Arc::new(DriftRegistry::new(DriftConfig::default().with_min_observations(20)));
+    let registry = Arc::new(DriftRegistry::new(
+        DriftConfig::default().with_min_observations(20),
+    ));
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
         .with_drift(registry)
         .add_supporting(&cars, f.cars_stats.clone())
@@ -370,7 +419,9 @@ fn mixed_network_passes(f: &Fixture, threads: usize) -> Vec<Vec<String>> {
     assert_eq!(network.knowledge_failures().len(), 1);
 
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
-    (0..3).map(|_| signature(&network.answer(&q).unwrap())).collect()
+    (0..3)
+        .map(|_| signature(&network.answer(&q).unwrap()))
+        .collect()
 }
 
 #[test]
@@ -384,7 +435,9 @@ fn mixed_lifecycle_network_replays_identically_across_thread_counts() {
     // The corrupt-store member keeps serving certain answers in every
     // pass, and the drifted member's demotion shows up from pass 2 on.
     assert!(sequential[0].iter().any(|l| l.contains("verdict cars.com")));
-    assert!(sequential[1].iter().any(|l| l.contains("drift_demoted: true")));
+    assert!(sequential[1]
+        .iter()
+        .any(|l| l.contains("drift_demoted: true")));
     assert!(sequential[2]
         .iter()
         .any(|l| l.contains("source auctions") && l.contains("knowledge_unavailable: 1")));
@@ -401,7 +454,12 @@ fn crash_mid_persist_leaves_store_loadable_at_prior_version() {
     let f = fixture();
     let global = f.cars_ed.schema().clone();
     let store = scratch_store("crash-mid-persist");
-    store.save("cars.com", &StatsSnapshot::capture(&f.cars_stats, &f.config)).unwrap();
+    store
+        .save(
+            "cars.com",
+            &StatsSnapshot::capture(&f.cars_stats, &f.config),
+        )
+        .unwrap();
 
     let cars = WebSource::new("cars.com", f.cars_ed.clone());
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -415,8 +473,11 @@ fn crash_mid_persist_leaves_store_loadable_at_prior_version() {
 
     // Fresh statistics that would replace the snapshot — but the process
     // "dies" after writing the temp file, before the rename.
-    let fresh =
-        SourceStats::mine(&uniform_sample(&f.cars_ed, 0.10, 7), f.cars_ed.len(), &f.config);
+    let fresh = SourceStats::mine(
+        &uniform_sample(&f.cars_ed, 0.10, 7),
+        f.cars_ed.len(),
+        &f.config,
+    );
     store.inject_persist_fault("cars.com", PersistFault::CrashBeforeRename);
     let err = network.refresh_member("cars.com", |_| Ok(fresh.clone()), Some((&store, &f.config)));
     assert!(err.is_err(), "a crashed persist must fail the refresh");
@@ -425,7 +486,10 @@ fn crash_mid_persist_leaves_store_loadable_at_prior_version() {
 
     // The crash left debris (temp file + journal) next to the snapshot...
     let tmp_debris = store.path_for("cars.com").with_extension("qks.tmp");
-    assert!(tmp_debris.exists(), "crash-before-rename must leave the temp file");
+    assert!(
+        tmp_debris.exists(),
+        "crash-before-rename must leave the temp file"
+    );
 
     // ...yet the store still loads the *prior* version, and the old
     // generation keeps serving byte-identically — nothing was published.
@@ -444,7 +508,11 @@ fn crash_mid_persist_leaves_store_loadable_at_prior_version() {
     // With the fault consumed, the same refresh now lands: durable first,
     // then published, epoch bumped.
     network
-        .refresh_member("cars.com", |_| Ok(fresh.clone()), Some((&reopened, &f.config)))
+        .refresh_member(
+            "cars.com",
+            |_| Ok(fresh.clone()),
+            Some((&reopened, &f.config)),
+        )
         .unwrap();
     assert_eq!(network.member_epochs(), vec![("cars.com".to_string(), 1)]);
     assert_eq!(cars.meter().refreshes, 1);
@@ -471,7 +539,9 @@ fn maintain_heals_a_drifted_member_under_concurrent_traffic() {
     let plan = SkewPlan::new(make, Value::str("Monopoly"), 0.9, 77);
     let cars = SkewInjector::new(WebSource::new("cars.com", f.cars_ed.clone()), plan);
     let registry = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_min_observations(20).with_threshold(0.35),
+        DriftConfig::default()
+            .with_min_observations(20)
+            .with_threshold(0.35),
     ));
     let store = scratch_store("maintain-under-traffic");
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -483,7 +553,9 @@ fn maintain_heals_a_drifted_member_under_concurrent_traffic() {
     // have streamed by the time maintenance runs.
     let server = QpiadServer::new(network)
         .with_config(
-            ServeConfig::default().with_refresh_retries(2).with_prefer_incremental(false),
+            ServeConfig::default()
+                .with_refresh_retries(2)
+                .with_prefer_incremental(false),
         )
         .with_knowledge_store(store, f.config.clone());
     server.register(Tenant::interactive("t"));
@@ -508,8 +580,11 @@ fn maintain_heals_a_drifted_member_under_concurrent_traffic() {
         })
         .collect();
     let skewed_ed = Relation::new(global.clone(), skewed_rows);
-    let fresh =
-        SourceStats::mine(&uniform_sample(&skewed_ed, 0.10, 2), skewed_ed.len(), &f.config);
+    let fresh = SourceStats::mine(
+        &uniform_sample(&skewed_ed, 0.10, 2),
+        skewed_ed.len(),
+        &f.config,
+    );
 
     // Maintenance races a four-thread query flood. Every request must
     // settle — completed, never refused, never torn.
@@ -533,13 +608,19 @@ fn maintain_heals_a_drifted_member_under_concurrent_traffic() {
     });
 
     let m = server.metrics();
-    assert!(m.conserves(), "every admitted request must settle exactly once");
+    assert!(
+        m.conserves(),
+        "every admitted request must settle exactly once"
+    );
     assert_eq!(m.errors, 0, "no request may fail across the swap");
     assert_eq!(m.refresh_success, 1);
     assert_eq!(m.refresh_failure, 0);
     assert_eq!(m.last_refresh_pass, 1);
     assert_eq!(m.knowledge_epochs, vec![("cars.com".to_string(), 1)]);
-    assert_eq!(m.pending_refresh, 0, "the healed member leaves the refresh queue");
+    assert_eq!(
+        m.pending_refresh, 0,
+        "the healed member leaves the refresh queue"
+    );
     assert!(!registry.is_drifted("cars.com"));
 
     // EXPLAIN now reports the provenance of the serving generation.
@@ -573,7 +654,9 @@ fn failed_refresh_backs_off_and_keeps_the_old_generation_serving() {
     let plan = SkewPlan::new(make, Value::str("Monopoly"), 0.9, 77);
     let cars = SkewInjector::new(WebSource::new("cars.com", f.cars_ed.clone()), plan);
     let registry = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_min_observations(20).with_threshold(0.35),
+        DriftConfig::default()
+            .with_min_observations(20)
+            .with_threshold(0.35),
     ));
     let store = scratch_store("maintain-backoff");
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -581,7 +664,9 @@ fn failed_refresh_backs_off_and_keeps_the_old_generation_serving() {
         .add_supporting(&cars, f.cars_stats.clone());
     let server = QpiadServer::new(network)
         .with_config(
-            ServeConfig::default().with_refresh_retries(2).with_refresh_backoff_base(2),
+            ServeConfig::default()
+                .with_refresh_retries(2)
+                .with_refresh_backoff_base(2),
         )
         .with_knowledge_store(store, f.config.clone());
     server.register(Tenant::interactive("t"));
@@ -593,9 +678,7 @@ fn failed_refresh_backs_off_and_keeps_the_old_generation_serving() {
 
     // Pass 1: mining fails both attempts — the member keeps its old
     // (drift-demoted) generation and backs off for two passes.
-    let report = server.maintain(|_, _| {
-        Err(qpiad::db::SourceError::Timeout { waited_ms: 5 })
-    });
+    let report = server.maintain(|_, _| Err(qpiad::db::SourceError::Timeout { waited_ms: 5 }));
     assert_eq!(report.pass, 1);
     assert_eq!(report.failed.len(), 1);
     assert_eq!(report.retries, 1, "one extra in-pass attempt");
@@ -614,8 +697,11 @@ fn failed_refresh_backs_off_and_keeps_the_old_generation_serving() {
     assert_eq!(signature(&server.query("t", &q).unwrap()), before);
 
     // Pass 3: the window elapsed; a now-healthy mine heals the member.
-    let fresh =
-        SourceStats::mine(&uniform_sample(&f.cars_ed, 0.10, 7), f.cars_ed.len(), &f.config);
+    let fresh = SourceStats::mine(
+        &uniform_sample(&f.cars_ed, 0.10, 7),
+        f.cars_ed.len(),
+        &f.config,
+    );
     let healed = server.maintain(|_, _| Ok(fresh.clone()));
     assert_eq!(healed.pass, 3);
     assert_eq!(healed.refreshed, vec!["cars.com".to_string()]);
@@ -635,15 +721,24 @@ fn failed_refresh_backs_off_and_keeps_the_old_generation_serving() {
 /// Dataset seed for the incremental scenarios, env-overridable so the CI
 /// matrix (`QPIAD_CHAOS_SEED`) exercises different generated worlds.
 fn chaos_seed() -> u64 {
-    std::env::var("QPIAD_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+    std::env::var("QPIAD_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
 }
 
 fn seeded_fixture() -> Fixture {
-    let cars_gd = CarsConfig::default().with_rows(5_000).generate(chaos_seed());
+    let cars_gd = CarsConfig::default()
+        .with_rows(5_000)
+        .generate(chaos_seed());
     let (cars_ed, _) = corrupt(&cars_gd, &CorruptionConfig::default().with_seed(1));
     let config = MiningConfig::default();
     let cars_stats = SourceStats::mine(&uniform_sample(&cars_ed, 0.10, 2), cars_ed.len(), &config);
-    Fixture { cars_ed, cars_stats, config }
+    Fixture {
+        cars_ed,
+        cars_stats,
+        config,
+    }
 }
 
 #[test]
@@ -661,7 +756,9 @@ fn maintenance_folds_streamed_rows_without_a_full_remine() {
     // the incremental path can serve the refresh.
     let cars = WebSource::new("cars.com", f.cars_ed.clone());
     let registry = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_min_observations(10).with_threshold(0.0),
+        DriftConfig::default()
+            .with_min_observations(10)
+            .with_threshold(0.0),
     ));
     let store = scratch_store("maintain-incremental");
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -675,8 +772,14 @@ fn maintenance_folds_streamed_rows_without_a_full_remine() {
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
     server.query("t", &q).unwrap();
     let m = server.metrics();
-    assert_eq!(m.pending_refresh, 1, "the hair-trigger verdict must queue the member");
-    assert!(m.stream.pending > 0, "validated live rows must be streaming");
+    assert_eq!(
+        m.pending_refresh, 1,
+        "the hair-trigger verdict must queue the member"
+    );
+    assert!(
+        m.stream.pending > 0,
+        "validated live rows must be streaming"
+    );
     assert!(m.stream.collected > 0);
 
     // Maintenance folds the streamed rows; the full-mine closure must
@@ -692,7 +795,10 @@ fn maintenance_folds_streamed_rows_without_a_full_remine() {
     assert_eq!(m.refresh_full, 0);
     assert_eq!(m.last_refresh_pass, 1);
     assert_eq!(m.knowledge_epochs, vec![("cars.com".to_string(), 1)]);
-    assert_eq!(m.pending_refresh, 0, "the folded member leaves the refresh queue");
+    assert_eq!(
+        m.pending_refresh, 0,
+        "the folded member leaves the refresh queue"
+    );
     assert!(m.stream.folded > 0, "consumed rows are charged to the fold");
     assert_eq!(m.stream.pending, 0, "the fold drains the stream");
     assert!(!registry.is_drifted("cars.com"));
@@ -721,7 +827,9 @@ fn incremental_lifecycle(f: &Fixture, threads: usize) -> Vec<Vec<String>> {
     let body = global.expect_attr("body_style");
     let cars = WebSource::new("cars.com", f.cars_ed.clone());
     let registry = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_min_observations(10).with_threshold(0.0),
+        DriftConfig::default()
+            .with_min_observations(10)
+            .with_threshold(0.0),
     ));
     let store = scratch_store(&format!("incremental-{threads}"));
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -730,10 +838,20 @@ fn incremental_lifecycle(f: &Fixture, threads: usize) -> Vec<Vec<String>> {
 
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
     let first = network.answer(&q).unwrap();
-    assert_eq!(registry.pending_refresh(), vec!["cars.com".to_string()], "threads={threads}");
+    assert_eq!(
+        registry.pending_refresh(),
+        vec!["cars.com".to_string()],
+        "threads={threads}"
+    );
 
     let fold = network
-        .refresh_member_incremental_at("cars.com", &f.config, Some((&store, &f.config)), 0.5, Some(1))
+        .refresh_member_incremental_at(
+            "cars.com",
+            &f.config,
+            Some((&store, &f.config)),
+            0.5,
+            Some(1),
+        )
         .unwrap();
     let fold_line = match fold {
         MemberFold::Folded { rows, max_delta } => {
@@ -742,7 +860,10 @@ fn incremental_lifecycle(f: &Fixture, threads: usize) -> Vec<Vec<String>> {
         other => panic!("threads={threads}: expected a fold, got {other:?}"),
     };
     assert_eq!(network.member_epochs(), vec![("cars.com".to_string(), 1)]);
-    assert!(store.load_for("cars.com", cars.schema()).is_ok(), "fold persists before publishing");
+    assert!(
+        store.load_for("cars.com", cars.schema()).is_ok(),
+        "fold persists before publishing"
+    );
 
     let after = network.answer(&q).unwrap();
     vec![signature(&first), vec![fold_line], signature(&after)]

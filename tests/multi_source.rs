@@ -130,9 +130,18 @@ fn join_pipeline_recovers_ground_truth_pairs() {
         right_attr: model_r,
     };
     let ans = answer_join(
-        &JoinSide { source: &cars, stats: &cars_stats },
-        &JoinSide { source: &comps, stats: &comp_stats },
-        &JoinConfig { alpha: 0.5, k_pairs: 10 },
+        &JoinSide {
+            source: &cars,
+            stats: &cars_stats,
+        },
+        &JoinSide {
+            source: &comps,
+            stats: &comp_stats,
+        },
+        &JoinConfig {
+            alpha: 0.5,
+            k_pairs: 10,
+        },
         &jq,
     )
     .unwrap();

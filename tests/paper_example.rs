@@ -194,7 +194,10 @@ fn section_4_2_multi_attribute_example() {
         .iter()
         .copied()
         .collect();
-    assert_eq!(dtr_price, [model, year].into_iter().collect::<BTreeSet<_>>());
+    assert_eq!(
+        dtr_price,
+        [model, year].into_iter().collect::<BTreeSet<_>>()
+    );
 
     // Rewrite Q.
     let q = SelectQuery::new(vec![
@@ -213,8 +216,14 @@ fn section_4_2_multi_attribute_example() {
             // Q'1-style: Make/Body equalities plus the untouched Price range.
             saw_model_iteration = true;
             assert!(rq.query.predicate_on(model).is_none());
-            assert!(matches!(rq.query.predicate_on(make).map(|p| &p.op), Some(PredOp::Eq(_))));
-            assert!(matches!(rq.query.predicate_on(body).map(|p| &p.op), Some(PredOp::Eq(_))));
+            assert!(matches!(
+                rq.query.predicate_on(make).map(|p| &p.op),
+                Some(PredOp::Eq(_))
+            ));
+            assert!(matches!(
+                rq.query.predicate_on(body).map(|p| &p.op),
+                Some(PredOp::Eq(_))
+            ));
             assert!(matches!(
                 rq.query.predicate_on(price).map(|p| &p.op),
                 Some(PredOp::Between(_, _))
@@ -227,7 +236,10 @@ fn section_4_2_multi_attribute_example() {
                 rq.query.predicate_on(model).map(|p| &p.op),
                 Some(&PredOp::Eq(Value::str("Accord")))
             );
-            assert!(matches!(rq.query.predicate_on(year).map(|p| &p.op), Some(PredOp::Eq(_))));
+            assert!(matches!(
+                rq.query.predicate_on(year).map(|p| &p.op),
+                Some(PredOp::Eq(_))
+            ));
         }
     }
     assert!(saw_model_iteration, "no rewrites targeting Model");

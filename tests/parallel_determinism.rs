@@ -84,8 +84,13 @@ fn mediator_answers_identically_at_any_thread_count() {
         par::set_thread_override(Some(threads));
         let source = WebSource::new("cars.com", ed.clone());
         let qpiad = Qpiad::new(stats.clone(), QpiadConfig::default().with_k(10));
-        let answer = qpiad.answer(&source, &query).expect("source accepts rewrites");
-        assert!(!answer.possible.is_empty(), "fixture must exercise rewriting");
+        let answer = qpiad
+            .answer(&source, &query)
+            .expect("source accepts rewrites");
+        assert!(
+            !answer.possible.is_empty(),
+            "fixture must exercise rewriting"
+        );
         signatures.push(answer_signature(&answer));
     }
     assert_eq!(signatures[0], signatures[1]);
@@ -105,8 +110,12 @@ fn cached_plans_replay_identically_at_any_thread_count() {
         let cache = Arc::new(PlanCache::new());
         let qpiad = Qpiad::new(stats.clone(), QpiadConfig::default().with_k(10))
             .with_plan_cache(Arc::clone(&cache), 0);
-        let cold = qpiad.answer(&source, &query).expect("source accepts rewrites");
-        let warm = qpiad.answer(&source, &query).expect("source accepts rewrites");
+        let cold = qpiad
+            .answer(&source, &query)
+            .expect("source accepts rewrites");
+        let warm = qpiad
+            .answer(&source, &query)
+            .expect("source accepts rewrites");
         assert_eq!(source.meter().plan_cache_misses, 1);
         assert_eq!(source.meter().plan_cache_hits, 1);
         assert!(!warm.possible.is_empty(), "fixture must exercise rewriting");
@@ -201,7 +210,9 @@ fn interned_retrieval_replays_identically_at_any_thread_count() {
         let qpiad = Qpiad::new(stats.clone(), QpiadConfig::default().with_k(10));
         let mut sig: Vec<String> = Vec::new();
         for query in &queries {
-            let answer = qpiad.answer(&source, query).expect("source accepts rewrites");
+            let answer = qpiad
+                .answer(&source, query)
+                .expect("source accepts rewrites");
             sig.push(format!("{query:?}"));
             sig.extend(answer_signature(&answer));
         }
@@ -234,7 +245,10 @@ fn tane_discovers_identical_afds_at_any_thread_count() {
             .map(|(k, v)| (k.clone(), v.to_bits()))
             .collect();
         akey_conf.sort();
-        signatures.push(format!("{:?} {:?} {:?}", result.afds, result.akeys, akey_conf));
+        signatures.push(format!(
+            "{:?} {:?} {:?}",
+            result.afds, result.akeys, akey_conf
+        ));
     }
     assert_eq!(signatures[0], signatures[1]);
 }

@@ -37,8 +37,11 @@ use qpiad::learn::store::KnowledgeStore;
 fn fixture() -> (Relation, SourceStats) {
     let ground = CarsConfig::default().with_rows(5_000).generate(91);
     let (ed, _) = corrupt(&ground, &CorruptionConfig::default().with_seed(1));
-    let stats =
-        SourceStats::mine(&uniform_sample(&ed, 0.10, 2), ed.len(), &MiningConfig::default());
+    let stats = SourceStats::mine(
+        &uniform_sample(&ed, 0.10, 2),
+        ed.len(),
+        &MiningConfig::default(),
+    );
     (ed, stats)
 }
 
@@ -67,8 +70,8 @@ fn repeated_templates_hit_the_cache_and_answer_identically() {
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
     let source = WebSource::new("cars.com", ed.clone());
     let cache = Arc::new(PlanCache::new());
-    let qpiad = Qpiad::new(stats, QpiadConfig::default().with_k(8))
-        .with_plan_cache(Arc::clone(&cache), 0);
+    let qpiad =
+        Qpiad::new(stats, QpiadConfig::default().with_k(8)).with_plan_cache(Arc::clone(&cache), 0);
 
     let cold = qpiad.answer(&source, &q).unwrap();
     assert!(!cold.possible.is_empty(), "fixture must exercise rewriting");
@@ -79,7 +82,11 @@ fn repeated_templates_hit_the_cache_and_answer_identically() {
     let warm = qpiad.answer(&source, &q).unwrap();
     assert_eq!(source.meter().plan_cache_misses, 1);
     assert_eq!(source.meter().plan_cache_hits, 1);
-    assert_eq!(signature(&cold), signature(&warm), "a cached plan must not change the answer");
+    assert_eq!(
+        signature(&cold),
+        signature(&warm),
+        "a cached plan must not change the answer"
+    );
 
     // A different template is its own cache entry.
     let q2 = SelectQuery::new(vec![Predicate::eq(body, "SUV")]);
@@ -106,7 +113,9 @@ fn refresh_member_invalidates_cached_plans() {
     assert_eq!(cars.meter().plan_cache_misses, 1);
     assert_eq!(cars.meter().plan_cache_hits, 1);
 
-    network.refresh_member("cars.com", |_| Ok(stats.clone()), None).unwrap();
+    network
+        .refresh_member("cars.com", |_| Ok(stats.clone()), None)
+        .unwrap();
     assert!(network.member_knowledge_version("cars.com") > v0);
 
     network.answer(&q).unwrap();
@@ -116,7 +125,11 @@ fn refresh_member_invalidates_cached_plans() {
         "a refresh must orphan plans built on the old knowledge"
     );
     network.answer(&q).unwrap();
-    assert_eq!(cars.meter().plan_cache_hits, 2, "the re-planned template caches again");
+    assert_eq!(
+        cars.meter().plan_cache_hits,
+        2,
+        "the re-planned template caches again"
+    );
 }
 
 #[test]
@@ -134,7 +147,9 @@ fn a_drift_verdict_invalidates_cached_plans() {
         SkewPlan::new(make, Value::str("Monopoly"), 0.9, 77),
     );
     let registry = Arc::new(DriftRegistry::new(
-        DriftConfig::default().with_min_observations(20).with_threshold(0.35),
+        DriftConfig::default()
+            .with_min_observations(20)
+            .with_threshold(0.35),
     ));
     let cache = Arc::new(PlanCache::new());
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -145,7 +160,11 @@ fn a_drift_verdict_invalidates_cached_plans() {
 
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
     let first = network.answer(&q).unwrap();
-    assert_eq!(first.drift_verdicts.len(), 1, "the skewed pass must fire a verdict");
+    assert_eq!(
+        first.drift_verdicts.len(),
+        1,
+        "the skewed pass must fire a verdict"
+    );
     assert_eq!(cars.meter().plan_cache_misses, 1);
 
     // The verdict demoted the member's knowledge: its version moved, so
@@ -171,8 +190,10 @@ fn explain_issues_zero_source_queries() {
         .attr_ids()
         .filter(|a| global.attr(*a).name() != "body_style")
         .collect();
-    let yahoo_local =
-        CarsConfig::default().with_rows(5_000).generate(92).project_to("yahoo_autos", &keep);
+    let yahoo_local = CarsConfig::default()
+        .with_rows(5_000)
+        .generate(92)
+        .project_to("yahoo_autos", &keep);
     let yahoo = WebSource::new("yahoo_autos", yahoo_local);
 
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
@@ -233,7 +254,10 @@ fn answered_routes(answer: &NetworkAnswer) -> Vec<Route> {
         .iter()
         .map(|part| match &part.via_correlated {
             Some(name) => {
-                assert!(part.certain.is_empty(), "a correlated member has no certain answers");
+                assert!(
+                    part.certain.is_empty(),
+                    "a correlated member has no certain answers"
+                );
                 Route::Correlated(name.clone())
             }
             None if !part.possible.is_empty() => Route::Direct,
@@ -251,8 +275,10 @@ fn explain_names_the_route_the_pass_takes() {
         .attr_ids()
         .filter(|a| global.attr(*a).name() != "body_style")
         .collect();
-    let yahoo_local =
-        CarsConfig::default().with_rows(5_000).generate(92).project_to("yahoo_autos", &keep);
+    let yahoo_local = CarsConfig::default()
+        .with_rows(5_000)
+        .generate(92)
+        .project_to("yahoo_autos", &keep);
     let direct_rows = CarsConfig::default().with_rows(5_000).generate(93);
     let store = {
         let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -278,10 +304,20 @@ fn explain_names_the_route_the_pass_takes() {
             .add_supporting_from_store(&direct, &store);
         let explained = explained_routes(&network.explain(&q), 3);
         let answer = network.answer(&q).unwrap();
-        assert_eq!(explained, answered_routes(&answer), "at {threads} thread(s)");
-        assert_eq!(explained, [Route::Direct, via_cars.clone(), Route::CertainOnly]);
+        assert_eq!(
+            explained,
+            answered_routes(&answer),
+            "at {threads} thread(s)"
+        );
+        assert_eq!(
+            explained,
+            [Route::Direct, via_cars.clone(), Route::CertainOnly]
+        );
         let SourceOutcome::Degraded(d) = &answer.per_source[2].outcome else {
-            panic!("a store-failed member serves degraded: {:?}", answer.per_source[2].outcome);
+            panic!(
+                "a store-failed member serves degraded: {:?}",
+                answer.per_source[2].outcome
+            );
         };
         assert_eq!(d.knowledge_unavailable, 1);
 
@@ -291,7 +327,11 @@ fn explain_names_the_route_the_pass_takes() {
             .add_supporting_from_store(&direct, &store);
         let explained = explained_routes(&network.explain(&q), 2);
         let answer = network.answer(&q).unwrap();
-        assert_eq!(explained, answered_routes(&answer), "at {threads} thread(s)");
+        assert_eq!(
+            explained,
+            answered_routes(&answer),
+            "at {threads} thread(s)"
+        );
         assert_eq!(explained, [Route::Unreachable, Route::CertainOnly]);
     }
     par::set_thread_override(None);

@@ -44,7 +44,12 @@ struct GateSource<S> {
 
 impl<S> GateSource<S> {
     fn new(inner: S, gated: Vec<(AttrId, Value)>) -> Self {
-        GateSource { inner, open: Mutex::new(false), opened: Condvar::new(), gated }
+        GateSource {
+            inner,
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+            gated,
+        }
     }
 
     /// Gate every query.
@@ -154,7 +159,11 @@ fn cars_source(name: &str) -> (WebSource, SourceStats, Arc<Schema>) {
 }
 
 fn mine(relation: &Relation) -> SourceStats {
-    SourceStats::mine(&uniform_sample(relation, 0.10, 2), relation.len(), &MiningConfig::default())
+    SourceStats::mine(
+        &uniform_sample(relation, 0.10, 2),
+        relation.len(),
+        &MiningConfig::default(),
+    )
 }
 
 /// Polls `probe` until it holds or ten seconds elapse (a clear failure
@@ -192,21 +201,33 @@ fn coalesced_duplicates_share_one_fanout_and_one_answer() {
             m.leaders == 1 && m.coalesce_waiters == CALLERS - 1
         });
         gated.open();
-        handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect()
     });
 
     // Every caller got the very same shared answer.
     for other in &answers[1..] {
-        assert!(Arc::ptr_eq(&answers[0], other), "coalesced callers must share one Arc");
+        assert!(
+            Arc::ptr_eq(&answers[0], other),
+            "coalesced callers must share one Arc"
+        );
     }
     let m = server.metrics();
     assert_eq!(m.admitted, CALLERS);
     assert_eq!(m.leaders, 1);
     assert_eq!(m.coalesced, CALLERS - 1);
     assert_eq!(m.coalesce_waiters, 0);
-    assert_eq!(m.in_flight, 0, "live gauge must drain to zero at quiescence");
+    assert_eq!(
+        m.in_flight, 0,
+        "live gauge must drain to zero at quiescence"
+    );
     assert_eq!(m.errors, 0);
-    assert!(m.conserves(), "admitted == completed + shed + deadline_refused + errors");
+    assert!(
+        m.conserves(),
+        "admitted == completed + shed + deadline_refused + errors"
+    );
 
     // Meter-verified: N coalesced callers cost exactly the fan-out of ONE
     // pass on a serial twin, and the answer is byte-identical to it.
@@ -225,8 +246,8 @@ fn coalesced_duplicates_share_one_fanout_and_one_answer() {
 #[test]
 fn concurrent_mixed_workload_matches_serial_execution_byte_for_byte() {
     let (cars, stats, global) = cars_source("cars.com");
-    let network =
-        MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(6)).add_supporting(&cars, stats);
+    let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(6))
+        .add_supporting(&cars, stats);
     let server = QpiadServer::new(network);
     server.register(Tenant::interactive("web"));
 
@@ -243,8 +264,10 @@ fn concurrent_mixed_workload_matches_serial_execution_byte_for_byte() {
     let (twin, twin_stats, twin_global) = cars_source("cars.com");
     let twin_network = MediatorNetwork::new(twin_global, QpiadConfig::default().with_k(6))
         .add_supporting(&twin, twin_stats);
-    let reference: Vec<String> =
-        queries.iter().map(|q| format!("{:?}", twin_network.answer(q).unwrap())).collect();
+    let reference: Vec<String> = queries
+        .iter()
+        .map(|q| format!("{:?}", twin_network.answer(q).unwrap()))
+        .collect();
 
     // Concurrent: every query issued from four threads at once (a mix of
     // identical and distinct in flight at any moment).
@@ -263,7 +286,10 @@ fn concurrent_mixed_workload_matches_serial_execution_byte_for_byte() {
     });
 
     for per_thread in &rendered {
-        assert_eq!(per_thread, &reference, "concurrent answers must be byte-identical to serial");
+        assert_eq!(
+            per_thread, &reference,
+            "concurrent answers must be byte-identical to serial"
+        );
     }
     assert!(server.metrics().conserves());
 }
@@ -279,12 +305,15 @@ fn interactive_tenants_are_never_starved_by_batch_floods() {
     let batch_models = ["F150", "Ram", "Silvrdo", "Tacoma"];
     let gated = GateSource::new(
         cars,
-        batch_models.iter().map(|m| (model, Value::str(*m))).collect(),
+        batch_models
+            .iter()
+            .map(|m| (model, Value::str(*m)))
+            .collect(),
     );
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(4))
         .add_supporting(&gated, stats);
-    let server = QpiadServer::new(network)
-        .with_config(ServeConfig::default().with_batch_concurrency(1));
+    let server =
+        QpiadServer::new(network).with_config(ServeConfig::default().with_batch_concurrency(1));
     server.register(Tenant::interactive("web"));
     server.register(Tenant::batch("nightly"));
 
@@ -310,7 +339,9 @@ fn interactive_tenants_are_never_starved_by_batch_floods() {
         // batch slot — if batch work could starve it, this call would hang
         // until the test times out.
         let q = SelectQuery::new(vec![Predicate::eq(model, "Civic")]);
-        let answer = server.query("web", &q).expect("interactive query must be served");
+        let answer = server
+            .query("web", &q)
+            .expect("interactive query must be served");
         assert!(answer.certain_count() > 0);
 
         gated.open();
@@ -326,7 +357,10 @@ fn interactive_tenants_are_never_starved_by_batch_floods() {
         m.batch_in_flight_peak, 1,
         "batch concurrency cap must bound concurrent batch passes"
     );
-    assert_eq!(m.in_flight, 0, "live gauge must drain to zero at quiescence");
+    assert_eq!(
+        m.in_flight, 0,
+        "live gauge must drain to zero at quiescence"
+    );
     assert!(m.conserves());
 }
 
@@ -355,7 +389,10 @@ fn admission_rejects_unknown_tenants_and_malformed_queries_gracefully() {
         server.query("web", &malformed),
         Err(ServeError::MalformedQuery { .. })
     ));
-    assert!(matches!(server.explain(&malformed), Err(ServeError::MalformedQuery { .. })));
+    assert!(matches!(
+        server.explain(&malformed),
+        Err(ServeError::MalformedQuery { .. })
+    ));
 
     // The server keeps serving after rejections.
     let answer = server.query("web", &good).unwrap();
@@ -363,7 +400,10 @@ fn admission_rejects_unknown_tenants_and_malformed_queries_gracefully() {
     let m = server.metrics();
     assert_eq!(m.rejected, 2);
     assert_eq!(m.admitted, 1);
-    assert!(m.conserves(), "rejected requests sit outside the conservation equation");
+    assert!(
+        m.conserves(),
+        "rejected requests sit outside the conservation equation"
+    );
 }
 
 #[test]
@@ -374,7 +414,9 @@ fn batch_work_past_the_queue_limit_is_shed_before_any_fanout() {
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(4))
         .add_supporting(&gated, stats);
     let server = QpiadServer::new(network).with_config(
-        ServeConfig::default().with_batch_concurrency(1).with_batch_queue_limit(1),
+        ServeConfig::default()
+            .with_batch_concurrency(1)
+            .with_batch_queue_limit(1),
     );
     server.register(Tenant::batch("nightly"));
 
@@ -383,7 +425,9 @@ fn batch_work_past_the_queue_limit_is_shed_before_any_fanout() {
             let q = SelectQuery::new(vec![Predicate::eq(model, "F150")]);
             server.query("nightly", &q)
         });
-        await_state("one batch pass wedged in flight", || server.metrics().in_flight == 1);
+        await_state("one batch pass wedged in flight", || {
+            server.metrics().in_flight == 1
+        });
 
         // The class is at its bound: the next batch request is refused
         // with a typed error before any source is contacted.
@@ -391,13 +435,26 @@ fn batch_work_past_the_queue_limit_is_shed_before_any_fanout() {
         let q = SelectQuery::new(vec![Predicate::eq(model, "Civic")]);
         let refused = server.query("nightly", &q);
         assert!(
-            matches!(refused, Err(ServeError::Shed { in_flight: 2, limit: 1 })),
+            matches!(
+                refused,
+                Err(ServeError::Shed {
+                    in_flight: 2,
+                    limit: 1
+                })
+            ),
             "expected a typed shed, got {refused:?}"
         );
-        assert_eq!(gated.meter().queries, fanout_before, "shed must precede all source fan-out");
+        assert_eq!(
+            gated.meter().queries,
+            fanout_before,
+            "shed must precede all source fan-out"
+        );
 
         gated.open();
-        wedged.join().unwrap().expect("the admitted batch pass must still complete");
+        wedged
+            .join()
+            .unwrap()
+            .expect("the admitted batch pass must still complete");
     });
 
     let m = server.metrics();
@@ -415,9 +472,10 @@ fn unfundable_deadlines_are_refused_at_the_cheapest_layer() {
     let server = QpiadServer::new(network)
         .with_config(ServeConfig::default().with_deadline(Duration::from_millis(5)));
     server.register(Tenant::interactive("web"));
-    server.register(Tenant::interactive("slow").with_budget(
-        QueryBudget::unlimited().with_query_cost(Duration::from_millis(50)),
-    ));
+    server.register(
+        Tenant::interactive("slow")
+            .with_budget(QueryBudget::unlimited().with_query_cost(Duration::from_millis(50))),
+    );
 
     let body = global.expect_attr("body_style");
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
@@ -425,8 +483,15 @@ fn unfundable_deadlines_are_refused_at_the_cheapest_layer() {
     // A pass modeled at 50ms per source query cannot finish inside the
     // 5ms server-wide deadline: refused at admission, zero source cost.
     let fanout_before = cars.meter().queries;
-    assert!(matches!(server.query("slow", &q), Err(ServeError::DeadlineRefused)));
-    assert_eq!(cars.meter().queries, fanout_before, "refusal must not touch any source");
+    assert!(matches!(
+        server.query("slow", &q),
+        Err(ServeError::DeadlineRefused)
+    ));
+    assert_eq!(
+        cars.meter().queries,
+        fanout_before,
+        "refusal must not touch any source"
+    );
 
     // A tenant whose stamped budget still funds an attempt is served.
     assert!(server.query("web", &q).is_ok());
@@ -448,18 +513,32 @@ fn the_ladder_degrades_interactive_work_instead_of_refusing_it() {
     let body = global.expect_attr("body_style");
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
 
-    let normal = server.query_under("web", &q, PressureLevel::Normal).unwrap();
-    let critical = server.query_under("web", &q, PressureLevel::Critical).unwrap();
+    let normal = server
+        .query_under("web", &q, PressureLevel::Normal)
+        .unwrap();
+    let critical = server
+        .query_under("web", &q, PressureLevel::Critical)
+        .unwrap();
 
     // The top rung keeps every certain answer and sheds every rewrite —
     // degraded recall, never a refusal.
     assert_eq!(critical.certain_count(), normal.certain_count());
-    assert!(normal.possible_count() > 0, "fixture must produce possible answers at Normal");
-    assert_eq!(critical.possible_count(), 0, "Critical serves certain answers only");
+    assert!(
+        normal.possible_count() > 0,
+        "fixture must produce possible answers at Normal"
+    );
+    assert_eq!(
+        critical.possible_count(),
+        0,
+        "Critical serves certain answers only"
+    );
     // The recall cost is declared, not silent: the member reports itself
     // degraded and its meter carries the shed rewrites.
     assert_eq!(critical.degraded_count(), 1);
-    assert!(cars.meter().shed > 0, "shed rewrites must be charged to the source meter");
+    assert!(
+        cars.meter().shed > 0,
+        "shed rewrites must be charged to the source meter"
+    );
 
     let m = server.metrics();
     assert_eq!(m.completed, 2);
@@ -479,7 +558,11 @@ fn pressure_derives_from_the_live_in_flight_gauge() {
     server.register(Tenant::interactive("web"));
 
     let body = global.expect_attr("body_style");
-    assert_eq!(server.pressure(), PressureLevel::Normal, "an idle server is at Normal");
+    assert_eq!(
+        server.pressure(),
+        PressureLevel::Normal,
+        "an idle server is at Normal"
+    );
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CALLERS)
@@ -492,7 +575,9 @@ fn pressure_derives_from_the_live_in_flight_gauge() {
             .collect();
         // With every pass wedged inside the gated source, the live load
         // equals the configured capacity: the ladder reads Critical.
-        await_state("all callers in flight", || server.metrics().in_flight == CALLERS);
+        await_state("all callers in flight", || {
+            server.metrics().in_flight == CALLERS
+        });
         assert_eq!(server.pressure(), PressureLevel::Critical);
         gated.open();
         for h in handles {
@@ -500,7 +585,11 @@ fn pressure_derives_from_the_live_in_flight_gauge() {
         }
     });
 
-    assert_eq!(server.pressure(), PressureLevel::Normal, "pressure releases with the load");
+    assert_eq!(
+        server.pressure(),
+        PressureLevel::Normal,
+        "pressure releases with the load"
+    );
     let m = server.metrics();
     assert_eq!(m.in_flight, 0);
     assert!(m.conserves());
