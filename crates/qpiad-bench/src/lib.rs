@@ -1,24 +1,27 @@
-//! Benchmark and experiment-regeneration harness.
+//! Experiment-regeneration harness and micro-benchmarks.
 //!
 //! Two kinds of targets live here:
 //!
 //! * **The experiment binary** (`src/bin/exp.rs`) — `exp <id>…` prints the
 //!   regenerated rows/series of the named tables/figures of the paper
 //!   (ids from [`experiments::registry`]) at full scale; `exp all` runs
-//!   the complete suite and emits the `EXPERIMENTS.md` body.
-//! * **Criterion-style benches** (`benches/`) — `figures` re-runs every
-//!   experiment at bench scale so `cargo bench` regenerates all paper
-//!   artifacts; `mining`, `rewriting` and `joins` measure the core
-//!   operations' performance; `ablations` quantifies the design choices
-//!   called out in `DESIGN.md` (AKey pruning, classifier strategies,
+//!   the complete suite and emits the `EXPERIMENTS.md` body, and
+//!   `--quick` runs at reduced scale.
+//! * **Benches** (`benches/`) — the criterion micro-benchmarks `mining`,
+//!   `rewriting`, `joins` and `indexing` time the core operations; the
+//!   `ablations` quality checks quantify the design choices called out in
+//!   `DESIGN.md` (AKey pruning, classifier strategies,
 //!   base-set-vs-sample rewriting, F-measure vs naïve orderings).
+//!
+//! End-to-end speed is measured by the repository benchmark (`qbench/`),
+//! which reports the paper's cost units and per-layer timings per workload.
 
 use qpiad_eval::experiments::common::Scale;
 use qpiad_eval::experiments::{self, Runner};
 use qpiad_eval::Report;
 
-/// Scale used by `cargo bench` figure regeneration: large enough to be in
-/// the paper's statistical regime, small enough to finish quickly.
+/// Scale of the `ablations` bench: large enough to be in the paper's
+/// statistical regime, small enough to finish quickly.
 pub fn bench_scale() -> Scale {
     Scale {
         cars_rows: 12_000,
@@ -99,7 +102,7 @@ mod tests {
 
     #[test]
     fn every_registry_id_resolves_and_unknown_ids_do_not() {
-        // Only resolve — running them all is the figures bench's job.
+        // Only resolve — running them all is `exp all`'s job.
         for (id, _) in experiments::registry() {
             assert!(runner(id).is_some(), "registry id {id} must resolve");
             assert_ne!(id, "all", "`all` is reserved for the whole suite");

@@ -139,8 +139,7 @@ pub fn run_query(scale: &Scale, query_idx: usize) -> Report {
     report
 }
 
-/// Runs the experiment (first paper query; the `exp-fig13` binary prints
-/// both).
+/// Runs the experiment (first paper query; `exp fig13b` runs the second).
 pub fn run(scale: &Scale) -> Report {
     run_query(scale, 0)
 }

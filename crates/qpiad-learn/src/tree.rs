@@ -7,7 +7,7 @@
 //! unlike Naïve Bayes it captures feature *interactions*, at the price of
 //! fragmenting small samples.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use qpiad_db::{AttrId, Relation, Tuple, Value};
 
@@ -49,7 +49,10 @@ pub struct DecisionTree {
     root: Node,
 }
 
-fn entropy(counts: &HashMap<&Value, usize>, total: usize) -> f64 {
+/// Entropy of a class histogram. The terms are summed in `Value` order:
+/// float addition is not associative, and near-tied gains must not depend
+/// on a hash map's per-process iteration order.
+fn entropy(counts: &BTreeMap<&Value, usize>, total: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
@@ -62,8 +65,8 @@ fn entropy(counts: &HashMap<&Value, usize>, total: usize) -> f64 {
         .sum()
 }
 
-fn class_counts<'a>(rows: &[&'a Tuple], target: AttrId) -> (HashMap<&'a Value, usize>, usize) {
-    let mut counts: HashMap<&Value, usize> = HashMap::new();
+fn class_counts<'a>(rows: &[&'a Tuple], target: AttrId) -> (BTreeMap<&'a Value, usize>, usize) {
+    let mut counts: BTreeMap<&Value, usize> = BTreeMap::new();
     let mut total = 0usize;
     for t in rows {
         let v = t.value(target);
@@ -105,7 +108,8 @@ fn build(
     // Best feature by information gain.
     let mut best: Option<(f64, AttrId)> = None;
     for f in features {
-        let mut by_value: HashMap<&Value, Vec<&Tuple>> = HashMap::new();
+        // Value order again: the conditional entropy is a float sum.
+        let mut by_value: BTreeMap<&Value, Vec<&Tuple>> = BTreeMap::new();
         let mut covered = 0usize;
         for t in rows {
             let v = t.value(*f);
@@ -359,6 +363,68 @@ mod tests {
         );
         // Still answers something from the fallback distribution.
         assert!(tree.predict(&t).is_some());
+    }
+
+    /// Features `a` and `b` split the rows into groups with the same class
+    /// counts, so their gains tie exactly; `b` swaps two class-`c0` rows
+    /// between groups 0 and 1, so the two splits route a row differently.
+    /// The conditional-entropy terms differ in magnitude, so summing them
+    /// in a different order can move the gain by an ulp.
+    fn tied_gain_relation() -> Relation {
+        let schema = Schema::of(
+            "tie",
+            &[
+                ("a", AttrType::Categorical),
+                ("b", AttrType::Categorical),
+                ("class", AttrType::Categorical),
+            ],
+        );
+        let groups = [[3, 5, 4], [1, 3, 5], [4, 3, 1], [2, 2, 3]];
+        let mut rows: Vec<(usize, usize, usize)> = Vec::new();
+        for (g, counts) in groups.iter().enumerate() {
+            for (class, &n) in counts.iter().enumerate() {
+                rows.extend(std::iter::repeat_n((g, g, class), n));
+            }
+        }
+        let first_c0 = |g: usize| rows.iter().position(|r| *r == (g, g, 0)).unwrap();
+        let (r0, r1) = (first_c0(0), first_c0(1));
+        rows[r0].1 = 1;
+        rows[r1].1 = 0;
+        let tuples = rows
+            .iter()
+            .enumerate()
+            .map(|(i, (a, b, class))| {
+                Tuple::new(
+                    TupleId(i as u32),
+                    vec![
+                        Value::str(format!("v{a}")),
+                        Value::str(format!("v{b}")),
+                        Value::str(format!("c{class}")),
+                    ],
+                )
+            })
+            .collect();
+        Relation::new(schema, tuples)
+    }
+
+    #[test]
+    fn tied_gains_pick_the_same_split_on_every_training() {
+        let r = tied_gain_relation();
+        let config = TreeConfig {
+            max_depth: 1,
+            min_split: 2,
+        };
+        // Group 0's majority is c1 and group 1's is c2, so a = v0, b = v1
+        // predicts differently under the two splits.
+        let probe = Tuple::new(
+            TupleId(99),
+            vec![Value::str("v0"), Value::str("v1"), Value::Null],
+        );
+        let train = || DecisionTree::train(&r, AttrId(2), vec![AttrId(0), AttrId(1)], &config);
+        let first = train().predict(&probe);
+        for _ in 0..200 {
+            assert_eq!(train().predict(&probe), first);
+        }
     }
 
     #[test]

@@ -218,14 +218,22 @@ fn a_healthy_snapshot_round_trips_through_the_store() {
         )
         .unwrap();
 
+    // Drift-watched at the default threshold: the source is undrifted.
+    let registry = Arc::new(DriftRegistry::new(DriftConfig::default()));
     let cars = WebSource::new("cars.com", f.cars_ed.clone());
     let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
+        .with_drift(registry.clone())
         .add_supporting_from_store(&cars, &store);
     assert!(network.knowledge_failures().is_empty());
 
     let body = global.expect_attr("body_style");
     let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
     let restored = network.answer(&q).unwrap();
+    assert!(
+        restored.drift_verdicts.is_empty(),
+        "an undrifted source must stay quiet"
+    );
+    assert!(registry.observed_rows("cars.com") > 0);
 
     // Byte-identical to a network running on the live-mined statistics.
     let live = MediatorNetwork::new(global, QpiadConfig::default().with_k(8))
@@ -741,36 +749,33 @@ fn seeded_fixture() -> Fixture {
     }
 }
 
-#[test]
-fn maintenance_folds_streamed_rows_without_a_full_remine() {
-    let _guard = PinnedPool::acquire();
-    par::set_thread_override(Some(4));
-
-    let f = seeded_fixture();
-    let global = f.cars_ed.schema().clone();
-    let body = global.expect_attr("body_style");
-
-    // An un-skewed source with a hair-trigger drift threshold: the first
-    // observed pass queues the member for refresh, but the live rows it
-    // streamed are genuine — their folded confidence deltas stay tiny, so
-    // the incremental path can serve the refresh.
-    let cars = WebSource::new("cars.com", f.cars_ed.clone());
+/// A server over an un-skewed source with a hair-trigger drift threshold,
+/// primed by one pass: the verdict queues the member for refresh, but the
+/// live rows the pass streamed are genuine — their folded confidence
+/// deltas stay tiny, so the incremental path can serve the refresh. The
+/// refold bound is loose enough that the fold decision does not depend on
+/// how many more rows later traffic streams.
+fn primed_for_a_fold<'a>(
+    f: &Fixture,
+    cars: &'a WebSource,
+    store: &str,
+    q: &SelectQuery,
+) -> (QpiadServer<'a>, Arc<DriftRegistry>) {
     let registry = Arc::new(DriftRegistry::new(
         DriftConfig::default()
             .with_min_observations(10)
             .with_threshold(0.0),
     ));
-    let store = scratch_store("maintain-incremental");
-    let network = MediatorNetwork::new(global.clone(), QpiadConfig::default().with_k(8))
-        .with_drift(registry.clone())
-        .add_supporting(&cars, f.cars_stats.clone());
+    let network =
+        MediatorNetwork::new(f.cars_ed.schema().clone(), QpiadConfig::default().with_k(8))
+            .with_drift(registry.clone())
+            .add_supporting(cars, f.cars_stats.clone());
     let server = QpiadServer::new(network)
         .with_config(ServeConfig::default().with_refold_bound(0.5))
-        .with_knowledge_store(store, f.config.clone());
+        .with_knowledge_store(scratch_store(store), f.config.clone());
     server.register(Tenant::interactive("t"));
 
-    let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
-    server.query("t", &q).unwrap();
+    server.query("t", q).unwrap();
     let m = server.metrics();
     assert_eq!(
         m.pending_refresh, 1,
@@ -781,6 +786,19 @@ fn maintenance_folds_streamed_rows_without_a_full_remine() {
         "validated live rows must be streaming"
     );
     assert!(m.stream.collected > 0);
+    (server, registry)
+}
+
+#[test]
+fn maintenance_folds_streamed_rows_without_a_full_remine() {
+    let _guard = PinnedPool::acquire();
+    par::set_thread_override(Some(4));
+
+    let f = seeded_fixture();
+    let body = f.cars_ed.schema().expect_attr("body_style");
+    let cars = WebSource::new("cars.com", f.cars_ed.clone());
+    let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
+    let (server, registry) = primed_for_a_fold(&f, &cars, "maintain-incremental", &q);
 
     // Maintenance folds the streamed rows; the full-mine closure must
     // never run.
@@ -815,6 +833,57 @@ fn maintenance_folds_streamed_rows_without_a_full_remine() {
     let answer = server.query("t", &q).unwrap();
     assert!(!answer.per_source[0].certain.is_empty());
     assert!(server.metrics().conserves());
+}
+
+#[test]
+fn a_fold_lands_under_concurrent_traffic() {
+    let _guard = PinnedPool::acquire();
+    par::set_thread_override(Some(4));
+
+    let f = seeded_fixture();
+    let body = f.cars_ed.schema().expect_attr("body_style");
+    let cars = WebSource::new("cars.com", f.cars_ed.clone());
+    let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
+    let (server, _registry) = primed_for_a_fold(&f, &cars, "fold-under-traffic", &q);
+    let primed = server.metrics().stream.pending;
+
+    // The fold races a four-thread query flood. Every request must settle
+    // — served, never aborted — and the full-mine closure must never run.
+    // Whether the callers' later rows re-queue the member depends on the
+    // interleaving, so only the race-free outcome is asserted.
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for _ in 0..5 {
+                    let answer = server
+                        .query("t", &q)
+                        .expect("serving never aborts across a fold");
+                    assert!(answer.possible_count() > 0);
+                }
+            });
+        }
+        scope.spawn(|| {
+            let report = server.maintain(|_, _| panic!("the fold must not fall back to a re-mine"));
+            assert_eq!(report.folded, vec!["cars.com".to_string()]);
+            assert!(report.refreshed.is_empty() && report.failed.is_empty());
+        });
+    });
+
+    let m = server.metrics();
+    assert!(m.conserves(), "fold accounting must balance when quiesced");
+    assert_eq!(m.errors, 0, "no request may fail across the fold");
+    assert_eq!(m.completed, 1 + 4 * 5);
+    assert_eq!(m.refresh_success, 1);
+    assert_eq!(m.refresh_incremental, 1);
+    assert_eq!(m.refresh_full, 0);
+    assert_eq!(m.knowledge_epochs, vec![("cars.com".to_string(), 1)]);
+    // A row a caller re-streams after the fold's snapshot stays queued
+    // for the next fold, so the split between the two is racy; no primed
+    // row may vanish.
+    assert!(
+        m.stream.folded + m.stream.pending as u64 >= primed as u64,
+        "every primed row is folded or still queued"
+    );
 }
 
 /// Runs verdict → incremental fold → post-fold pass at a given thread

@@ -291,7 +291,14 @@ fn concurrent_mixed_workload_matches_serial_execution_byte_for_byte() {
             "concurrent answers must be byte-identical to serial"
         );
     }
-    assert!(server.metrics().conserves());
+    let m = server.metrics();
+    assert_eq!(m.admitted, 4 * queries.len());
+    assert_eq!(
+        m.leaders + m.coalesced,
+        m.admitted,
+        "racing callers each lead a flight or join one"
+    );
+    assert!(m.conserves());
 }
 
 #[test]
