@@ -1,17 +1,12 @@
-//! Experiment-regeneration harness and micro-benchmarks.
+//! Experiment-regeneration harness: the `exp` binary (`src/bin/exp.rs`).
 //!
-//! Two kinds of targets live here:
-//!
-//! * **The experiment binary** (`src/bin/exp.rs`) — `exp <id>…` prints the
-//!   regenerated rows/series of the named tables/figures of the paper
-//!   (ids from [`experiments::registry`]) at full scale; `exp all` runs
-//!   the complete suite and emits the `EXPERIMENTS.md` body, and
-//!   `--quick` runs at reduced scale.
-//! * **Benches** (`benches/`) — the criterion micro-benchmarks `mining`,
-//!   `rewriting`, `joins` and `indexing` time the core operations; the
-//!   `ablations` quality checks quantify the design choices called out in
-//!   `DESIGN.md` (AKey pruning, classifier strategies,
-//!   base-set-vs-sample rewriting, F-measure vs naïve orderings).
+//! `exp <id>…` prints the regenerated rows/series of the named
+//! tables/figures of the paper (ids from [`experiments::registry`]) at
+//! full scale, plus the `ablations` report quantifying the design choices
+//! called out in `DESIGN.md` (AKey pruning, classifier strategies,
+//! base-set-vs-sample rewriting, ordering policy, m-estimate smoothing).
+//! `exp all` runs the complete suite and prints what
+//! `experiments_output.txt` holds; `--quick` runs at reduced scale.
 //!
 //! End-to-end speed is measured by the repository benchmark (`qbench/`),
 //! which reports the paper's cost units and per-layer timings per workload.
@@ -19,18 +14,6 @@
 use qpiad_eval::experiments::common::Scale;
 use qpiad_eval::experiments::{self, Runner};
 use qpiad_eval::Report;
-
-/// Scale of the `ablations` bench: large enough to be in the paper's
-/// statistical regime, small enough to finish quickly.
-pub fn bench_scale() -> Scale {
-    Scale {
-        cars_rows: 12_000,
-        census_rows: 12_000,
-        complaints_rows: 16_000,
-        sample_fraction: 0.10,
-        seed: 0x9_1AD,
-    }
-}
 
 /// Runs one experiment by id at the given scale, looked up in the
 /// experiment registry ([`experiments::registry`]); `None` for an unknown

@@ -26,16 +26,12 @@
 //!   most-likely-value rule (§4.4).
 //! * [`join`] — two-way joins over incomplete sources with query-pair
 //!   F-measure ordering and join-value prediction (§4.5).
-//! * [`multijoin`] — left-deep multi-way chain joins (the generalization
-//!   §4.5's footnote claims).
 //! * [`correlated`] — retrieving possible answers from sources whose local
 //!   schema does not support the constrained attribute, using statistics
 //!   learned from a correlated source (§4.3).
 //! * [`network`] — the multi-source mediator: one global schema over many
 //!   sources, routing each query to direct QPIAD or correlated retrieval
 //!   per source (Figures 1–2).
-//! * [`relaxation`] — the §7 extension: imprecise queries answered by
-//!   data-driven value similarity (the QUIC/AIMQ direction).
 //!
 //! The answer path is parallel where work is independent — the network
 //! fans out across sources and the mediator issues rewritten queries
@@ -64,11 +60,9 @@ pub mod baselines;
 pub mod correlated;
 pub mod join;
 pub mod mediator;
-pub mod multijoin;
 pub mod network;
 pub mod plan;
 pub mod rank;
-pub mod relaxation;
 pub mod rewrite;
 
 pub use correlated::CorrelatedAnswers;

@@ -451,11 +451,6 @@ impl<'a> MediatorNetwork<'a> {
         &self.global
     }
 
-    /// The registered members' source names, in registration order.
-    pub fn member_names(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.source.name()).collect()
-    }
-
     /// A snapshot of every member's access meter, in registration order.
     /// The serving layer's metrics surface reads these without resetting.
     pub fn member_meters(&self) -> Vec<(String, SourceMeter)> {

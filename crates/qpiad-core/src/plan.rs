@@ -16,9 +16,8 @@
 //!   sequentially or fanned out over the [`par`] worker pool, always
 //!   absorbing results in rank order, so the answer is byte-identical at
 //!   any thread count. Every entry-point module (mediator, network,
-//!   correlated, join, multijoin, aggregate, relaxation) routes its
-//!   retrievals through this one function; none of them fan out on their
-//!   own.
+//!   correlated, join, aggregate) routes its retrievals through this one
+//!   function; none of them fan out on their own.
 //! * [`PlanCache`] memoizes the expensive planning half (rewrite
 //!   generation + classifier-backed ranking) keyed by query template and
 //!   per-source *knowledge version* (see

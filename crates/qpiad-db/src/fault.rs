@@ -77,9 +77,6 @@ pub struct FaultPlan {
     /// Probability that any given (query, attempt) fails with a retryable
     /// [`SourceError::Unavailable`].
     pub transient_rate: f64,
-    /// Probability that any given (query, attempt) fails with a
-    /// [`SourceError::Timeout`].
-    pub timeout_rate: f64,
     /// The source is hard-down: every query fails with a non-retryable
     /// [`SourceError::Unavailable`].
     pub permanent: bool,
@@ -97,7 +94,6 @@ impl Default for FaultPlan {
             seed: 0,
             fail_first_attempts: 0,
             transient_rate: 0.0,
-            timeout_rate: 0.0,
             permanent: false,
             fail_on_attr: None,
             latency: Duration::ZERO,
@@ -126,12 +122,6 @@ impl FaultPlan {
     /// Sets the hashed transient-failure probability.
     pub fn with_transient_rate(mut self, rate: f64) -> Self {
         self.transient_rate = rate;
-        self
-    }
-
-    /// Sets the hashed timeout probability.
-    pub fn with_timeout_rate(mut self, rate: f64) -> Self {
-        self.timeout_rate = rate;
         self
     }
 
@@ -249,11 +239,6 @@ impl<S: AutonomousSource> AutonomousSource for FaultInjector<S> {
         }
         if decide(self.plan.transient_rate, self.plan.seed, fp, attempt, 0x51) {
             return self.inject(SourceError::Unavailable { retryable: true });
-        }
-        if decide(self.plan.timeout_rate, self.plan.seed, fp, attempt, 0x7e) {
-            return self.inject(SourceError::Timeout {
-                waited_ms: self.plan.latency.as_millis() as u64,
-            });
         }
         self.inner.query(q)
     }

@@ -317,11 +317,6 @@ impl BreakerView {
     pub fn state(&self) -> BreakerState {
         self.state
     }
-
-    /// `true` iff a registry is tracking this source.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 /// The local, single-pass evolution of one source's breaker.
@@ -425,11 +420,6 @@ impl BreakerProbe {
     /// The probe's current (local) state.
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// `true` iff a registry is tracking this source.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Drains the observation log for [`HealthRegistry::absorb`].

@@ -30,7 +30,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The full configuration used by the `exp-*` binaries.
+    /// The full configuration the `exp` binary runs at.
     pub fn full() -> Self {
         Scale {
             cars_rows: 25_000,

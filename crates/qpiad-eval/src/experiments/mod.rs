@@ -18,8 +18,9 @@
 //! training signal for that attribute.
 //!
 //! Experiments are parameterized by [`common::Scale`] so tests can run them
-//! at reduced size while the `exp-*` binaries use the full configuration.
+//! at reduced size while the `exp` binary uses the full configuration.
 
+pub mod ablations;
 pub mod common;
 pub mod fig10;
 pub mod fig11;
@@ -58,12 +59,8 @@ pub fn registry() -> Vec<(&'static str, Runner)> {
         ("fig12", fig12::run),
         ("fig13", fig13::run),
         ("fig13b", |scale| fig13::run_query(scale, 1)),
+        ("ablations", ablations::run),
     ]
-}
-
-/// Runs every experiment at the given scale, in paper order.
-pub fn run_all(scale: &common::Scale) -> Vec<Report> {
-    registry().into_iter().map(|(_, run)| run(scale)).collect()
 }
 
 /// Runs every experiment concurrently (experiments are independent and

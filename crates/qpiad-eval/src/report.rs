@@ -2,7 +2,7 @@
 //!
 //! Every experiment returns a [`Report`]: named series of `(x, y)` points
 //! plus free-form notes. Reports render as aligned text tables (what the
-//! `exp-*` binaries print and `EXPERIMENTS.md` embeds) and serialize to
+//! `exp` binary prints and `EXPERIMENTS.md` embeds) and serialize to
 //! JSON for downstream tooling.
 
 use std::fmt::Write as _;

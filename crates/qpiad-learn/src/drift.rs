@@ -78,6 +78,11 @@ use crate::counts::{IdGroupCounts, ValueCounts, ValueIds};
 use crate::knowledge::SourceStats;
 use crate::stream::{SampleStream, StreamStats};
 
+/// Multiplier applied to a drifted source's knowledge weight (AFD
+/// confidence in correlated-source selection, answer precision) until it
+/// is re-mined.
+pub const DEMOTE_FACTOR: f64 = 0.5;
+
 /// Tuning knobs for drift detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
@@ -86,10 +91,6 @@ pub struct DriftConfig {
     /// Minimum live tuples observed before a verdict may fire — small
     /// responses are too noisy to convict a source on.
     pub min_observations: u64,
-    /// Multiplier applied to a drifted source's knowledge weight (AFD
-    /// confidence in correlated-source selection, answer precision) until
-    /// it is re-mined. Must lie in `(0, 1]`.
-    pub demote_factor: f64,
     /// Maximum validated live rows queued per source awaiting an
     /// incremental fold (see [`SampleStream`]); rows beyond the bound are
     /// dropped (and counted) rather than growing memory unboundedly.
@@ -101,7 +102,6 @@ impl Default for DriftConfig {
         DriftConfig {
             threshold: 0.35,
             min_observations: 50,
-            demote_factor: 0.5,
             stream_capacity: 4096,
         }
     }
@@ -117,16 +117,6 @@ impl DriftConfig {
     /// Overrides the minimum observation count.
     pub fn with_min_observations(mut self, n: u64) -> Self {
         self.min_observations = n;
-        self
-    }
-
-    /// Overrides the demotion factor.
-    pub fn with_demote_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "demote_factor must lie in (0, 1]"
-        );
-        self.demote_factor = factor;
         self
     }
 
@@ -477,10 +467,10 @@ impl DriftDetector {
         self.verdict.as_ref()
     }
 
-    /// The knowledge weight: `demote_factor` once drifted, `1.0` before.
+    /// The knowledge weight: [`DEMOTE_FACTOR`] once drifted, `1.0` before.
     pub fn weight(&self) -> f64 {
         if self.is_drifted() {
-            self.config.demote_factor
+            DEMOTE_FACTOR
         } else {
             1.0
         }

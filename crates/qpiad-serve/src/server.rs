@@ -325,7 +325,8 @@ pub struct QpiadServer<'a> {
 impl<'a> QpiadServer<'a> {
     /// Wraps `network` for serving. If the network carries no
     /// [`MediationClock`] yet, a wall clock is attached, so no pass served
-    /// here ever consults the process-global time shim.
+    /// here inherits whatever clock the calling thread has installed in
+    /// `qpiad_db::health`'s thread-local slot.
     pub fn new(network: MediatorNetwork<'a>) -> Self {
         let network = if network.clock().is_none() {
             network.with_clock(MediationClock::wall())
