@@ -359,7 +359,7 @@ impl Qpiad {
             BaseGate::Guarded,
         )?;
         if let Some(dp) = &mut ctx.drift {
-            dp.observe(&self.sample_matches(query), &certain);
+            dp.observe(&self.stats, query, &certain);
         }
 
         // Steps 2a–2c: build the plan — candidate rewrites (served from
@@ -380,7 +380,7 @@ impl Qpiad {
         };
         plan::execute(source, &plan, ctx, &mut degraded, |_, entry, kept, ctx| {
             if let Some(dp) = &mut ctx.drift {
-                dp.observe(&self.sample_matches(&entry.rewrite.query), &kept);
+                dp.observe(&self.stats, &entry.rewrite.query, &kept);
             }
             self.merge_retrieval(query, &entry.rewrite, kept, &mut merge, &cache);
         });
@@ -433,7 +433,7 @@ impl Qpiad {
         query: &SelectQuery,
         ctx: &mut QueryContext,
     ) -> MediationPlan {
-        let certain = self.sample_matches(query);
+        let certain = plan::stats_sample_matches(&self.stats, query);
         let candidates = self.compute_candidates(source, query, &certain);
         let mut plan = self.plan_from_candidates(source, query, &candidates);
         plan.cache = CacheStatus::Speculative;
@@ -595,14 +595,6 @@ impl Qpiad {
             }
         }
         candidates
-    }
-
-    /// The mined-sample tuples certainly matching `query` — the reference
-    /// side of a paired drift observation. Filtering the sample by the
-    /// same query the live response answered gives both sides identical
-    /// conditioning, so a selective query does not read as drift.
-    fn sample_matches(&self, query: &SelectQuery) -> Vec<Tuple> {
-        plan::stats_sample_matches(&self.stats, query)
     }
 
     /// Folds one rewritten query's result into the answer under

@@ -718,10 +718,10 @@ impl PlanCache {
 }
 
 /// The mined-sample tuples certainly matching `query` — the planner's
-/// zero-query stand-in for a base result set (speculative EXPLAIN plans)
-/// and the reference side of paired drift observations. Served through the
-/// estimator's posting-list index; the returned tuples are shared-slice
-/// handles, so this materializes nothing beyond the `Vec` itself.
+/// zero-query stand-in for a base result set (speculative EXPLAIN plans
+/// and correlated-source routing). Served through the estimator's
+/// posting-list index; the returned tuples are shared-slice handles, so
+/// this materializes nothing beyond the `Vec` itself.
 pub(crate) fn stats_sample_matches(stats: &SourceStats, query: &SelectQuery) -> Vec<Tuple> {
     stats.selectivity().sample_matches(query)
 }

@@ -211,11 +211,17 @@ impl SelectionEngine {
         Arc::clone(write.entry(attr).or_insert(built))
     }
 
-    /// Calls `hit` with each row matching a query with predicates, in
-    /// relation order: the shortest posting list drives, and a row is kept
-    /// if every other predicate holds on its value id in that column.
-    fn for_each_match(&self, relation: &Relation, query: &SelectQuery, hit: impl FnMut(u32)) {
+    /// Calls `hit` with the index of each row certainly matching `query`,
+    /// in relation order: the rows [`Self::select`] materializes, as row
+    /// ids into `relation` and its columnar image. The shortest posting
+    /// list drives, and a row is kept if every other predicate holds on its
+    /// value id in that column; a query without predicates walks every row.
+    pub fn for_each_row(&self, relation: &Relation, query: &SelectQuery, hit: impl FnMut(u32)) {
         let preds = query.predicates();
+        if preds.is_empty() {
+            (0..relation.len() as u32).for_each(hit);
+            return;
+        }
         let indexes: Vec<Arc<AttrIndex>> = preds
             .iter()
             .map(|p| self.index_for(relation, p.attr))
@@ -239,11 +245,8 @@ impl SelectionEngine {
     /// materialize only here, as shared-slice handle clones, after the walk:
     /// a reference-count bump inside it would stall the column reads.
     pub fn select(&self, relation: &Relation, query: &SelectQuery) -> Vec<Tuple> {
-        if query.predicates().is_empty() {
-            return relation.select(query);
-        }
         let mut rows = Vec::new();
-        self.for_each_match(relation, query, |row| rows.push(row));
+        self.for_each_row(relation, query, |row| rows.push(row));
         let tuples = relation.tuples();
         rows.iter()
             .map(|&row| tuples[row as usize].clone())
@@ -253,11 +256,8 @@ impl SelectionEngine {
     /// Counts the certain answers along the same path as [`Self::select`],
     /// materializing neither rows nor tuples.
     pub fn count(&self, relation: &Relation, query: &SelectQuery) -> usize {
-        if query.predicates().is_empty() {
-            return relation.count(query);
-        }
         let mut n = 0;
-        self.for_each_match(relation, query, |_| n += 1);
+        self.for_each_row(relation, query, |_| n += 1);
         n
     }
 }
@@ -366,6 +366,12 @@ mod tests {
         for q in &queries {
             assert_eq!(engine.select(&r, q), r.select(q), "query {q:?}");
             assert_eq!(engine.count(&r, q), r.count(q), "count {q:?}");
+            let mut rows = Vec::new();
+            engine.for_each_row(&r, q, |row| rows.push(row));
+            let scan: Vec<u32> = (0..r.len() as u32)
+                .filter(|&row| q.matches(&r.tuples()[row as usize]))
+                .collect();
+            assert_eq!(rows, scan, "rows {q:?}");
         }
     }
 

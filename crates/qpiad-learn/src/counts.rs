@@ -17,7 +17,9 @@
 //!   a row clones no value, and allocates nothing once its groups and
 //!   values have been counted. A `ValueCounts` holding a single id keeps it
 //!   inline: about half of all determining-set groups see one target, and
-//!   those allocate no table of their own.
+//!   those allocate no table of their own. A `ValueCounts` keeps its
+//!   majority count current, and a `GroupCounts` its `g3` removal total,
+//!   so the fold reads its confidences without walking a group.
 //!
 //! An entry exists iff its count is positive, and a table holds its ids
 //! inline iff it holds exactly one, so two tables that counted the same
@@ -125,13 +127,24 @@ impl ValueIds {
     }
 }
 
+/// The non-null ids a [`ValueCounts`] holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum Held {
+    /// No non-null id.
+    #[default]
+    Nothing,
+    /// Exactly one, with its count, held inline.
+    One(ValueId, u64),
+    /// Two or more, all in `by_value`, the largest count among them kept
+    /// current so [`ValueCounts::majority`] reads no table.
+    Many { majority: u64 },
+}
+
 /// Occurrence counts of one attribute's ids.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ValueCounts {
-    /// The only non-null id counted, while there is exactly one; with two
-    /// or more they all live in `by_value`, which stays unallocated until
-    /// then.
-    only: Option<(ValueId, u64)>,
+    held: Held,
+    /// The counts while two or more ids are held; unallocated until then.
     by_value: FastHashMap<ValueId, u64>,
     nulls: u64,
 }
@@ -143,50 +156,73 @@ impl ValueCounts {
             self.nulls += 1;
             return;
         }
-        match &mut self.only {
-            Some((only, n)) if *only == v => *n += 1,
-            _ => match self.by_value.get_mut(&v) {
-                Some(n) => *n += 1,
-                None => self.count(v, 1),
-            },
+        match &mut self.held {
+            Held::One(only, n) if *only == v => *n += 1,
+            Held::Many { majority } => {
+                let n = self.by_value.entry(v).or_insert(0);
+                *n += 1;
+                *majority = (*majority).max(*n);
+            }
+            _ => self.count(v, 1),
         }
     }
 
     /// Counts `n` occurrences of the non-null `v`.
     fn count(&mut self, v: ValueId, n: u64) {
-        if !self.by_value.is_empty() {
-            *self.by_value.entry(v).or_insert(0) += n;
-            return;
-        }
-        match self.only.take() {
-            None => self.only = Some((v, n)),
-            Some((only, m)) if only == v => self.only = Some((only, m + n)),
-            Some((only, m)) => {
+        self.held = match self.held {
+            Held::Nothing => Held::One(v, n),
+            Held::One(only, m) if only == v => Held::One(only, m + n),
+            Held::One(only, m) => {
                 self.by_value.insert(only, m);
                 self.by_value.insert(v, n);
+                Held::Many { majority: m.max(n) }
             }
-        }
+            Held::Many { majority } => {
+                let counted = self.by_value.entry(v).or_insert(0);
+                *counted += n;
+                Held::Many {
+                    majority: majority.max(*counted),
+                }
+            }
+        };
     }
 
     /// Uncounts one occurrence of `v`, which must have been counted.
     pub(crate) fn remove(&mut self, v: ValueId) {
         if v.is_null() {
             self.nulls -= 1;
-        } else if let Some((_, n)) = self.only.as_mut().filter(|(only, _)| *only == v) {
-            *n -= 1;
-            if *n == 0 {
-                self.only = None;
+            return;
+        }
+        match self.held {
+            Held::One(only, n) if only == v => {
+                self.held = if n > 1 {
+                    Held::One(only, n - 1)
+                } else {
+                    Held::Nothing
+                };
             }
-        } else if let Some(n) = self.by_value.get_mut(&v) {
-            *n -= 1;
-            if *n == 0 {
-                self.by_value.remove(&v);
-                if self.by_value.len() == 1 {
-                    self.only = self.by_value.drain().next();
+            Held::Many { majority } => {
+                let Some(n) = self.by_value.get_mut(&v) else {
+                    debug_assert!(false, "removed a value that was never counted");
+                    return;
+                };
+                *n -= 1;
+                let was = *n + 1;
+                if *n == 0 {
+                    self.by_value.remove(&v);
                 }
+                self.held = if self.by_value.len() == 1 {
+                    let (only, n) = self.by_value.drain().next().expect("one id is held");
+                    Held::One(only, n)
+                } else if was == majority {
+                    // Another id may tie the majority: re-read the table.
+                    let majority = self.by_value.values().copied().max().unwrap_or(0);
+                    Held::Many { majority }
+                } else {
+                    Held::Many { majority }
+                };
             }
-        } else {
-            debug_assert!(false, "removed a value that was never counted");
+            _ => debug_assert!(false, "removed a value that was never counted"),
         }
     }
 
@@ -199,7 +235,11 @@ impl ValueCounts {
     /// a one-to-one map from `src`'s id space into this one's.
     pub(crate) fn merge_mapped(&mut self, src: Self, rename: impl Fn(ValueId) -> ValueId) {
         self.nulls += src.nulls;
-        for (v, n) in src.only.into_iter().chain(src.by_value) {
+        let only = match src.held {
+            Held::One(only, n) => Some((only, n)),
+            _ => None,
+        };
+        for (v, n) in only.into_iter().chain(src.by_value) {
             self.count(rename(v), n);
         }
     }
@@ -216,26 +256,49 @@ impl ValueCounts {
 
     /// The largest single-id count (0 without a non-null id).
     pub(crate) fn majority(&self) -> u64 {
-        self.iter().map(|(_, n)| n).max().unwrap_or(0)
+        match self.held {
+            Held::Nothing => 0,
+            Held::One(_, n) | Held::Many { majority: n } => n,
+        }
+    }
+
+    /// The rows a `g3` measure keeps of this group: the majority id's, or
+    /// one row of a group whose ids are all null; none of an empty one.
+    fn kept(&self) -> u64 {
+        if self.is_empty() {
+            0
+        } else {
+            self.majority().max(1)
+        }
     }
 
     /// Occurrences of `v` (0 if never counted).
     pub(crate) fn get(&self, v: ValueId) -> u64 {
-        match &self.only {
-            Some((only, n)) if *only == v => *n,
-            Some(_) => 0,
-            None => self.by_value.get(&v).copied().unwrap_or(0),
+        match self.held {
+            Held::Nothing => 0,
+            Held::One(only, n) => {
+                if only == v {
+                    n
+                } else {
+                    0
+                }
+            }
+            Held::Many { .. } => self.by_value.get(&v).copied().unwrap_or(0),
         }
     }
 
     /// The non-null ids with their counts, in no particular order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (ValueId, u64)> + '_ {
-        let only = self.only.iter().copied();
-        only.chain(self.by_value.iter().map(|(v, n)| (*v, *n)))
+        let only = match self.held {
+            Held::One(only, n) => Some((only, n)),
+            _ => None,
+        };
+        only.into_iter()
+            .chain(self.by_value.iter().map(|(v, n)| (*v, *n)))
     }
 
     fn is_empty(&self) -> bool {
-        self.only.is_none() && self.by_value.is_empty() && self.nulls == 0
+        self.held == Held::Nothing && self.nulls == 0
     }
 }
 
@@ -245,12 +308,18 @@ impl ValueCounts {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct GroupCounts<G: Eq + Hash> {
     groups: FastHashMap<G, ValueCounts>,
+    /// The rows a `g3` measure removes to make every group agree on its
+    /// target: each group's rows but those it keeps (see
+    /// [`ValueCounts::kept`]). Kept current by every add, remove and
+    /// merge, so reading it walks no group.
+    removals: u64,
 }
 
 impl<G: Eq + Hash> Default for GroupCounts<G> {
     fn default() -> Self {
         GroupCounts {
             groups: FastHashMap::default(),
+            removals: 0,
         }
     }
 }
@@ -258,7 +327,11 @@ impl<G: Eq + Hash> Default for GroupCounts<G> {
 impl<G: Eq + Hash> GroupCounts<G> {
     /// Counts `target` in the group keyed `key`.
     pub(crate) fn add(&mut self, key: G, target: ValueId) {
-        self.groups.entry(key).or_default().add(target);
+        let group = self.groups.entry(key).or_default();
+        let kept = group.kept();
+        group.add(target);
+        // One row more, of which the group keeps at most one more.
+        self.removals += 1 - (group.kept() - kept);
     }
 
     /// Uncounts `target` from the group keyed `key`, where it must have
@@ -268,7 +341,10 @@ impl<G: Eq + Hash> GroupCounts<G> {
             debug_assert!(false, "removed a row that was never grouped");
             return;
         };
+        let kept = group.kept();
         group.remove(target);
+        // One row fewer, of which the group keeps at most one fewer.
+        self.removals -= 1 - (kept - group.kept());
         if group.is_empty() {
             self.groups.remove(&key);
         }
@@ -289,11 +365,17 @@ impl<G: Eq + Hash> GroupCounts<G> {
         rename: impl Fn(ValueId) -> ValueId + Copy,
     ) {
         for (key, counts) in src.groups {
-            self.groups
-                .entry(rename_key(key))
-                .or_default()
-                .merge_mapped(counts, rename);
+            let rows = counts.rows();
+            let group = self.groups.entry(rename_key(key)).or_default();
+            let kept = group.kept();
+            group.merge_mapped(counts, rename);
+            self.removals += rows - (group.kept() - kept);
         }
+    }
+
+    /// The rows a `g3` measure removes from these groups (see the field).
+    pub(crate) fn removals(&self) -> u64 {
+        self.removals
     }
 
     /// Each group's target counts, in no particular order.
@@ -412,6 +494,15 @@ impl IdGroupCounts {
         }
     }
 
+    /// The rows a `g3` measure removes from these groups (see
+    /// [`GroupCounts::removals`]).
+    pub(crate) fn removals(&self) -> u64 {
+        match self {
+            IdGroupCounts::Inline(groups) => groups.removals(),
+            IdGroupCounts::Wide(groups) => groups.removals(),
+        }
+    }
+
     /// Each group's target counts, in no particular order.
     pub(crate) fn groups(&self) -> Box<dyn Iterator<Item = &ValueCounts> + '_> {
         match self {
@@ -506,6 +597,7 @@ mod tests {
         };
         let one = table(&[(1, true), (1, true)]);
         assert!(one.by_value.is_empty());
+        assert!(matches!(one.held, Held::One(..)));
         assert_eq!(
             (one.non_null(), one.majority(), one.get(ValueId(1))),
             (2, 2, 2)
@@ -531,7 +623,7 @@ mod tests {
             (emptied.rows(), emptied.non_null(), emptied.iter().count()),
             (1, 0, 0)
         );
-        assert_eq!(emptied.only, None);
+        assert_eq!(emptied.held, Held::Nothing);
     }
 
     #[test]
@@ -598,6 +690,49 @@ mod tests {
             }
             dst.merge_renamed(src, rename);
             assert_eq!(dst, direct, "over {attrs:?}");
+        }
+    }
+
+    /// The `g3` removals of `groups`, walked group by group with every
+    /// majority re-read off the group's ids.
+    fn walked_removals(groups: &IdGroupCounts) -> u64 {
+        groups
+            .groups()
+            .map(|g| g.rows() - g.iter().map(|(_, n)| n).max().unwrap_or(0).max(1))
+            .sum()
+    }
+
+    #[test]
+    fn removal_totals_and_majorities_stay_current() {
+        // Through adds, removes (majority ids and ties included) and a
+        // merge, over a one-attribute, an inline and a wide set.
+        for attrs in [
+            &[AttrId(0)][..],
+            &[AttrId(0), AttrId(1)],
+            &[AttrId(0), AttrId(1), AttrId(2), AttrId(3)],
+        ] {
+            let mut table = IdGroupCounts::over(attrs);
+            let mut other = IdGroupCounts::over(attrs);
+            let check = |t: &IdGroupCounts| {
+                assert_eq!(t.removals(), walked_removals(t), "over {attrs:?}");
+                for g in t.groups() {
+                    let max = g.iter().map(|(_, n)| n).max().unwrap_or(0);
+                    assert_eq!(g.majority(), max, "over {attrs:?}");
+                }
+            };
+            for (i, (ids, target)) in ROWS.into_iter().enumerate() {
+                table.add(attrs, &row(ids), ValueId(target));
+                if i % 2 == 0 {
+                    other.add(attrs, &row(ids), ValueId(target));
+                }
+                check(&table);
+            }
+            for (ids, target) in ROWS.into_iter().rev().step_by(2) {
+                table.remove(attrs, &row(ids), ValueId(target));
+                check(&table);
+            }
+            table.merge(other);
+            check(&table);
         }
     }
 

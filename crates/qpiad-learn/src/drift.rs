@@ -17,12 +17,12 @@
 //! convertibles only ever sees convertibles — so comparing them against
 //! the sample's *unconditional* distributions would convict every
 //! selective query of drift. The probe therefore accumulates **paired**
-//! observations: for each response, the mediator also filters its mined
-//! sample by the *same query* (`SelectQuery::matches`, the certain-answer
-//! test) and feeds the matching sample tuples in as the reference side.
-//! Both sides carry the same conditioning, and both are reduced by the
-//! same estimator, so a source that still looks like its sample scores
-//! exactly zero. The statistic is
+//! observations: for each response it also filters the mined sample by
+//! the *same query* (the certain-answer test, through the sample's
+//! posting-list index) and counts the matching sample rows as the
+//! reference side. Both sides carry the same conditioning, and both are
+//! reduced by the same estimator, so a source that still looks like its
+//! sample scores exactly zero. The statistic is
 //!
 //! ```text
 //! drift = max( max_a max_v |p_ref_a(v) − p_live_a(v)|,
@@ -54,17 +54,33 @@
 //! ## Interned counting
 //!
 //! A probe counts dense `ValueId`s, not values, in an id space of the kind
-//! the fold counts in too (`counts::ValueIds`). Each cell is interned
-//! once, through the dictionary of the mined sample's columnar image
-//! (`stats.selectivity().sample().columnar()`), which the detector shares
-//! with every probe it hands out. A value the sample never held gets a
-//! probe-local id numbered past the dictionary's end; absorbing the probe
-//! renames those ids into the detector's own. Determining-set groups are
-//! keyed by inline id arrays, so counting a row clones no value and
-//! allocates nothing once its groups exist. Ids from two samples'
-//! dictionaries name different values, so a detector takes no counts from
-//! a probe shaped against another sample's — one taken before a
-//! [`DriftDetector::reset`] to re-mined statistics, say.
+//! the fold counts in too (`counts::ValueIds`): the dictionary of the mined
+//! sample's columnar image (`stats.selectivity().sample().columnar()`),
+//! which the detector shares with every probe it hands out. The reference
+//! side is counted straight off that image's id columns — a matching
+//! sample row's ids already are the probe's ids — so it hashes and clones
+//! no value. Each live cell is interned once through the dictionary; a
+//! value the sample never held gets a probe-local id numbered past the
+//! dictionary's end, and absorbing the probe renames those ids into the
+//! detector's own. Determining-set groups are keyed by inline id arrays,
+//! so counting a row clones no value and allocates nothing once its groups
+//! exist. Ids from two samples' dictionaries name different values, so a
+//! detector takes no counts from a probe shaped against another sample's —
+//! one taken before a [`DriftDetector::reset`] to re-mined statistics, say
+//! — and a probe observing under statistics mined from another sample than
+//! its own counts nothing.
+//!
+//! ## Evidence after the verdict
+//!
+//! A verdict is sticky until a re-mine or a fold resets the detector, and
+//! the reset discards the counts. Counting past the verdict therefore
+//! moves no decision, so a drifted source's probes only tally live rows
+//! (for [`DriftDetector::observed_rows`]) and keep them for the sample
+//! stream: they intern nothing and never read the sample. Absorbing adds
+//! only that tally. Verdicts, knowledge versions, stream contents and
+//! answers are what they would be if every probe counted; the one visible
+//! difference is that [`DriftDetector::statistic`] stays at its firing
+//! value instead of wandering on.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,7 +88,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use qpiad_db::version::KnowledgeVersionClock;
-use qpiad_db::{AttrId, ColumnarRelation, Tuple, ValueId};
+use qpiad_db::{AttrId, ColumnarRelation, SelectQuery, Tuple, ValueId};
 
 use crate::counts::{IdGroupCounts, ValueCounts, ValueIds};
 use crate::knowledge::SourceStats;
@@ -168,28 +184,16 @@ impl SideCounts {
         }
     }
 
-    /// Counts the tuples of the counted arity, interning each cell once
-    /// into `ids`; `row` is scratch space for one row's ids.
-    fn add_rows(
-        &mut self,
-        tracked: &[Option<Vec<AttrId>>],
-        ids: &mut ValueIds,
-        row: &mut Vec<ValueId>,
-        tuples: &[Tuple],
-    ) {
-        let arity = self.values.len();
-        for t in tuples.iter().filter(|t| t.arity() == arity) {
-            self.rows += 1;
-            row.clear();
-            ids.intern_row(t, row);
-            for (counts, id) in self.values.iter_mut().zip(row.iter()) {
-                counts.add(*id);
-            }
-            for ((groups, lhs), rhs) in self.afds.iter_mut().zip(tracked).zip(row.iter()) {
-                let Some(lhs) = lhs else { continue };
-                if !rhs.is_null() {
-                    groups.add(lhs, row, *rhs);
-                }
+    /// Counts one row, given as its ids in attribute order.
+    fn add_row(&mut self, tracked: &[Option<Vec<AttrId>>], row: &[ValueId]) {
+        self.rows += 1;
+        for (counts, id) in self.values.iter_mut().zip(row) {
+            counts.add(*id);
+        }
+        for ((groups, lhs), rhs) in self.afds.iter_mut().zip(tracked).zip(row) {
+            let Some(lhs) = lhs else { continue };
+            if !rhs.is_null() {
+                groups.add(lhs, row, *rhs);
             }
         }
     }
@@ -218,13 +222,17 @@ fn afd_confidence(groups: &IdGroupCounts) -> Option<f64> {
 }
 
 /// A pass-local accumulator of **paired** observations: validated live
-/// response tuples on one side, the mined-sample tuples matching the same
+/// response tuples on one side, the mined-sample rows matching the same
 /// query on the other. Cheap to clone while empty; filled by one worker
 /// during a mediation pass and absorbed sequentially afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct DriftProbe {
     live: SideCounts,
     reference: SideCounts,
+    /// Whether observations are counted. A probe handed out once the
+    /// verdict has fired only tallies live rows: until the reset that
+    /// clears the verdict discards them, nothing would read its counts.
+    counting: bool,
     /// Determining set per attribute: each attribute's best mined AFD's,
     /// if it has one (copied so the probe can accumulate without holding a
     /// detector borrow).
@@ -256,6 +264,7 @@ impl DriftProbe {
         DriftProbe {
             live: SideCounts::shaped(&tracked),
             reference: SideCounts::shaped(&tracked),
+            counting: true,
             tracked,
             ids: ValueIds::over(sample),
             row: Vec::new(),
@@ -288,24 +297,46 @@ impl DriftProbe {
         self.live.rows
     }
 
-    /// Accumulates one paired observation: `reference` is the mined
-    /// sample filtered by the query that produced the validated `live`
-    /// response, so both sides carry identical query conditioning.
-    /// Tuples whose arity disagrees with the mined schema are skipped
-    /// (validation already quarantines them; this is belt and braces).
-    pub fn observe(&mut self, reference: &[Tuple], live: &[Tuple]) {
-        self.reference
-            .add_rows(&self.tracked, &mut self.ids, &mut self.row, reference);
-        self.live
-            .add_rows(&self.tracked, &mut self.ids, &mut self.row, live);
-        let arity = self.live.values.len();
-        for t in live {
-            if self.live_rows.len() >= self.row_capacity {
-                break;
+    /// Accumulates one paired observation: the validated `live` response
+    /// to `query`, paired with the rows of the mined sample that certainly
+    /// match the same query, so both sides carry identical query
+    /// conditioning. `stats` are the statistics the pass answers under.
+    /// The reference side is read straight off their sample's id columns,
+    /// which hold this probe's ids, so it neither materializes nor hashes a
+    /// value. Live tuples whose arity disagrees with the mined schema are
+    /// skipped (validation already quarantines them; this is belt and
+    /// braces).
+    ///
+    /// The probe only tallies (and keeps) the live rows, and never reads
+    /// the sample, when it does not count — it was handed out after the
+    /// verdict fired — or when `stats` were mined from another sample than
+    /// the probe was shaped against. Then a refresh landed between the
+    /// probe's snapshot and the pass's pin: the probe is stale, and
+    /// [`DriftRegistry::absorb`] drops whatever it counted.
+    pub fn observe(&mut self, stats: &SourceStats, query: &SelectQuery, live: &[Tuple]) {
+        let arity = self.tracked.len();
+        let selectivity = stats.selectivity();
+        let sample = selectivity.sample().columnar();
+        let counting = self.counting && Arc::ptr_eq(sample, self.ids.sample());
+        for t in live.iter().filter(|t| t.arity() == arity) {
+            if counting {
+                self.row.clear();
+                self.ids.intern_row(t, &mut self.row);
+                self.live.add_row(&self.tracked, &self.row);
+            } else {
+                self.live.rows += 1;
             }
-            if t.arity() == arity {
+            if self.live_rows.len() < self.row_capacity {
                 self.live_rows.push(t.clone());
             }
+        }
+        if counting {
+            let (reference, tracked, row) = (&mut self.reference, &self.tracked, &mut self.row);
+            selectivity.for_each_sample_match(query, |r| {
+                row.clear();
+                row.extend((0..arity).map(|a| sample.vid_at(r as usize, AttrId(a))));
+                reference.add_row(tracked, row);
+            });
         }
     }
 
@@ -391,15 +422,25 @@ impl DriftDetector {
     }
 
     /// An empty pass-local probe shaped like this detector's statistics.
+    /// Once the verdict has fired the probe only tallies live rows: no
+    /// count it could take would be read before the next reset.
     pub fn probe(&self) -> DriftProbe {
         let tracked = self.accumulated.tracked.clone();
         let sample = Arc::clone(self.accumulated.ids.sample());
-        DriftProbe::shaped(tracked, sample, self.config.stream_capacity)
+        let mut probe = DriftProbe::shaped(tracked, sample, self.config.stream_capacity);
+        probe.counting = !self.is_drifted();
+        probe
     }
 
     /// Merges a pass-local probe and re-evaluates the statistic; returns
     /// the verdict if this absorption is the one that crossed the
     /// threshold (verdicts fire once and stay until [`DriftDetector::reset`]).
+    ///
+    /// Once the verdict has fired only the probe's live-row tally is
+    /// added: the verdict stays until a reset discards the counts, so no
+    /// further count could move a decision. A rows-only probe meeting a
+    /// detector without a verdict was outlived by such a reset and adds
+    /// nothing.
     ///
     /// A probe shaped against another sample or other tracked sets than
     /// this detector's — one taken before a [`DriftDetector::reset`] to
@@ -409,8 +450,15 @@ impl DriftDetector {
         if !probe.shaped_like(&self.accumulated) {
             return None;
         }
+        if self.verdict.is_some() {
+            self.accumulated.live.rows += probe.live.rows;
+            return None;
+        }
+        if !probe.counting {
+            return None;
+        }
         probe.merge_into(&mut self.accumulated);
-        if self.verdict.is_some() || self.accumulated.live.rows < self.config.min_observations {
+        if self.accumulated.live.rows < self.config.min_observations {
             return None;
         }
         let stat = self.statistic();
@@ -429,10 +477,11 @@ impl DriftDetector {
         None
     }
 
-    /// The current divergence statistic over everything absorbed so far.
-    /// An attribute contributes only when *both* sides have evidence for
-    /// it — a query whose conditioning leaves one side empty says nothing
-    /// about drift.
+    /// The divergence statistic over the counts absorbed so far. An
+    /// attribute contributes only when *both* sides have evidence for it —
+    /// a query whose conditioning leaves one side empty says nothing about
+    /// drift. Evidence absorbed after the verdict only tallies rows, so
+    /// from then on the statistic stays at its firing value until a reset.
     pub fn statistic(&self) -> DriftStatistic {
         let reference = &self.accumulated.reference;
         let live = &self.accumulated.live;
@@ -546,7 +595,8 @@ impl DriftRegistry {
     }
 
     /// An empty pass-local probe for a registered source, stamped with the
-    /// source's current knowledge version.
+    /// source's current knowledge version. A drifted source's probe only
+    /// tallies live rows (see [`DriftDetector::probe`]).
     pub fn probe(&self, source: &str) -> Option<DriftProbe> {
         let inner = self.inner.lock();
         inner.get(source).map(|d| {
@@ -621,7 +671,9 @@ impl DriftRegistry {
             .and_then(|d| d.verdict().cloned())
     }
 
-    /// The source's current statistic, if registered.
+    /// The source's current statistic, if registered: frozen at its
+    /// firing value once the verdict has fired, until a re-mine or fold
+    /// resets the detector (see [`DriftDetector::statistic`]).
     pub fn statistic(&self, source: &str) -> Option<DriftStatistic> {
         self.inner.lock().get(source).map(DriftDetector::statistic)
     }
@@ -729,10 +781,11 @@ impl DriftRegistry {
 mod tests {
     use super::*;
     use crate::knowledge::{MiningConfig, SourceStats};
+    use proptest::prelude::Strategy as _;
     use qpiad_data::cars::CarsConfig;
     use qpiad_data::corrupt::{corrupt, CorruptionConfig};
     use qpiad_data::sample::uniform_sample;
-    use qpiad_db::{Relation, Value};
+    use qpiad_db::{Predicate, Relation, Value};
 
     fn mined() -> (Relation, SourceStats) {
         mined_with(7, &MiningConfig::default())
@@ -825,6 +878,10 @@ mod tests {
                 }
             }
 
+            pub(super) fn rows(&self) -> u64 {
+                self.rows
+            }
+
             pub(super) fn merge_into(self, dst: &mut SideCounts) {
                 dst.rows += self.rows;
                 for (dst, src) in dst.attr_counts.iter_mut().zip(self.attr_counts) {
@@ -914,11 +971,16 @@ mod tests {
         }
     }
 
-    /// One generated row: a sampled tuple with some attributes swapped for a
-    /// donor tuple's and some nulled (or, with `novel`, set to one of a few
-    /// values no sample holds, on any attribute, determining-set positions
-    /// included); one row in six has the wrong arity.
+    /// One generated live row: a source tuple with some attributes swapped
+    /// for a donor tuple's and some nulled (or, with `novel`, set to one of
+    /// a few values no sample holds, on any attribute, determining-set
+    /// positions included); one row in six has the wrong arity.
     type RowSpec = (usize, usize, u64, u64, u8);
+
+    /// One generated reference query over the mined sample: `(kind, row,
+    /// attr, other)` picks every row, the values one sample row holds on
+    /// one or two attributes, a null test, or a value no sample holds.
+    type QuerySpec = (u8, usize, usize, usize);
 
     /// The values no mined sample holds: strings and integers, so novel
     /// ids reach attributes of both types.
@@ -953,15 +1015,37 @@ mod tests {
         Tuple::new(qpiad_db::TupleId(base as u32), values)
     }
 
+    fn spec_query(sample: &Relation, (kind, row, attr, other): QuerySpec) -> SelectQuery {
+        let arity = sample.schema().arity();
+        let (a, b) = (AttrId(attr % arity), AttrId(other % arity));
+        let t = &sample.tuples()[row % sample.len()];
+        let eq = |a: AttrId| Predicate::eq(a, t.value(a).clone());
+        match kind % 5 {
+            0 => SelectQuery::all(),
+            1 => SelectQuery::new(vec![eq(a)]),
+            2 => SelectQuery::new(vec![eq(a), eq(b)]),
+            3 => SelectQuery::new(vec![Predicate::is_null(a)]),
+            _ => SelectQuery::new(vec![Predicate::eq(a, novel_value(row))]),
+        }
+    }
+
+    /// The determining set each attribute of `stats` is tracked by.
+    fn tracked(stats: &SourceStats) -> Vec<Option<Vec<AttrId>>> {
+        DriftProbe::accumulator(stats).tracked
+    }
+
     /// The detector's statistic and the naive transcription's
     /// `(value, afd, statistic)` after absorbing `probes`, each a list of
-    /// paired `(reference, live)` observations.
+    /// paired `(query, live)` observations. The naive side counts the
+    /// sample tuples the query selects by scan; the detector reads them
+    /// off the sample's id columns.
     fn against_naive(
         stats: &SourceStats,
-        probes: &[Vec<(&[Tuple], &[Tuple])>],
+        probes: &[Vec<(SelectQuery, &[Tuple])>],
     ) -> (DriftStatistic, (f64, f64, f64)) {
-        let mut detector = DriftDetector::new("s", stats, DriftConfig::default());
-        let tracked = detector.accumulated.tracked.clone();
+        let mut detector = DriftDetector::new("s", stats, never_fires());
+        let tracked = tracked(stats);
+        let sample = stats.selectivity().sample();
         let arity = tracked.len();
         let mut naive_ref = naive::SideCounts::shaped(arity);
         let mut naive_live = naive::SideCounts::shaped(arity);
@@ -969,10 +1053,10 @@ mod tests {
             let mut probe = detector.probe();
             let mut probe_ref = naive::SideCounts::shaped(arity);
             let mut probe_live = naive::SideCounts::shaped(arity);
-            for (rc, lc) in observations {
-                probe.observe(rc, lc);
-                probe_ref.accumulate(&tracked, rc);
-                probe_live.accumulate(&tracked, lc);
+            for (query, live) in observations {
+                probe.observe(stats, query, live);
+                probe_ref.accumulate(&tracked, &sample.select(query));
+                probe_live.accumulate(&tracked, live);
             }
             detector.absorb(probe);
             probe_ref.merge_into(&mut naive_ref);
@@ -984,28 +1068,46 @@ mod tests {
         )
     }
 
+    /// A configuration whose verdict never fires, so every absorbed count
+    /// stays in the statistic (a verdict freezes it).
+    fn never_fires() -> DriftConfig {
+        DriftConfig::default().with_threshold(f64::INFINITY)
+    }
+
     fn assert_bit_equal(got: DriftStatistic, (value, afd, stat): (f64, f64, f64)) {
         assert_eq!(got.value_divergence.to_bits(), value.to_bits());
         assert_eq!(got.afd_divergence.to_bits(), afd.to_bits());
         assert_eq!(got.statistic.to_bits(), stat.to_bits());
     }
 
+    /// The default world and the wide one, each mined once.
+    fn world(wide: bool) -> &'static (Relation, SourceStats) {
+        static WORLD: std::sync::OnceLock<(Relation, SourceStats)> = std::sync::OnceLock::new();
+        static WIDE: std::sync::OnceLock<(Relation, SourceStats)> = std::sync::OnceLock::new();
+        if wide {
+            WIDE.get_or_init(mined_wide)
+        } else {
+            WORLD.get_or_init(mined)
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// The detector's statistic is bit-equal to the naive transcription
-        /// over random paired batches (nulls, wrong-arity rows and novel
-        /// values on either side included), however the observations are
-        /// split into probes, and whether the tracked sets fit the inline
-        /// group keys or not. Novel values fall on random rows, so probes
-        /// see them first in different orders and hand them different
-        /// probe-local ids.
+        /// The detector's statistic — reference side read off the sample's
+        /// id columns, live side interned — is bit-equal to the naive
+        /// transcription counting the scanned sample tuples and the live
+        /// tuples by value, over random queries and live batches (nulls,
+        /// wrong-arity rows and novel values included), however the
+        /// observations are split into probes, and whether the tracked
+        /// sets fit the inline group keys or not. Novel values fall on
+        /// random rows, so probes see them first in different orders and
+        /// hand them different probe-local ids.
         #[test]
         fn statistic_matches_the_naive_transcription(
-            reference in proptest::collection::vec(
-                (0usize..2_000, 0usize..2_000, proptest::prelude::any::<u64>(),
-                 proptest::prelude::any::<u64>(), proptest::prelude::any::<u8>()),
-                0..160,
+            queries in proptest::collection::vec(
+                (proptest::prelude::any::<u8>(), 0usize..2_000, 0usize..16, 0usize..16),
+                1..12,
             ),
             live in proptest::collection::vec(
                 (0usize..2_000, 0usize..2_000, proptest::prelude::any::<u64>(),
@@ -1014,33 +1116,30 @@ mod tests {
             ),
             chunks in proptest::collection::vec(1usize..48, 1..6),
             per_probe in 1usize..4,
-            // Bit 0: novel values on the reference side; bit 1: on the live
-            // side; bit 2: the world with wide determining sets.
-            flags in 0u8..8,
+            // Bit 0: novel values on the live side; bit 1: the world with
+            // wide determining sets.
+            flags in 0u8..4,
         ) {
-            let (novel_ref, novel_live, wide) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
-            static WORLD: std::sync::OnceLock<(Relation, SourceStats)> = std::sync::OnceLock::new();
-            static WIDE: std::sync::OnceLock<(Relation, SourceStats)> = std::sync::OnceLock::new();
-            let (ed, stats) =
-                if wide { WIDE.get_or_init(mined_wide) } else { WORLD.get_or_init(mined) };
-            let reference: Vec<Tuple> =
-                reference.into_iter().map(|s| spec_row(ed, s, novel_ref)).collect();
-            let live: Vec<Tuple> = live.into_iter().map(|s| spec_row(ed, s, novel_live)).collect();
+            let (novel, wide) = (flags & 1 != 0, flags & 2 != 0);
+            let (ed, stats) = world(wide);
+            let sample = stats.selectivity().sample();
+            let queries: Vec<SelectQuery> =
+                queries.into_iter().map(|q| spec_query(sample, q)).collect();
+            let live: Vec<Tuple> = live.into_iter().map(|s| spec_row(ed, s, novel)).collect();
 
-            // Chunk both sides with the same cycled sizes into paired
-            // observations, then group consecutive observations into probes.
-            let mut observations: Vec<(&[Tuple], &[Tuple])> = Vec::new();
-            let (mut r, mut l) = (&reference[..], &live[..]);
-            for size in chunks.iter().cycle() {
-                if r.is_empty() && l.is_empty() {
+            // Pair each query with the next live chunk (sizes cycled) until
+            // both run out, then group consecutive observations into probes.
+            let mut observations: Vec<(SelectQuery, &[Tuple])> = Vec::new();
+            let mut l = &live[..];
+            for (i, size) in chunks.iter().cycle().enumerate() {
+                if i >= queries.len() && l.is_empty() {
                     break;
                 }
-                let (rc, rr) = r.split_at((*size).min(r.len()));
-                let (lc, lr) = l.split_at((*size).min(l.len()));
-                observations.push((rc, lc));
-                (r, l) = (rr, lr);
+                let (chunk, rest) = l.split_at((*size).min(l.len()));
+                observations.push((queries[i % queries.len()].clone(), chunk));
+                l = rest;
             }
-            let probes: Vec<Vec<(&[Tuple], &[Tuple])>> =
+            let probes: Vec<Vec<(SelectQuery, &[Tuple])>> =
                 observations.chunks(per_probe).map(<[_]>::to_vec).collect();
 
             let (got, (value, afd, stat)) = against_naive(stats, &probes);
@@ -1066,8 +1165,8 @@ mod tests {
         };
         let (forward, backward) = (relabel([0, 1, 2]), relabel([2, 1, 0]));
         let probes = vec![
-            vec![(&rows[..], &forward[..])],
-            vec![(&rows[..], &backward[..])],
+            vec![(SelectQuery::all(), &forward[..])],
+            vec![(SelectQuery::all(), &backward[..])],
         ];
         let (got, naive) = against_naive(&stats, &probes);
         assert!(got.value_divergence > 0.0);
@@ -1080,10 +1179,7 @@ mod tests {
         // values: the wide groups now disagree, and the novel ids land in
         // wide keys and targets alike, first seen by the second probe.
         let (ed, stats) = mined_wide();
-        let tracked = DriftDetector::new("s", &stats, DriftConfig::default())
-            .accumulated
-            .tracked;
-        let target = tracked
+        let target = tracked(&stats)
             .iter()
             .position(|lhs| {
                 lhs.as_ref()
@@ -1097,7 +1193,10 @@ mod tests {
             .enumerate()
             .map(|(i, t)| t.with_value(target, novel_value(i)))
             .collect();
-        let probes = vec![vec![(rows, rows)], vec![(rows, &changed[..])]];
+        let probes = vec![
+            vec![(SelectQuery::all(), rows)],
+            vec![(SelectQuery::all(), &changed[..])],
+        ];
         let (got, naive) = against_naive(&stats, &probes);
         assert!(got.afd_divergence > 0.0);
         assert_bit_equal(got, naive);
@@ -1109,7 +1208,7 @@ mod tests {
         let mut detector = DriftDetector::new("cars.com", &stats, DriftConfig::default());
         let sample: Vec<_> = stats.selectivity().sample().tuples().to_vec();
         let mut probe = detector.probe();
-        probe.observe(&sample, &sample);
+        probe.observe(&stats, &SelectQuery::all(), &sample);
         assert!(detector.absorb(probe).is_none());
         let stat = detector.statistic();
         // Identical paired sides through identical estimators: exact zero
@@ -1121,10 +1220,24 @@ mod tests {
         assert_eq!(detector.weight(), 1.0);
     }
 
+    /// The first `n` source rows with every make collapsed to one value the
+    /// sample never held: a large shift on `make`, broken make-determining
+    /// AFDs.
+    fn skewed(ed: &Relation, n: usize) -> Vec<Tuple> {
+        skewed_rows(ed, &ed.tuples()[..n])
+    }
+
+    /// `rows` with every make collapsed as in [`skewed`].
+    fn skewed_rows(ed: &Relation, rows: &[Tuple]) -> Vec<Tuple> {
+        let make = ed.schema().expect_attr("make");
+        rows.iter()
+            .map(|t| t.with_value(make, Value::str("Monopoly")))
+            .collect()
+    }
+
     #[test]
     fn skewed_responses_cross_the_threshold_once() {
         let (ed, stats) = mined();
-        let make = ed.schema().expect_attr("make");
         let mut detector = DriftDetector::new(
             "cars.com",
             &stats,
@@ -1132,16 +1245,9 @@ mod tests {
                 .with_threshold(0.3)
                 .with_min_observations(10),
         );
-        // Live responses where every make collapsed to one value the
-        // reference never saw: large TV distance on `make`, broken
-        // make-determining AFDs.
-        let reference: Vec<_> = ed.tuples().iter().take(200).cloned().collect();
-        let skewed: Vec<_> = reference
-            .iter()
-            .map(|t| t.with_value(make, qpiad_db::Value::str("Monopoly")))
-            .collect();
+        let skewed = skewed(&ed, 200);
         let mut probe = detector.probe();
-        probe.observe(&reference, &skewed);
+        probe.observe(&stats, &SelectQuery::all(), &skewed);
         let verdict = detector.absorb(probe).expect("verdict fires");
         assert_eq!(verdict.source, "cars.com");
         assert!(verdict.statistic >= 0.3);
@@ -1149,11 +1255,44 @@ mod tests {
         assert!(detector.is_drifted());
         assert_eq!(detector.weight(), 0.5);
 
-        // The verdict is sticky and fires only once.
+        // The verdict is sticky and fires only once. Later probes only
+        // tally rows, and the statistic stays at its firing value.
         let mut probe = detector.probe();
-        probe.observe(&reference, &skewed);
+        assert!(!probe.counting);
+        probe.observe(&stats, &SelectQuery::all(), &ed.tuples()[..300]);
+        assert_eq!(probe.reference.rows, 0);
+        assert_eq!(probe.observed_rows(), 300);
         assert!(detector.absorb(probe).is_none());
         assert!(detector.is_drifted());
+        assert_eq!(detector.observed_rows(), 500);
+        assert_eq!(
+            detector.statistic().statistic.to_bits(),
+            verdict.statistic.to_bits()
+        );
+    }
+
+    #[test]
+    fn a_counting_probe_absorbed_after_the_verdict_adds_only_its_rows() {
+        // Handed out before the verdict, absorbed after it: its counts are
+        // dropped, its rows tallied.
+        let (ed, stats) = mined();
+        let config = DriftConfig::default()
+            .with_threshold(0.3)
+            .with_min_observations(10);
+        let mut detector = DriftDetector::new("s", &stats, config);
+        let late = detector.probe();
+        let mut probe = detector.probe();
+        probe.observe(&stats, &SelectQuery::all(), &skewed(&ed, 100));
+        let verdict = detector.absorb(probe).expect("verdict fires");
+        let mut late = late;
+        late.observe(&stats, &SelectQuery::all(), &ed.tuples()[..40]);
+        assert!(late.counting && late.reference.rows > 0);
+        assert!(detector.absorb(late).is_none());
+        assert_eq!(detector.observed_rows(), 140);
+        assert_eq!(
+            detector.statistic().statistic.to_bits(),
+            verdict.statistic.to_bits()
+        );
     }
 
     #[test]
@@ -1161,26 +1300,32 @@ mod tests {
         let (ed, stats) = mined();
         let tuples = ed.tuples();
         let (front, back) = tuples.split_at(tuples.len() / 3);
+        let sedans = SelectQuery::new(vec![Predicate::eq(
+            ed.schema().expect_attr("body_style"),
+            "Sedan",
+        )]);
+        let all = SelectQuery::all();
 
-        let config = DriftConfig::default();
+        let config = never_fires();
         let mut forward = DriftDetector::new("s", &stats, config);
         let mut p = forward.probe();
-        p.observe(front, back);
+        p.observe(&stats, &all, back);
         forward.absorb(p);
         let mut p = forward.probe();
-        p.observe(back, front);
+        p.observe(&stats, &sedans, front);
         forward.absorb(p);
 
         let mut reverse = DriftDetector::new("s", &stats, config);
         let mut p = reverse.probe();
-        p.observe(back, front);
+        p.observe(&stats, &sedans, front);
         reverse.absorb(p);
         let mut p = reverse.probe();
-        p.observe(front, back);
+        p.observe(&stats, &all, back);
         reverse.absorb(p);
 
         let a = forward.statistic();
         let b = reverse.statistic();
+        assert!(a.statistic > 0.0);
         assert_eq!(a.statistic.to_bits(), b.statistic.to_bits());
         assert_eq!(a.value_divergence.to_bits(), b.value_divergence.to_bits());
         assert_eq!(a.afd_divergence.to_bits(), b.afd_divergence.to_bits());
@@ -1189,7 +1334,6 @@ mod tests {
     #[test]
     fn reset_clears_the_verdict_and_live_counts() {
         let (ed, stats) = mined();
-        let make = ed.schema().expect_attr("make");
         let mut detector = DriftDetector::new(
             "cars.com",
             &stats,
@@ -1197,39 +1341,31 @@ mod tests {
                 .with_threshold(0.2)
                 .with_min_observations(5),
         );
-        let reference: Vec<_> = ed.tuples().iter().take(100).cloned().collect();
-        let skewed: Vec<_> = reference
-            .iter()
-            .map(|t| t.with_value(make, qpiad_db::Value::str("Monopoly")))
-            .collect();
         let mut probe = detector.probe();
-        probe.observe(&reference, &skewed);
+        probe.observe(&stats, &SelectQuery::all(), &skewed(&ed, 100));
         assert!(detector.absorb(probe).is_some());
 
         detector.reset(&stats);
         assert!(!detector.is_drifted());
         assert_eq!(detector.observed_rows(), 0);
         assert_eq!(detector.weight(), 1.0);
+        assert!(detector.probe().counting);
     }
 
     #[test]
     fn a_probe_over_another_sample_adds_no_counts() {
         let (ed, stats) = mined();
-        let make = ed.schema().expect_attr("make");
         let config = DriftConfig::default()
             .with_threshold(0.2)
             .with_min_observations(5);
         let mut detector = DriftDetector::new("cars.com", &stats, config);
-        let reference: Vec<_> = ed.tuples().iter().take(100).cloned().collect();
-        let skewed: Vec<_> = reference
-            .iter()
-            .map(|t| t.with_value(make, Value::str("Monopoly")))
-            .collect();
+        let skewed = skewed(&ed, 100);
+        let all = SelectQuery::all();
 
         // Taken, then outlived by a reset to knowledge mined from another
         // sample: its ids index the old sample's dictionary.
         let mut stale = detector.probe();
-        stale.observe(&reference, &skewed);
+        stale.observe(&stats, &all, &skewed);
         let (_, remined) = mined_with(8, &MiningConfig::default());
         detector.reset(&remined);
         assert!(detector.absorb(stale).is_none());
@@ -1239,13 +1375,13 @@ mod tests {
         // A probe from another detector over the new sample counts: the
         // guard compares the sample image, not the detector.
         let mut foreign = DriftDetector::new("cars.com", &remined, config).probe();
-        foreign.observe(&reference, &skewed);
+        foreign.observe(&remined, &all, &skewed);
         assert!(detector.absorb(foreign).is_some());
         assert_eq!(detector.observed_rows(), 100);
 
-        // So does a probe from the detector itself.
+        // So does a probe from the detector itself, rows only now.
         let mut fresh = detector.probe();
-        fresh.observe(&reference, &skewed);
+        fresh.observe(&remined, &all, &skewed);
         assert!(
             detector.absorb(fresh).is_none(),
             "the verdict already fired"
@@ -1254,9 +1390,28 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_shaped_before_a_reset_counts_nothing_under_the_new_stats() {
+        // The pass snapshots its probe, a refresh lands, then the pass pins
+        // the refreshed statistics: their sample is not the probe's.
+        let (ed, stats) = mined();
+        let (_, remined) = mined_with(8, &MiningConfig::default());
+        let mut detector = DriftDetector::new("s", &stats, DriftConfig::default());
+        let mut stale = detector.probe();
+        detector.reset(&remined);
+        stale.observe(&remined, &SelectQuery::all(), &skewed(&ed, 100));
+        assert_eq!(stale.reference.rows, 0);
+        assert!(stale.live.values.iter().all(|c| c.rows() == 0));
+        assert!(stale.live.afds.iter().all(|g| g.groups().next().is_none()));
+        // Its rows are still tallied and kept for the sample stream.
+        assert_eq!(stale.observed_rows(), 100);
+        assert_eq!(stale.live_rows.len(), 100);
+        assert!(detector.absorb(stale).is_none());
+        assert_eq!(detector.observed_rows(), 0);
+    }
+
+    #[test]
     fn registry_tracks_pending_refreshes_in_name_order() {
         let (ed, stats) = mined();
-        let make = ed.schema().expect_attr("make");
         let registry = DriftRegistry::new(
             DriftConfig::default()
                 .with_threshold(0.2)
@@ -1267,14 +1422,10 @@ mod tests {
         assert!(registry.pending_refresh().is_empty());
         assert_eq!(registry.weight("unregistered"), 1.0);
 
-        let reference: Vec<_> = ed.tuples().iter().take(100).cloned().collect();
-        let skewed: Vec<_> = reference
-            .iter()
-            .map(|t| t.with_value(make, qpiad_db::Value::str("Monopoly")))
-            .collect();
+        let skewed = skewed(&ed, 100);
         for name in ["zeta", "alpha"] {
             let mut probe = registry.probe(name).unwrap();
-            probe.observe(&reference, &skewed);
+            probe.observe(&stats, &SelectQuery::all(), &skewed);
             assert!(registry.absorb(name, probe).is_some());
         }
         assert_eq!(
@@ -1291,7 +1442,7 @@ mod tests {
     #[test]
     fn a_probe_outlived_by_a_refresh_is_dropped_not_absorbed() {
         let (ed, stats) = mined();
-        let make = ed.schema().expect_attr("make");
+        let (_, remined) = mined_with(8, &MiningConfig::default());
         let registry = DriftRegistry::new(
             DriftConfig::default()
                 .with_threshold(0.2)
@@ -1299,18 +1450,15 @@ mod tests {
         );
         registry.register("s", &stats);
 
-        // A pass snapshots its probe, then a refresh publishes mid-pass.
-        let reference: Vec<_> = ed.tuples().iter().take(100).cloned().collect();
-        let skewed: Vec<_> = reference
-            .iter()
-            .map(|t| t.with_value(make, qpiad_db::Value::str("Monopoly")))
-            .collect();
+        // A pass snapshots its probe, then a refresh publishes mid-pass and
+        // the pass pins the refreshed statistics.
+        let skewed = skewed(&ed, 100);
         let mut stale = registry.probe("s").unwrap();
-        stale.observe(&reference, &skewed);
-        registry.note_refreshed("s", &stats);
+        registry.note_refreshed("s", &remined);
+        stale.observe(&remined, &SelectQuery::all(), &skewed);
 
-        // The stale probe's reference side was paired against replaced
-        // statistics — absorbing it would re-fire the verdict the refresh
+        // The stale probe was shaped against replaced statistics —
+        // absorbing counts from it would re-fire the verdict the refresh
         // just cleared. Its counts must be dropped whole...
         assert!(registry.absorb("s", stale).is_none());
         assert!(!registry.is_drifted("s"));
@@ -1323,7 +1471,7 @@ mod tests {
 
         // A probe snapshotted after the refresh still detects real drift.
         let mut fresh = registry.probe("s").unwrap();
-        fresh.observe(&reference, &skewed);
+        fresh.observe(&remined, &SelectQuery::all(), &skewed);
         assert!(registry.absorb("s", fresh).is_some());
         assert!(registry.is_drifted("s"));
     }
@@ -1336,7 +1484,7 @@ mod tests {
 
         let live: Vec<_> = ed.tuples().iter().take(30).cloned().collect();
         let mut probe = registry.probe("s").unwrap();
-        probe.observe(&live, &live);
+        probe.observe(&stats, &SelectQuery::all(), &live);
         registry.absorb("s", probe);
         assert_eq!(registry.stream_pending("s"), 30);
         assert_eq!(registry.stream_stats().salvaged, 0);
@@ -1351,7 +1499,7 @@ mod tests {
 
         // A full refresh supersedes whatever is queued.
         let mut probe = registry.probe("s").unwrap();
-        probe.observe(&live, &live);
+        probe.observe(&stats, &SelectQuery::all(), &live);
         registry.absorb("s", probe);
         assert_eq!(registry.stream_pending("s"), 30);
         registry.note_refreshed("s", &stats);
@@ -1366,10 +1514,251 @@ mod tests {
         registry.register("s", &stats);
         let live: Vec<_> = ed.tuples().iter().take(25).cloned().collect();
         let mut probe = registry.probe("s").unwrap();
-        probe.observe(&live, &live);
+        probe.observe(&stats, &SelectQuery::all(), &live);
         registry.absorb("s", probe);
         // The probe itself caps row collection at the capacity, so nothing
         // past it even reaches the stream.
         assert_eq!(registry.stream_pending("s"), 10);
+    }
+
+    /// [`DriftRegistry`] for one source as a naive transcription: every
+    /// probe counts both sides by value, every fresh probe merges, and the
+    /// statistic is re-evaluated on every absorb while no verdict stands.
+    struct NaiveRegistry {
+        config: DriftConfig,
+        tracked: Vec<Option<Vec<AttrId>>>,
+        reference: naive::SideCounts,
+        live: naive::SideCounts,
+        drifted: bool,
+        version: u64,
+        stream: SampleStream,
+    }
+
+    /// A naive probe: both sides counted by value, plus the kept rows.
+    struct NaiveProbe {
+        version: u64,
+        reference: naive::SideCounts,
+        live: naive::SideCounts,
+        rows: Vec<Tuple>,
+    }
+
+    impl NaiveRegistry {
+        fn new(config: DriftConfig, stats: &SourceStats, version: u64) -> Self {
+            let tracked = tracked(stats);
+            let arity = tracked.len();
+            NaiveRegistry {
+                config,
+                tracked,
+                reference: naive::SideCounts::shaped(arity),
+                live: naive::SideCounts::shaped(arity),
+                drifted: false,
+                version,
+                stream: SampleStream::new(config.stream_capacity),
+            }
+        }
+
+        fn reset(&mut self, stats: &SourceStats) {
+            let stream = std::mem::replace(&mut self.stream, SampleStream::new(0));
+            *self = NaiveRegistry {
+                stream,
+                ..NaiveRegistry::new(self.config, stats, self.version + 1)
+            };
+        }
+
+        fn probe(&self) -> NaiveProbe {
+            let arity = self.tracked.len();
+            NaiveProbe {
+                version: self.version,
+                reference: naive::SideCounts::shaped(arity),
+                live: naive::SideCounts::shaped(arity),
+                rows: Vec::new(),
+            }
+        }
+
+        fn observe(
+            &self,
+            probe: &mut NaiveProbe,
+            stats: &SourceStats,
+            q: &SelectQuery,
+            live: &[Tuple],
+        ) {
+            let sample = stats.selectivity().sample();
+            probe.reference.accumulate(&self.tracked, &sample.select(q));
+            probe.live.accumulate(&self.tracked, live);
+            let arity = self.tracked.len();
+            let room = self.config.stream_capacity.saturating_sub(probe.rows.len());
+            probe.rows.extend(
+                live.iter()
+                    .filter(|t| t.arity() == arity)
+                    .take(room)
+                    .cloned(),
+            );
+        }
+
+        /// `(statistic bits, observed rows)` of the verdict this absorb fired.
+        fn absorb(&mut self, probe: NaiveProbe) -> Option<(u64, u64)> {
+            let stale = probe.version != self.version;
+            let mut fired = None;
+            if !stale {
+                probe.reference.merge_into(&mut self.reference);
+                probe.live.merge_into(&mut self.live);
+                if !self.drifted && self.live.rows() >= self.config.min_observations {
+                    let (_, _, stat) = naive::statistic(&self.tracked, &self.reference, &self.live);
+                    if stat >= self.config.threshold {
+                        self.drifted = true;
+                        self.version += 1;
+                        fired = Some((stat.to_bits(), self.live.rows()));
+                    }
+                }
+            }
+            for t in probe.rows {
+                self.stream.push(t, stale);
+            }
+            fired
+        }
+    }
+
+    /// One generated pass: `(query, first live row, live rows, skewed)`
+    /// for each of its observations.
+    type PassSpec = Vec<(QuerySpec, usize, usize, bool)>;
+
+    /// What the differential replay does next.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A pass: probe, observe, absorb.
+        Pass(PassSpec),
+        /// A pass whose probe is outlived by a re-mine that lands between
+        /// its snapshot and its pin.
+        Stale(PassSpec),
+        /// An incremental fold of the queued rows.
+        Fold,
+        /// A full re-mine.
+        Remine,
+    }
+
+    fn pass_spec() -> impl proptest::strategy::Strategy<Value = PassSpec> {
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            (
+                (any::<u8>(), 0usize..2_000, 0usize..16, 0usize..16),
+                0usize..2_000,
+                0usize..48,
+                0u8..4,
+            ),
+            1..4,
+        )
+        .prop_map(|pass| {
+            // One observation in four carries skewed rows.
+            pass.into_iter()
+                .map(|(query, start, len, skew)| (query, start, len, skew == 0))
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Rows-only probes after a verdict, row-only absorbs past it and
+        /// stale probes that count nothing change nothing observable: over
+        /// seeded sequences of passes — with a verdict, passes after it, a
+        /// fold reset, a re-mine reset and a stale probe in each — the
+        /// registry and its naive transcription agree on every verdict,
+        /// knowledge version, observed-row tally and queued stream.
+        #[test]
+        fn post_verdict_probes_change_nothing(
+            before in proptest::collection::vec(pass_spec(), 0..3),
+            after in proptest::collection::vec(pass_spec(), 1..4),
+            tail in proptest::collection::vec(
+                proptest::prop_oneof![
+                    pass_spec().prop_map(Step::Pass),
+                    pass_spec().prop_map(Step::Stale),
+                    proptest::strategy::Just(Step::Fold),
+                    proptest::strategy::Just(Step::Remine),
+                ],
+                0..8,
+            ),
+        ) {
+            static OTHER: std::sync::OnceLock<SourceStats> = std::sync::OnceLock::new();
+            let (ed, first) = world(false);
+            let other = OTHER.get_or_init(|| mined_with(8, &MiningConfig::default()).1);
+            let worlds = [first, other];
+
+            // The skewed all-rows pass that fires the verdict.
+            let skew: PassSpec = vec![((0, 0, 0, 0), 0, 60, true)];
+            let mut steps: Vec<Step> = before.into_iter().map(Step::Pass).collect();
+            steps.push(Step::Pass(skew.clone()));
+            steps.extend(after.into_iter().map(Step::Pass));
+            steps.push(Step::Fold);
+            steps.push(Step::Pass(skew.clone()));
+            steps.push(Step::Stale(skew));
+            steps.push(Step::Remine);
+            steps.extend(tail);
+
+            let config = DriftConfig::default()
+                .with_threshold(0.3)
+                .with_min_observations(20)
+                .with_stream_capacity(96);
+            let registry = DriftRegistry::new(config);
+            registry.register("s", first);
+            let mut model = NaiveRegistry::new(config, first, registry.knowledge_version("s"));
+            let mut current = 0;
+            let mut verdicts = 0;
+            let live = |start: usize, len: usize, skew: bool| -> Vec<Tuple> {
+                let rows = &ed.tuples()[start..(start + len).min(ed.len())];
+                if skew { skewed_rows(ed, rows) } else { rows.to_vec() }
+            };
+            for step in steps {
+                let (spec, stale) = match step {
+                    Step::Pass(spec) => (spec, false),
+                    Step::Stale(spec) => (spec, true),
+                    Step::Fold => {
+                        let through = registry.stream_snapshot("s").map_or(0, |(_, through)| through);
+                        current = 1 - current;
+                        registry.note_folded("s", worlds[current], through);
+                        model.stream.clear_through(through);
+                        model.reset(worlds[current]);
+                        (Vec::new(), false)
+                    }
+                    Step::Remine => {
+                        current = 1 - current;
+                        registry.note_refreshed("s", worlds[current]);
+                        model.stream.discard();
+                        model.reset(worlds[current]);
+                        (Vec::new(), false)
+                    }
+                };
+                if !spec.is_empty() {
+                    let mut probe = registry.probe("s").unwrap();
+                    let mut naive_probe = model.probe();
+                    if stale {
+                        // The re-mine lands between the snapshot and the pin.
+                        current = 1 - current;
+                        registry.note_refreshed("s", worlds[current]);
+                        model.stream.discard();
+                        model.reset(worlds[current]);
+                    }
+                    let stats = worlds[current];
+                    for (query, start, len, skew) in spec {
+                        let query = spec_query(stats.selectivity().sample(), query);
+                        let rows = live(start, len, skew);
+                        probe.observe(stats, &query, &rows);
+                        model.observe(&mut naive_probe, stats, &query, &rows);
+                    }
+                    let got = registry
+                        .absorb("s", probe)
+                        .map(|v| (v.statistic.to_bits(), v.observed));
+                    let want = model.absorb(naive_probe);
+                    proptest::prop_assert_eq!(got, want);
+                    verdicts += usize::from(got.is_some());
+                }
+                proptest::prop_assert_eq!(registry.knowledge_version("s"), model.version);
+                proptest::prop_assert_eq!(registry.is_drifted("s"), model.drifted);
+                proptest::prop_assert_eq!(registry.observed_rows("s"), model.live.rows());
+                let queued = (!model.stream.is_empty()).then(|| model.stream.snapshot());
+                proptest::prop_assert_eq!(registry.stream_snapshot("s"), queued);
+                proptest::prop_assert_eq!(registry.stream_stats(), model.stream.stats());
+            }
+            proptest::prop_assert!(verdicts > 0);
+        }
     }
 }

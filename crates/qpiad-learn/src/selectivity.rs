@@ -84,6 +84,13 @@ impl SelectivityEstimator {
         self.engine.select(&self.sample, q)
     }
 
+    /// Calls `hit` with the row of each sample tuple certainly matching
+    /// `q`, in sample order: the rows [`Self::sample_matches`]
+    /// materializes, as indexes into the sample's columnar image.
+    pub fn for_each_sample_match(&self, q: &SelectQuery, hit: impl FnMut(u32)) {
+        self.engine.for_each_row(&self.sample, q, hit);
+    }
+
     /// Estimated number of tuples `Q` returns from the full database.
     pub fn estimate_result_size(&self, q: &SelectQuery) -> f64 {
         self.sample_cardinality(q) as f64 * self.smpl_ratio

@@ -35,6 +35,10 @@
 //!   integer-for-integer (see `counts_match_partition_g3` below).
 //! * The final confidence is computed with the same float expression in
 //!   the same order (`1.0 − removals as f64 / n_rows as f64`).
+//! * Each count table keeps its removal total current as rows are added,
+//!   removed and merged (a group's majority is kept with it), so reading
+//!   every confidence costs one lookup per table, not a walk over every
+//!   group.
 //!
 //! ## Interned counting
 //!
@@ -325,20 +329,21 @@ impl AfdCounts {
 
     /// `1 − g3(lhs → rhs)` over the counted rows — bit-identical to
     /// [`StrippedPartition::g3_error`](crate::partition::StrippedPartition::g3_error)
-    /// on the same relation (see the module docs for why).
+    /// on the same relation (see the module docs for why). Every group
+    /// holds a row, so one whose rhs values are all null keeps one of
+    /// them: `keep = max(majority, 1)`.
     fn confidence(&self, n_rows: u64) -> f64 {
-        if n_rows == 0 {
-            return 1.0;
-        }
-        // Every group holds a row, so one whose rhs values are all null
-        // keeps one of them: `keep = max(majority, 1)`.
-        let removals: u64 = self
-            .groups
-            .groups()
-            .map(|g| g.rows() - g.majority().max(1))
-            .sum();
-        1.0 - removals as f64 / n_rows as f64
+        g3_confidence(&self.groups, n_rows)
     }
+}
+
+/// `1 − g3` over `n_rows` counted rows, from the removal total the group
+/// table keeps current as rows come and go.
+fn g3_confidence(groups: &IdGroupCounts, n_rows: u64) -> f64 {
+    if n_rows == 0 {
+        return 1.0;
+    }
+    1.0 - groups.removals() as f64 / n_rows as f64
 }
 
 impl Counted for AfdCounts {
@@ -375,12 +380,10 @@ impl KeyCounts {
 
     /// `1 − g3_key(attrs)` over the counted rows — bit-identical to
     /// [`StrippedPartition::g3_key_error`](crate::partition::StrippedPartition::g3_key_error).
+    /// A key group's targets are all null, so it keeps one row: its
+    /// removals are its duplicates.
     fn confidence(&self, n_rows: u64) -> f64 {
-        if n_rows == 0 {
-            return 1.0;
-        }
-        let dups: u64 = self.groups.groups().map(|g| g.rows() - 1).sum();
-        1.0 - dups as f64 / n_rows as f64
+        g3_confidence(&self.groups, n_rows)
     }
 }
 

@@ -469,19 +469,26 @@ fn quad_predicate() -> impl Strategy<Value = Predicate> {
 }
 
 proptest! {
-    /// Conjunctions of 1–4 predicates — repeated attributes, unseen, null
+    /// Conjunctions of 0–4 predicates — repeated attributes, unseen, null
     /// and wrong-typed values, ranges as driver or filter — select and
-    /// count exactly what the tuple scan does.
+    /// count exactly what the tuple scan does, and the row-id walk visits
+    /// exactly the scan's rows, in relation order.
     #[test]
     fn selection_engine_equals_scan_on_conjunctions(
         r in quad_relation(),
-        queries in proptest::collection::vec(proptest::collection::vec(quad_predicate(), 1..5), 1..9),
+        queries in proptest::collection::vec(proptest::collection::vec(quad_predicate(), 0..5), 1..9),
     ) {
         let engine = qpiad::db::SelectionEngine::new();
         for preds in queries {
             let q = SelectQuery::new(preds);
             prop_assert_eq!(engine.select(&r, &q), r.select(&q), "{:?}", q);
             prop_assert_eq!(engine.count(&r, &q), r.count(&q), "{:?}", q);
+            let mut rows = Vec::new();
+            engine.for_each_row(&r, &q, |row| rows.push(row));
+            let scan: Vec<u32> = (0..r.len() as u32)
+                .filter(|&row| q.matches(&r.tuples()[row as usize]))
+                .collect();
+            prop_assert_eq!(rows, scan, "{:?}", q);
         }
     }
 }
@@ -717,39 +724,52 @@ proptest! {
 
     /// The drift statistic is a function of the absorbed counts only: how
     /// the paired observations are chunked into probes, and in what order
-    /// the probes are absorbed, must not move a single bit.
+    /// the probes are absorbed, must not move a single bit. The verdict
+    /// never fires here: it would freeze the statistic at whichever
+    /// absorb crossed the threshold.
     #[test]
     fn drift_statistic_ignores_observation_partitioning(
         chunk in 5usize..80,
         live_offset in 1usize..500,
     ) {
+        static STYLES: [&str; 4] = ["Sedan", "Coupe", "Convt", "SUV"];
         let (ed, stats, _, _) = lifecycle_world();
         let tuples = ed.tuples();
-        // Pair each reference chunk with a rotated live chunk so the two
-        // sides genuinely differ.
-        let pairs: Vec<(&[Tuple], &[Tuple])> = tuples
+        let body_style = ed.schema().expect_attr("body_style");
+        // Pair each live chunk with a query cycling through every row and
+        // a few body styles, so the two sides genuinely differ.
+        let pairs: Vec<(SelectQuery, &[Tuple])> = tuples[live_offset % tuples.len()..]
             .chunks(chunk)
-            .zip(tuples[live_offset % tuples.len()..].chunks(chunk))
+            .enumerate()
+            .map(|(i, live)| {
+                let query = match STYLES.get(i % (STYLES.len() + 1)) {
+                    Some(style) => SelectQuery::new(vec![Predicate::eq(body_style, *style)]),
+                    None => SelectQuery::all(),
+                };
+                (query, live)
+            })
             .collect();
+        let config = DriftConfig::default().with_threshold(f64::INFINITY);
 
         let one_probe = {
-            let mut d = DriftDetector::new("s", stats, DriftConfig::default());
+            let mut d = DriftDetector::new("s", stats, config);
             let mut p = d.probe();
-            for (reference, live) in &pairs {
-                p.observe(reference, live);
+            for (query, live) in &pairs {
+                p.observe(stats, query, live);
             }
             d.absorb(p);
             d.statistic()
         };
         let many_probes_reversed = {
-            let mut d = DriftDetector::new("s", stats, DriftConfig::default());
-            for (reference, live) in pairs.iter().rev() {
+            let mut d = DriftDetector::new("s", stats, config);
+            for (query, live) in pairs.iter().rev() {
                 let mut p = d.probe();
-                p.observe(reference, live);
+                p.observe(stats, query, live);
                 d.absorb(p);
             }
             d.statistic()
         };
+        prop_assert!(one_probe.statistic > 0.0);
         prop_assert_eq!(one_probe.statistic.to_bits(), many_probes_reversed.statistic.to_bits());
         prop_assert_eq!(
             one_probe.value_divergence.to_bits(),
