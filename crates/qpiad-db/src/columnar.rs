@@ -42,6 +42,53 @@ impl ColumnarRelation {
         }
     }
 
+    /// The image of this relation with the rows `replaced` names
+    /// overwritten (`(row, tuple)` pairs) and `appended` added after its
+    /// last row.
+    ///
+    /// The dictionary is this image's, extended: every id here names the
+    /// same value there, and a delta value this dictionary lacks gets the
+    /// next free id, interned row-major over `replaced` then `appended`. A
+    /// value only overwritten rows held keeps its id though no row holds
+    /// it any more. Each delta cell is interned once; the old columns are
+    /// copied, not re-interned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a delta tuple's arity differs from this image's, or a
+    /// replaced row is out of range.
+    pub fn extended(&self, replaced: &[(usize, Tuple)], appended: &[Tuple]) -> Self {
+        let n_rows = self.n_rows + appended.len();
+        let mut dict = self.dict.clone();
+        let mut columns: Vec<Vec<ValueId>> = self
+            .columns
+            .iter()
+            .map(|old| {
+                let mut col = Vec::with_capacity(n_rows);
+                col.extend_from_slice(old);
+                col
+            })
+            .collect();
+        let arity = columns.len();
+        for (row, t) in replaced {
+            assert_eq!(t.arity(), arity, "replaced row {row} has the wrong arity");
+            for (col, v) in columns.iter_mut().zip(t.values()) {
+                col[*row] = dict.intern(v);
+            }
+        }
+        for t in appended {
+            assert_eq!(t.arity(), arity, "appended row has the wrong arity");
+            for (col, v) in columns.iter_mut().zip(t.values()) {
+                col.push(dict.intern(v));
+            }
+        }
+        ColumnarRelation {
+            dict,
+            columns,
+            n_rows,
+        }
+    }
+
     /// The relation-wide dictionary.
     pub fn dict(&self) -> &Dictionary {
         &self.dict

@@ -135,8 +135,11 @@ impl<'a> Probe<'a> {
         match self.test {
             Test::Id(vid) => Cow::Borrowed(&self.index.postings[vid.index()]),
             Test::Range { vids, .. } => {
-                let lists = vids.iter().flat_map(|v| &self.index.postings[v.index()]);
-                let mut rows: Vec<u32> = lists.copied().collect();
+                // `len` is the lists' total: reserve it once.
+                let mut rows = Vec::with_capacity(self.len);
+                for v in vids {
+                    rows.extend_from_slice(&self.index.postings[v.index()]);
+                }
                 rows.sort_unstable();
                 Cow::Owned(rows)
             }

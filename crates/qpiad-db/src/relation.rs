@@ -87,6 +87,53 @@ impl Relation {
         })
     }
 
+    /// This relation with the rows `replaced` names overwritten (`(row,
+    /// tuple)` pairs) and `appended` added after its last row, built by
+    /// extending its columnar image ([`ColumnarRelation::extended`])
+    /// instead of re-interning every row. Untouched rows keep their tuple
+    /// handles; the delta's cells are canonicalized through the extended
+    /// dictionary, as [`Relation::new`] canonicalizes every cell.
+    ///
+    /// The result answers every selection, count and value lookup as
+    /// `Relation::new` over the same rows does. Its ids differ: the
+    /// dictionary keeps this relation's ids, numbers the delta's new
+    /// values on from its end, and still holds values that only the
+    /// overwritten rows held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a delta tuple's arity does not match the schema, or a
+    /// replaced row is out of range.
+    pub fn extended(&self, replaced: &[(usize, Tuple)], appended: &[Tuple]) -> Relation {
+        let columnar = Arc::new(self.columnar().extended(replaced, appended));
+        let (dict, arity) = (columnar.dict(), self.schema.arity());
+        let canonical = |row: usize, t: &Tuple| {
+            let values = (0..arity)
+                .map(|a| dict.resolve(columnar.vid_at(row, AttrId(a))).clone())
+                .collect();
+            Tuple::new(t.id(), values)
+        };
+        let mut tuples = Vec::with_capacity(self.tuples.len() + appended.len());
+        tuples.extend_from_slice(&self.tuples);
+        for (row, t) in replaced {
+            tuples[*row] = canonical(*row, t);
+        }
+        let first = self.tuples.len();
+        tuples.extend(
+            appended
+                .iter()
+                .enumerate()
+                .map(|(i, t)| canonical(first + i, t)),
+        );
+        let cell = OnceLock::new();
+        let _ = cell.set(columnar);
+        Relation {
+            schema: Arc::clone(&self.schema),
+            tuples,
+            columnar: cell,
+        }
+    }
+
     /// An empty relation over the schema.
     pub fn empty(schema: Arc<Schema>) -> Self {
         Relation {

@@ -4,6 +4,8 @@
 //! `SelectionEngine::count` walks the shortest posting list and probes the
 //! other predicates' columns, materializing nothing: the number of
 //! allocations one call makes must not grow with the driver list's length.
+//! A `BETWEEN` driver builds its row list from the lists in range, reserved
+//! once at its known length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,7 +61,9 @@ fn allocations(f: impl FnOnce()) -> u64 {
 
 /// 60,000 rows. Column `a` holds "small" in 50 rows and "big" in 50,000;
 /// `b` is one value throughout and `c` one value in all but every tenth
-/// row, so either `a` list is the shortest and drives.
+/// row, so either `a` list is the shortest and drives. Column `d` spreads
+/// the "small" rows over 0..5 and the "big" ones over 100..107, so a range
+/// over either spans several posting lists.
 fn relation() -> Relation {
     let schema = Schema::of(
         "t",
@@ -67,24 +71,37 @@ fn relation() -> Relation {
             ("a", AttrType::Categorical),
             ("b", AttrType::Categorical),
             ("c", AttrType::Integer),
+            ("d", AttrType::Integer),
         ],
     );
     let tuples = (0..60_000u32)
         .map(|i| {
-            let a = match i % 1_200 {
-                0 => "small",
-                1..=1_000 => "big",
-                _ => "other",
+            let (a, d) = match i % 1_200 {
+                0 => ("small", i64::from(i % 5)),
+                1..=1_000 => ("big", 100 + i64::from(i % 7)),
+                _ => ("other", 1_000),
             };
             let c = if i % 10 == 9 {
                 Value::Null
             } else {
                 Value::int(7)
             };
-            Tuple::new(TupleId(i), vec![Value::str(a), Value::str("b"), c])
+            let values = vec![Value::str(a), Value::str("b"), c, Value::int(d)];
+            Tuple::new(TupleId(i), values)
         })
         .collect();
     Relation::new(schema, tuples)
+}
+
+/// Allocations one `engine.count(r, q)` makes, after a first call has built
+/// the indexes, checked against the scan's count.
+fn count_allocations(engine: &SelectionEngine, r: &Relation, q: &SelectQuery) -> u64 {
+    let expected = r.count(q);
+    assert_eq!(engine.count(r, q), expected);
+    let mut n = 0;
+    let made = allocations(|| n = engine.count(r, q));
+    assert_eq!(n, expected);
+    made
 }
 
 #[test]
@@ -100,21 +117,37 @@ fn counting_allocates_independently_of_the_driver_length() {
     };
     let mut counted = Vec::new();
     for (a, driver_rows) in [("small", 50), ("big", 50_000)] {
-        let q = query(a);
         assert_eq!(
             r.count(&SelectQuery::new(vec![Predicate::eq(AttrId(0), a)])),
             driver_rows
         );
-        // The first call builds the three indexes.
-        let expected = r.count(&q);
-        assert_eq!(engine.count(&r, &q), expected);
-        let mut n = 0;
-        let made = allocations(|| n = engine.count(&r, &q));
-        assert_eq!(n, expected);
-        counted.push(made);
+        counted.push(count_allocations(&engine, &r, &query(a)));
     }
     assert_eq!(
         counted[0], counted[1],
         "allocations grew with the driver list: {counted:?}"
+    );
+}
+
+#[test]
+fn a_range_driver_allocates_independently_of_its_length() {
+    let r = relation();
+    let engine = SelectionEngine::new();
+    // `b` holds every row, so the range drives.
+    let query = |lo: i64, hi: i64| {
+        SelectQuery::new(vec![
+            Predicate::between(AttrId(3), lo, hi),
+            Predicate::eq(AttrId(1), "b"),
+        ])
+    };
+    let mut counted = Vec::new();
+    for ((lo, hi), driver_rows) in [((0, 4), 50), ((100, 106), 50_000)] {
+        let q = query(lo, hi);
+        assert_eq!(r.count(&q), driver_rows);
+        counted.push(count_allocations(&engine, &r, &q));
+    }
+    assert_eq!(
+        counted[0], counted[1],
+        "allocations grew with the range driver: {counted:?}"
     );
 }

@@ -3,14 +3,14 @@
 //! `g3` group counts and NBC co-occurrences) — the one place rows are
 //! counted. Both count interned [`ValueId`]s, never values:
 //!
-//! * [`ValueIds`] is the id space a count state counts in: the ids of the
+//! * [`ValueIds`] is the id space a drift probe counts in: the ids of the
 //!   mined sample's dictionary, then ids handed out to values the sample
-//!   never held, numbered on from the dictionary's end. A drift probe
-//!   counts in a space of its own, renamed into the detector's when it is
-//!   absorbed ([`ValueIds::adopt`]). The fold carries one space from
-//!   generation to generation: each fold interns its delta rows into a copy
-//!   whose novel part alone is cloned, and a re-mine starts a fresh space
-//!   over the new sample's dictionary.
+//!   never held, numbered on from the dictionary's end. A probe counts in
+//!   a space of its own, renamed into the detector's when it is absorbed
+//!   ([`ValueIds::adopt`]). The fold needs no novel ids: it counts in the
+//!   dictionary of the sample it folds into, which the merged sample's
+//!   extended image carries on, so every delta value already has an id
+//!   there.
 //! * [`ValueCounts`] counts one attribute's ids; [`GroupCounts`] counts a
 //!   target's ids per determining-set group. [`IdGroupCounts`] keys a set
 //!   of up to [`INLINE_LHS`] attributes by an inline id array, so counting
@@ -29,6 +29,7 @@
 //! the tables' iteration order: shard-parallel builds and pass-local
 //! probes stay byte-identical at any `QPIAD_THREADS`.
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -85,25 +86,6 @@ impl ValueIds {
         match self.sample.dict().lookup(v) {
             Some(id) => id,
             None => ValueId(self.base() - 1 + self.novel.intern(v).0),
-        }
-    }
-
-    /// `v`'s id, if the space holds it.
-    pub(crate) fn lookup(&self, v: &Value) -> Option<ValueId> {
-        self.sample.dict().lookup(v).or_else(|| {
-            self.novel
-                .lookup(v)
-                .map(|id| ValueId(self.base() - 1 + id.0))
-        })
-    }
-
-    /// The value `id` names in this space.
-    pub(crate) fn value(&self, id: ValueId) -> &Value {
-        let base = self.base();
-        if id.0 < base {
-            self.sample.dict().resolve(id)
-        } else {
-            self.novel.resolve(ValueId(id.0 - base + 1))
         }
     }
 
@@ -214,8 +196,9 @@ impl ValueCounts {
                 self.held = if self.by_value.len() == 1 {
                     let (only, n) = self.by_value.drain().next().expect("one id is held");
                     Held::One(only, n)
-                } else if was == majority {
+                } else if was == majority && majority > 1 {
                     // Another id may tie the majority: re-read the table.
+                    // (A majority of 1 is every id's count, so it stays.)
                     let majority = self.by_value.values().copied().max().unwrap_or(0);
                     Held::Many { majority }
                 } else {
@@ -337,16 +320,17 @@ impl<G: Eq + Hash> GroupCounts<G> {
     /// Uncounts `target` from the group keyed `key`, where it must have
     /// been counted; a group left without rows is dropped.
     pub(crate) fn remove(&mut self, key: G, target: ValueId) {
-        let Some(group) = self.groups.get_mut(&key) else {
+        let Entry::Occupied(mut entry) = self.groups.entry(key) else {
             debug_assert!(false, "removed a row that was never grouped");
             return;
         };
+        let group = entry.get_mut();
         let kept = group.kept();
         group.remove(target);
         // One row fewer, of which the group keeps at most one fewer.
         self.removals -= 1 - (kept - group.kept());
         if group.is_empty() {
-            self.groups.remove(&key);
+            entry.remove();
         }
     }
 
@@ -774,13 +758,7 @@ mod tests {
         let (b, c) = (ids.id(&Value::str("b")), ids.id(&Value::int(2)));
         assert_eq!((b.0, c.0), (3, 4));
         assert_eq!(ids.id(&Value::str("b")), b);
-        assert_eq!(
-            (ids.value(b), ids.value(c)),
-            (&Value::str("b"), &Value::int(2))
-        );
-        assert_eq!(ids.value(ValueId(1)), &Value::str("a"));
-        assert_eq!(ids.lookup(&Value::int(2)), Some(c));
-        assert_eq!(ids.lookup(&Value::int(3)), None);
+        assert_eq!(ids.id(&Value::int(2)), c);
 
         // A copy carries the novel ids forward, and equal spaces name
         // every value alike.

@@ -53,8 +53,8 @@
 //!
 //! ## Interned counting
 //!
-//! A probe counts dense `ValueId`s, not values, in an id space of the kind
-//! the fold counts in too (`counts::ValueIds`): the dictionary of the mined
+//! A probe counts dense `ValueId`s, not values, in an id space over the
+//! dictionary the fold counts in too (`counts::ValueIds`): that of the mined
 //! sample's columnar image (`stats.selectivity().sample().columnar()`),
 //! which the detector shares with every probe it hands out. The reference
 //! side is counted straight off that image's id columns — a matching

@@ -43,6 +43,13 @@
 //! checksum, payload shape — so a future-format file reports
 //! `VersionMismatch` rather than `Corrupt` even if the payload encoding
 //! changed entirely.
+//!
+//! A save encodes straight from the captured sample's columnar image
+//! ([`StatsSnapshot::to_json`]): no cell is copied into the snapshot and
+//! no JSON tree is built for the sample, so a save costs the payload's
+//! bytes, each dictionary value rendered once. The bytes are exactly
+//! those the `serde` tree of the same snapshot renders, so files written
+//! before and after load alike.
 
 use std::collections::BTreeMap;
 use std::fs;
