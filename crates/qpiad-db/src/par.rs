@@ -108,6 +108,39 @@ where
     parallel_map_indexed(items.len(), |i| f(&items[i]))
 }
 
+/// Applies `f` to every element of `items` in place. Workers claim the
+/// elements one at a time, so each is visited by exactly one worker; see
+/// [`parallel_map_indexed`] for the execution model.
+pub fn parallel_for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    let threads = num_threads().min(items.len());
+    if threads <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let clock = crate::health::current_clock();
+    let next = parking_lot::Mutex::new(items.iter_mut());
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let clock = clock.clone();
+            let (f, next) = (&f, &next);
+            scope.spawn(move || {
+                let _clock = crate::health::install_clock(clock);
+                loop {
+                    // The claim's lock is released before `f` runs.
+                    let Some(item) = next.lock().next() else {
+                        break;
+                    };
+                    f(item);
+                }
+            });
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +168,9 @@ mod tests {
             let items: Vec<u64> = (0..57).collect();
             let doubled = parallel_map(&items, |x| x * 2);
             assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            let mut squared = items.clone();
+            parallel_for_each_mut(&mut squared, |x| *x *= *x);
+            assert_eq!(squared, items.iter().map(|x| x * x).collect::<Vec<_>>());
         }
         set_thread_override(None);
     }
