@@ -124,13 +124,20 @@ pub fn answer_from_correlated(
     ))
 }
 
-/// [`answer_from_correlated`] with the planning half served through the
-/// correlated member's own mediator (and therefore through its plan cache,
-/// when one is attached). A network pass that already planned the same
-/// query for the correlated source — the supporting member's direct pass —
-/// reuses that candidate list instead of regenerating and re-ordering the
-/// rewrites from scratch. Budget semantics are unchanged: the base
-/// retrieval is still issued here, charged to *this* member's context.
+/// [`answer_from_correlated`] inside a network pass: the base set is the
+/// one the correlated member's direct retrieval already validated this
+/// pass, and the planning half is served through the correlated member's
+/// own mediator (and therefore through its plan cache, where that direct
+/// retrieval just stored the candidate list for this template).
+///
+/// `shared_base` is that validated certain set, in the global schema.
+/// `None` means the correlated member validated no base this pass (its
+/// breaker was Open, its base failed, or its budget refused it): only then
+/// is the base issued here, budget-gated and charged to *this* member's
+/// context, exactly as [`answer_from_correlated`] does. A shared base
+/// charges nothing here — neither budget nor quarantine — because this
+/// member did not issue it.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn answer_from_correlated_planned(
     correlated_source: &dyn AutonomousSource,
     planner: &Qpiad,
@@ -138,18 +145,26 @@ pub(crate) fn answer_from_correlated_planned(
     binding: &SourceBinding,
     query: &SelectQuery,
     retry: &RetryPolicy,
+    shared_base: Option<&[Tuple]>,
     ctx: &mut QueryContext,
 ) -> Result<CorrelatedAnswers, SourceError> {
     let mut degraded = Degradation::default();
-    let base = plan::execute_base(
-        correlated_source,
-        query,
-        retry,
-        ctx,
-        &mut degraded,
-        BaseGate::BudgetOnly,
-    )?;
-    let (candidates, _cache) = planner.candidate_set(correlated_source, query, &base);
+    let issued;
+    let base = match shared_base {
+        Some(base) => base,
+        None => {
+            issued = plan::execute_base(
+                correlated_source,
+                query,
+                retry,
+                ctx,
+                &mut degraded,
+                BaseGate::BudgetOnly,
+            )?;
+            &issued[..]
+        }
+    };
+    let (candidates, _cache) = planner.candidate_set(correlated_source, query, base);
     let plan =
         plan_from_shared_candidates(target_source.name(), binding, query, retry, &candidates);
     Ok(collect_possible(
@@ -286,6 +301,12 @@ fn build_plan(
 /// approximated by the correlated source's mined sample and admission is
 /// previewed against `ctx` without charging any degradation record. Issues
 /// zero source queries against either source.
+///
+/// `base_shared` previews where the base comes from: `true` when the
+/// correlated member's own direct retrieval supplies it this pass (the
+/// base then charges nothing to `ctx` and renders unadmitted), `false`
+/// when this member must issue it itself (budget-gated, as
+/// [`answer_from_correlated`] does).
 #[allow(clippy::too_many_arguments)]
 pub fn plan_from_correlated_speculative(
     correlated_stats: &SourceStats,
@@ -294,6 +315,7 @@ pub fn plan_from_correlated_speculative(
     query: &SelectQuery,
     config: &RankConfig,
     retry: &RetryPolicy,
+    base_shared: bool,
     ctx: &mut QueryContext,
 ) -> MediationPlan {
     let base = plan::stats_sample_matches(correlated_stats, query);
@@ -307,14 +329,16 @@ pub fn plan_from_correlated_speculative(
         &base,
     );
     plan.cache = CacheStatus::Speculative;
-    // The base retrieval is gated by the budget only — the probe belongs
-    // to the target source and is never consulted for the base.
-    match ctx.budget.admit(retry, query_fingerprint(query)) {
-        Some(policy) => plan.base_status = EntryStatus::Admitted(policy),
-        None => {
-            plan.base_status = EntryStatus::Skipped(SkipReason::BudgetExhausted);
-            plan.skip_all(SkipReason::BudgetExhausted);
-            return plan;
+    // An issued base is gated by the budget only — the probe belongs to
+    // the target source and is never consulted for the base.
+    if !base_shared {
+        match ctx.budget.admit(retry, query_fingerprint(query)) {
+            Some(policy) => plan.base_status = EntryStatus::Admitted(policy),
+            None => {
+                plan.base_status = EntryStatus::Skipped(SkipReason::BudgetExhausted);
+                plan.skip_all(SkipReason::BudgetExhausted);
+                return plan;
+            }
         }
     }
     // Preview interleaved admission: consume the probe and budget in the

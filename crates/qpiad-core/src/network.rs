@@ -118,6 +118,7 @@ struct PassSetup {
 
 /// How one member is served for one query: the routing decision answer
 /// and EXPLAIN share.
+#[derive(Clone, Copy)]
 enum Route<'p> {
     /// Binds every constrained attribute and has pinned statistics: direct
     /// rewriting from the member's own knowledge (§4.2).
@@ -126,7 +127,9 @@ enum Route<'p> {
     /// answers only.
     CertainOnly,
     /// Cannot bind the query: rewrites planned from correlated member
-    /// `j`'s statistics (§4.3, Definition 4) and issued to this member.
+    /// `j`'s statistics and base set (§4.3, Definition 4) and issued to
+    /// this member. `j` is itself routed [`Route::Direct`], so its base
+    /// retrieval runs earlier in the same pass.
     Correlated(usize, &'p SourceStats),
     /// Cannot bind the query and no member correlates: an empty
     /// contribution.
@@ -141,6 +144,31 @@ enum Route<'p> {
 struct MemberDrift {
     probe: Option<DriftProbe>,
     demoted: bool,
+}
+
+/// One member's share of an answer pass, held for the sequential absorb
+/// phase: its answers, its breaker probe's observation log and its drift
+/// probe.
+struct MemberPass {
+    result: Result<SourceAnswers, SourceError>,
+    observations: Vec<Observation>,
+    drift: Option<DriftProbe>,
+    /// Set iff the member was routed [`Route::Direct`] and its base query
+    /// was answered and validated: `result`'s certain set is then the base
+    /// that members routed [`Route::Correlated`] through it plan from. An
+    /// explicit flag, because an empty certain set is a valid base.
+    base_validated: bool,
+}
+
+impl MemberPass {
+    /// The validated base set this member retrieved this pass, in the
+    /// global schema, or `None` if it validated none.
+    fn validated_base(&self) -> Option<&[Tuple]> {
+        match &self.result {
+            Ok(answers) if self.base_validated => Some(&answers.certain),
+            _ => None,
+        }
+    }
 }
 
 /// What [`MediatorNetwork::refresh_member_incremental_at`] did for one
@@ -829,12 +857,14 @@ impl<'a> MediatorNetwork<'a> {
     }
 
     /// Picks the best correlated member for a query against a deficient
-    /// member (Definition 4): among members with statistics whose best AFD
-    /// for each constrained attribute has a determining set the deficient
-    /// member supports, the one with the highest (minimum-over-attributes)
-    /// AFD confidence. A candidate missing an AFD for *any* constrained
-    /// attribute is disqualified — ignoring the gap would inflate its
-    /// minimum-confidence score.
+    /// member (Definition 4): among members routed [`Route::Direct`] for
+    /// the query (statistics, and a web form that binds every constrained
+    /// attribute — the base set must be retrievable from them) whose best
+    /// AFD for each constrained attribute has a determining set the
+    /// deficient member supports, the one with the highest
+    /// (minimum-over-attributes) AFD confidence. A candidate missing an AFD
+    /// for *any* constrained attribute is disqualified — ignoring the gap
+    /// would inflate its minimum-confidence score.
     fn correlated_for<'p>(
         &self,
         target: usize,
@@ -844,7 +874,7 @@ impl<'a> MediatorNetwork<'a> {
         let target_binding = &self.members[target].binding;
         let mut best: Option<(f64, usize, &SourceStats)> = None;
         for (j, m) in self.members.iter().enumerate() {
-            if j == target {
+            if j == target || !Self::member_supports_all(m, query) {
                 continue;
             }
             let Some(stats) = pk.pins[j].stats.as_ref() else {
@@ -894,10 +924,10 @@ impl<'a> MediatorNetwork<'a> {
     /// exposes a field for it (local schemas may store attributes they
     /// expose no field for).
     fn member_supports_all(member: &Member<'a>, query: &SelectQuery) -> bool {
-        query.constrained_attrs().iter().all(|a| {
+        query.predicates().iter().all(|p| {
             member
                 .binding
-                .local_attr(*a)
+                .local_attr(p.attr)
                 .is_some_and(|local| member.source.supports(local))
         })
     }
@@ -1024,24 +1054,26 @@ impl<'a> MediatorNetwork<'a> {
         }
     }
 
-    /// Serves one member under the availability layer: an Open breaker
-    /// skips it up front; otherwise a pass-local probe and a per-member
-    /// copy of the budget gate every query. Returns the answer plus the
-    /// probe's observation log and the drift probe's accumulated
-    /// observations, both for the sequential absorb phase.
+    /// Serves one member along `route` under the availability layer: an
+    /// Open breaker skips it up front; otherwise a pass-local probe and a
+    /// per-member copy of the budget gate every query. `shared_base` is
+    /// the correlated member's validated base set for a
+    /// [`Route::Correlated`] member (see [`MemberPass::validated_base`]).
+    /// Returns the answer plus the probe's observation log and the drift
+    /// probe's accumulated observations, both for the sequential absorb
+    /// phase.
+    #[allow(clippy::too_many_arguments)]
     fn answer_member(
         &self,
         index: usize,
+        route: Route<'_>,
         query: &SelectQuery,
         pass: &PassSetup,
         budget: QueryBudget,
         drift: MemberDrift,
         pass_cache: &Arc<PlanCache>,
-    ) -> (
-        Result<SourceAnswers, SourceError>,
-        Vec<Observation>,
-        Option<DriftProbe>,
-    ) {
+        shared_base: Option<&[Tuple]>,
+    ) -> MemberPass {
         let MemberDrift {
             probe: drift_probe,
             demoted: drifted,
@@ -1056,8 +1088,15 @@ impl<'a> MediatorNetwork<'a> {
                 last_error: Some(SourceError::CircuitOpen),
                 ..Degradation::default()
             };
-            let answers = SourceAnswers::empty(member.source, SourceOutcome::Degraded(d));
-            return (Ok(answers), Vec::new(), drift_probe);
+            return MemberPass {
+                result: Ok(SourceAnswers::empty(
+                    member.source,
+                    SourceOutcome::Degraded(d),
+                )),
+                observations: Vec::new(),
+                drift: drift_probe,
+                base_validated: false,
+            };
         }
         let mut ctx = QueryContext::unbounded()
             .with_budget(budget)
@@ -1066,7 +1105,9 @@ impl<'a> MediatorNetwork<'a> {
         if let Some(probe) = drift_probe {
             ctx = ctx.with_drift(probe);
         }
-        let result = self.answer_member_in(index, query, pass, &mut ctx, pass_cache);
+        let result =
+            self.answer_member_in(index, route, query, pass, &mut ctx, pass_cache, shared_base);
+        let base_validated = matches!(route, Route::Direct(_)) && result.is_ok();
         let observations = ctx.probe.take_observations();
         let drift_probe = ctx.drift.take();
         let result = result.map(|mut answers| {
@@ -1092,7 +1133,12 @@ impl<'a> MediatorNetwork<'a> {
             }
             answers
         });
-        (result, observations, drift_probe)
+        MemberPass {
+            result,
+            observations,
+            drift: drift_probe,
+            base_validated,
+        }
     }
 
     /// The per-member mediator for one pass: the member's *pinned*
@@ -1115,17 +1161,20 @@ impl<'a> MediatorNetwork<'a> {
 
     /// The pre-availability-layer body of `answer_member`: serves one
     /// member along its [`Route`], under the context's probe and budget.
+    #[allow(clippy::too_many_arguments)]
     fn answer_member_in(
         &self,
         index: usize,
+        route: Route<'_>,
         query: &SelectQuery,
         pass: &PassSetup,
         ctx: &mut QueryContext,
         pass_cache: &Arc<PlanCache>,
+        shared_base: Option<&[Tuple]>,
     ) -> Result<SourceAnswers, SourceError> {
         let member = &self.members[index];
         let pk = &pass.pk;
-        let answers = match self.route(index, query, pk) {
+        let answers = match route {
             Route::Direct(stats) => {
                 // Direct QPIAD. Statistics and query share the global
                 // schema; supporting members map attributes 1:1. A hedged
@@ -1182,10 +1231,11 @@ impl<'a> MediatorNetwork<'a> {
             Route::Correlated(j, stats) => {
                 // The context's probe tracks the *target* (this member);
                 // the correlated member's own breaker was vetted in its
-                // own pass. Plan through the correlated member's own
-                // mediator: if the supporting pass already planned this
-                // template for the correlated source, the pass cache
-                // serves the candidate list instead of regenerating it.
+                // own direct retrieval, which also supplies the base set.
+                // Plan through the correlated member's own mediator: its
+                // direct retrieval stored this template's candidate list
+                // in the pass cache, so planning from its shared base is a
+                // cache hit.
                 let correlated = &self.members[j];
                 let planner = self.member_qpiad_in_pass(j, stats, pass_cache, pk);
                 let mut result = answer_from_correlated_planned(
@@ -1195,6 +1245,7 @@ impl<'a> MediatorNetwork<'a> {
                     &member.binding,
                     query,
                     &self.config.retry,
+                    shared_base,
                     ctx,
                 )?;
                 if pk.pins[j].stale {
@@ -1221,9 +1272,12 @@ impl<'a> MediatorNetwork<'a> {
     /// conventional mediator would return for them).
     ///
     /// Sources are interrogated concurrently on the [`par`] worker pool
-    /// (each is independent; meters and lazy indexes sit behind locks) and
-    /// contributions are assembled in registration order, identical to
-    /// sequential mediation.
+    /// (meters and lazy indexes sit behind locks) in at most two waves:
+    /// every member not routed through a correlated source first, then the
+    /// members that are, each planning from the base set its correlated
+    /// member validated in the first wave — one base retrieval per
+    /// (source, query) per pass. Contributions are assembled in
+    /// registration order, identical to sequential mediation.
     ///
     /// **Failures are isolated per member**: a member whose retrieval fails
     /// (after the configured retries) contributes an empty answer set with
@@ -1293,8 +1347,10 @@ impl<'a> MediatorNetwork<'a> {
         // The pass-local plan cache: the configured cache when one is
         // attached, an ephemeral one otherwise. Either way, a supporting
         // member and a deficient member served through it plan each
-        // (source, template) pair at most once per pass. Races only cost a
-        // duplicate computation — the cached artifact is a pure function
+        // (source, template) pair at most once per pass: the supporting
+        // member plans in the first wave, the deficient member looks the
+        // plan up in the second. Passes racing on a shared cache only cost
+        // a duplicate computation — the cached artifact is a pure function
         // of (query, base, knowledge, α, k), so answers stay
         // thread-count-independent.
         let pass_cache: Arc<PlanCache> = match &self.plan_cache {
@@ -1302,25 +1358,54 @@ impl<'a> MediatorNetwork<'a> {
             None => Arc::new(PlanCache::new()),
         };
 
-        let results = par::parallel_map_indexed(self.members.len(), |i| {
+        let serve = |i: usize, route: Route<'_>, shared_base: Option<&[Tuple]>| {
             let drift = std::mem::take(&mut *drift_states[i].lock());
-            self.answer_member(i, query, &pass, budget, drift, &pass_cache)
-        });
+            self.answer_member(
+                i,
+                route,
+                query,
+                &pass,
+                budget,
+                drift,
+                &pass_cache,
+                shared_base,
+            )
+        };
+        let results: Vec<(usize, MemberPass)> = if self
+            .members
+            .iter()
+            .all(|m| Self::member_supports_all(m, query))
+        {
+            // No member can be routed through a correlated source: one
+            // wave, each worker routing its own member.
+            par::parallel_map_indexed(self.members.len(), |i| {
+                (i, serve(i, self.route(i, query, &pass.pk), None))
+            })
+        } else {
+            self.answer_in_waves(query, &pass.pk, serve)
+        };
 
         // Sequential post-pass: absorb observation logs and drift probes
         // in registration order, then assemble contributions.
         let mut out = NetworkAnswer::default();
-        for (member, (r, observations, drift_probe)) in self.members.iter().zip(results) {
+        for (i, member_pass) in results {
+            let member = &self.members[i];
+            let MemberPass {
+                result,
+                observations,
+                drift,
+                ..
+            } = member_pass;
             if let Some(h) = &self.health {
                 h.absorb(member.source.name(), &observations);
             }
-            if let (Some(d), Some(probe)) = (&self.drift, drift_probe) {
+            if let (Some(d), Some(probe)) = (&self.drift, drift) {
                 if let Some(verdict) = d.absorb(member.source.name(), probe) {
                     member.source.note_drift();
                     out.drift_verdicts.push(verdict);
                 }
             }
-            out.per_source.push(match r {
+            out.per_source.push(match result {
                 Ok(answers) => {
                     // Charge ladder-shed rewrites to the member's meter so
                     // overload cost is visible next to breaker skips.
@@ -1355,6 +1440,46 @@ impl<'a> MediatorNetwork<'a> {
             });
         }
         Ok(out)
+    }
+
+    /// The fan-out of a pass some member of which cannot bind the query,
+    /// in two deterministic waves over [`par`]. Wave 1 serves every member
+    /// not routed [`Route::Correlated`]; wave 2 serves the correlated
+    /// members, each handed the validated base set its correlated member
+    /// `j` retrieved in wave 1 (`j` is routed [`Route::Direct`], so it
+    /// always runs in wave 1). A member whose `j` validated no base issues
+    /// the base itself. Returns every member's share tagged with its index,
+    /// in registration order.
+    fn answer_in_waves<F>(
+        &self,
+        query: &SelectQuery,
+        pk: &PassKnowledge,
+        serve: F,
+    ) -> Vec<(usize, MemberPass)>
+    where
+        F: Fn(usize, Route<'_>, Option<&[Tuple]>) -> MemberPass + Sync,
+    {
+        let routes: Vec<Route<'_>> = (0..self.members.len())
+            .map(|i| self.route(i, query, pk))
+            .collect();
+        let (second, first): (Vec<usize>, Vec<usize>) =
+            (0..routes.len()).partition(|&i| matches!(routes[i], Route::Correlated(..)));
+        let wave1: Vec<(usize, MemberPass)> =
+            par::parallel_map(&first, |&i| (i, serve(i, routes[i], None)));
+        let wave2: Vec<(usize, MemberPass)> = par::parallel_map(&second, |&i| {
+            let shared_base = match routes[i] {
+                Route::Correlated(j, _) => wave1
+                    .binary_search_by_key(&j, |(k, _)| *k)
+                    .ok()
+                    .and_then(|at| wave1[at].1.validated_base()),
+                _ => None,
+            };
+            (i, serve(i, routes[i], shared_base))
+        });
+        let mut results = wave1;
+        results.extend(wave2);
+        results.sort_unstable_by_key(|(i, _)| *i);
+        results
     }
 
     /// Renders the network's full mediation plan for `query` — EXPLAIN —
@@ -1480,7 +1605,11 @@ impl<'a> MediatorNetwork<'a> {
             }
             Route::Correlated(j, stats) => {
                 // The plan lives on the correlated source's statistics;
-                // rewrites are issued to this member.
+                // rewrites are issued to this member. The base set is the
+                // one the correlated member's direct retrieval validates
+                // this pass, unless its breaker skips it up front.
+                let correlated = self.members[j].source.name();
+                let base_shared = pass.views[j].state() != BreakerState::Open;
                 let plan = plan_from_correlated_speculative(
                     stats,
                     name,
@@ -1491,14 +1620,27 @@ impl<'a> MediatorNetwork<'a> {
                         k: self.config.k,
                     },
                     &self.config.retry,
+                    base_shared,
                     &mut ctx,
                 );
                 let mut out = format!(
                     "(member `{name}` cannot bind the query — plan built from correlated \
-                     source `{}`'s statistics)\n",
-                    self.members[j].source.name()
+                     source `{correlated}`'s statistics)\n"
                 );
                 out.push_str(&plan.render(&self.global));
+                if base_shared {
+                    let _ = writeln!(
+                        out,
+                        "  note: base set shared from `{correlated}`'s direct retrieval this \
+                         pass (issued here only if that retrieval validates none)"
+                    );
+                } else {
+                    let _ = writeln!(
+                        out,
+                        "  note: base set issued here to `{correlated}` (its breaker is open: \
+                         it retrieves no base this pass)"
+                    );
+                }
                 out
             }
             Route::Unreachable => format!(
@@ -1850,6 +1992,45 @@ mod tests {
             Afd::new(vec![a0], a2, 0.4),
         ]);
         assert_eq!(min_afd_confidence(&afds, &[a1, a2]), Some(0.4));
+    }
+
+    #[test]
+    fn a_form_that_cannot_bind_the_query_is_no_correlated_source() {
+        // `cars.blind` stores body_style and has statistics mentioning it,
+        // but its web form exposes no body_style field: it cannot retrieve
+        // the base set, so it must not be picked as yahoo's correlated
+        // source — even registered first, with statistics tying the
+        // bindable `cars.com`'s.
+        let f = fixture();
+        let body = f.global.expect_attr("body_style");
+        let bindable: Vec<AttrId> = f.global.attr_ids().filter(|a| *a != body).collect();
+        let blind =
+            WebSource::new("cars.blind", f.cars.relation().clone()).with_queryable(&bindable);
+        let q = SelectQuery::new(vec![Predicate::eq(body, "Convt")]);
+
+        let alone = MediatorNetwork::new(f.global.clone(), QpiadConfig::default().with_k(8))
+            .add_supporting(&blind, f.cars_stats.clone())
+            .add_deficient(&f.yahoo);
+        let answer = alone.answer(&q).unwrap();
+        // Neither member can be served: empty contributions, no query
+        // reaches the blind form, no failure is recorded.
+        assert!(answer.fully_healthy(), "{:?}", answer.per_source);
+        assert_eq!(answer.per_source[1].via_correlated, None);
+        assert_eq!(answer.possible_count(), 0);
+        assert_eq!(blind.meter().rejected, 0);
+        assert_eq!(blind.meter().queries, 0);
+
+        let both = MediatorNetwork::new(f.global.clone(), QpiadConfig::default().with_k(8))
+            .add_supporting(&blind, f.cars_stats.clone())
+            .add_supporting(&f.cars, f.cars_stats.clone())
+            .add_deficient(&f.yahoo);
+        let answer = both.answer(&q).unwrap();
+        let yahoo_part = &answer.per_source[2];
+        assert_eq!(yahoo_part.via_correlated.as_deref(), Some("cars.com"));
+        assert!(yahoo_part.outcome.is_healthy(), "{:?}", yahoo_part.outcome);
+        assert!(!yahoo_part.possible.is_empty());
+        assert_eq!(blind.meter().rejected, 0);
+        assert!(both.explain(&q).contains("correlated source `cars.com`"));
     }
 
     #[test]

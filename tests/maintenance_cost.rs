@@ -9,6 +9,13 @@
 //! under a hair-trigger drift threshold. Each side is timed once, after one
 //! untimed warm-up pass over a fresh network.
 //!
+//! The timed fold is the *first* fold of its generation, as in service: it
+//! folds a separately mined copy of the knowledge, whose count state still
+//! describes the mined generation. Folding the warm-up's own bundle a
+//! second time would first rebuild that count state from the sample — it
+//! already moved on to the warm-up's folded generation — and time the
+//! rebuild rather than the fold.
+//!
 //! A wall-clock ratio means nothing in an unoptimized build, so the test is
 //! ignored under `debug_assertions`. Run it with
 //! `cargo test --release --test maintenance_cost`.
@@ -109,7 +116,8 @@ fn a_fold_is_ten_times_cheaper_than_a_batch_refresh() {
     let stats = SourceStats::mine(&sample, ed.len(), &MiningConfig::default());
 
     fold_and_remine_secs(&ed, &stats);
-    let (fold, remine) = fold_and_remine_secs(&ed, &stats);
+    let unfolded = SourceStats::mine(&sample, ed.len(), &MiningConfig::default());
+    let (fold, remine) = fold_and_remine_secs(&ed, &unfolded);
     let ratio = remine / fold.max(1e-9);
     assert!(
         ratio >= 10.0,
