@@ -8,8 +8,8 @@
 //!
 //! Both require *null binding* (`attr IS NULL` queries), which real web
 //! databases do not support — they only run against a
-//! [`qpiad_db::DirectSource`]. Their costs (every null-valued tuple is
-//! transferred) are what Figure 8 compares QPIAD against.
+//! [`qpiad_db::WebSource::direct`] source. Their costs (every null-valued
+//! tuple is transferred) are what Figure 8 compares QPIAD against.
 
 use std::collections::HashSet;
 
@@ -88,15 +88,15 @@ mod tests {
     use qpiad_data::cars::CarsConfig;
     use qpiad_data::corrupt::{corrupt, CorruptionConfig, Provenance};
     use qpiad_data::sample::uniform_sample;
-    use qpiad_db::{DirectSource, Value, WebSource};
+    use qpiad_db::{Value, WebSource};
     use qpiad_learn::knowledge::MiningConfig;
 
-    fn setup() -> (DirectSource, SourceStats, Provenance) {
+    fn setup() -> (WebSource, SourceStats, Provenance) {
         let ground = CarsConfig::default().with_rows(8_000).generate(51);
         let (ed, prov) = corrupt(&ground, &CorruptionConfig::default());
         let sample = uniform_sample(&ed, 0.10, 29);
         let stats = SourceStats::mine(&sample, ed.len(), &MiningConfig::default());
-        (DirectSource::new("oracle", ed), stats, prov)
+        (WebSource::direct("oracle", ed), stats, prov)
     }
 
     #[test]

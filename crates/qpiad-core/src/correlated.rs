@@ -20,10 +20,9 @@ use qpiad_learn::knowledge::SourceStats;
 
 use crate::mediator::{Degradation, Qpiad, QueryContext, RankedAnswer};
 use crate::plan::{
-    self, AdmissionMode, BaseGate, CacheStatus, EntryStatus, MediationPlan, PlanCandidate,
-    PlanEntry, SkipReason,
+    self, AdmissionMode, BaseGate, CacheStatus, EntryStatus, MediationPlan, PlanEntry, SkipReason,
 };
-use crate::rank::{order_rewrites, RankConfig};
+use crate::rank::{order_rewrites, RankConfig, ScoredRewrite};
 use crate::rewrite::generate_rewrites;
 
 /// Checks Definition 4: can `correlated_stats` (learned from a source that
@@ -105,15 +104,8 @@ pub fn answer_from_correlated(
     // plan time. Deferred entries are admitted by the executor one at a
     // time, immediately before issue (the dedup set orders this loop, so
     // it is inherently sequential).
-    let plan = build_plan(
-        correlated_stats,
-        target_source.name(),
-        binding,
-        query,
-        config,
-        retry,
-        &base,
-    );
+    let ranked = order_rewrites(generate_rewrites(query, &base, correlated_stats), config);
+    let plan = build_plan(target_source.name(), binding, query, retry, ranked);
     Ok(collect_possible(
         target_source,
         binding,
@@ -165,8 +157,12 @@ pub(crate) fn answer_from_correlated_planned(
         }
     };
     let (candidates, _cache) = planner.candidate_set(correlated_source, query, base);
-    let plan =
-        plan_from_shared_candidates(target_source.name(), binding, query, retry, &candidates);
+    // The candidates' `supported` flag describes the *correlated* source's
+    // web form, while these queries go to the target: each candidate is
+    // admitted or skipped purely on whether the target's binding can
+    // translate it.
+    let ranked = candidates.iter().map(|c| c.scored.clone());
+    let plan = build_plan(target_source.name(), binding, query, retry, ranked);
     Ok(collect_possible(
         target_source,
         binding,
@@ -222,64 +218,24 @@ fn collect_possible(
     CorrelatedAnswers { possible, degraded }
 }
 
-/// Wraps a shared candidate list (the supporting pass's planning output)
-/// as an interleaved correlated plan. The `supported` flag is ignored — it
-/// describes the *correlated* source's web form, while these queries go to
-/// the target — and each candidate is admitted or skipped purely on
-/// whether the target's binding can translate it.
-fn plan_from_shared_candidates(
-    target_name: &str,
-    binding: &SourceBinding,
-    query: &SelectQuery,
-    retry: &RetryPolicy,
-    candidates: &[PlanCandidate],
-) -> MediationPlan {
-    let mut plan = MediationPlan::new(
-        target_name.to_string(),
-        query.clone(),
-        *retry,
-        AdmissionMode::Interleaved,
-    );
-    for c in candidates {
-        let (issue, status) = match binding.translate_query(&c.scored.rewrite.query) {
-            Ok(local) => (local, EntryStatus::Deferred),
-            Err(_) => (
-                c.scored.rewrite.query.clone(),
-                EntryStatus::Skipped(SkipReason::Untranslatable),
-            ),
-        };
-        plan.push(PlanEntry {
-            rewrite: c.scored.rewrite.clone(),
-            issue,
-            fmeasure: c.scored.fmeasure,
-            status,
-        });
-    }
-    plan
-}
-
 /// Builds the (unadmitted) interleaved plan for a correlated retrieval:
-/// rewrites generated from the correlated source's statistics, ordered by
-/// F-measure, and translated onto the target's local schema at plan time.
-/// An untranslatable candidate becomes a skipped entry, not an error.
+/// F-measure-ordered rewrites, translated onto the target's local schema
+/// at plan time. An untranslatable rewrite becomes a skipped entry, not an
+/// error.
 fn build_plan(
-    correlated_stats: &SourceStats,
     target_name: &str,
     binding: &SourceBinding,
     query: &SelectQuery,
-    config: &RankConfig,
     retry: &RetryPolicy,
-    base: &[Tuple],
+    ranked: impl IntoIterator<Item = ScoredRewrite>,
 ) -> MediationPlan {
-    let rewrites = generate_rewrites(query, base, correlated_stats);
-    let ordered = order_rewrites(rewrites, config);
     let mut plan = MediationPlan::new(
         target_name.to_string(),
         query.clone(),
         *retry,
         AdmissionMode::Interleaved,
     );
-    for scored in ordered {
+    for scored in ranked {
         let (issue, status) = match binding.translate_query(&scored.rewrite.query) {
             Ok(local) => (local, EntryStatus::Deferred),
             Err(_) => (
@@ -319,15 +275,8 @@ pub fn plan_from_correlated_speculative(
     ctx: &mut QueryContext,
 ) -> MediationPlan {
     let base = plan::stats_sample_matches(correlated_stats, query);
-    let mut plan = build_plan(
-        correlated_stats,
-        target_name,
-        binding,
-        query,
-        config,
-        retry,
-        &base,
-    );
+    let ranked = order_rewrites(generate_rewrites(query, &base, correlated_stats), config);
+    let mut plan = build_plan(target_name, binding, query, retry, ranked);
     plan.cache = CacheStatus::Speculative;
     // An issued base is gated by the budget only — the probe belongs to
     // the target source and is never consulted for the base.

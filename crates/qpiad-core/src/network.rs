@@ -1371,19 +1371,7 @@ impl<'a> MediatorNetwork<'a> {
                 shared_base,
             )
         };
-        let results: Vec<(usize, MemberPass)> = if self
-            .members
-            .iter()
-            .all(|m| Self::member_supports_all(m, query))
-        {
-            // No member can be routed through a correlated source: one
-            // wave, each worker routing its own member.
-            par::parallel_map_indexed(self.members.len(), |i| {
-                (i, serve(i, self.route(i, query, &pass.pk), None))
-            })
-        } else {
-            self.answer_in_waves(query, &pass.pk, serve)
-        };
+        let results = self.answer_in_waves(query, &pass.pk, serve);
 
         // Sequential post-pass: absorb observation logs and drift probes
         // in registration order, then assemble contributions.
@@ -1442,14 +1430,15 @@ impl<'a> MediatorNetwork<'a> {
         Ok(out)
     }
 
-    /// The fan-out of a pass some member of which cannot bind the query,
-    /// in two deterministic waves over [`par`]. Wave 1 serves every member
-    /// not routed [`Route::Correlated`]; wave 2 serves the correlated
-    /// members, each handed the validated base set its correlated member
-    /// `j` retrieved in wave 1 (`j` is routed [`Route::Direct`], so it
-    /// always runs in wave 1). A member whose `j` validated no base issues
-    /// the base itself. Returns every member's share tagged with its index,
-    /// in registration order.
+    /// The fan-out of a pass, in two deterministic waves over [`par`].
+    /// Every member is routed up front. Wave 1 serves every member not
+    /// routed [`Route::Correlated`]; wave 2 serves the correlated members,
+    /// each handed the validated base set its correlated member `j`
+    /// retrieved in wave 1 (`j` is routed [`Route::Direct`], so it always
+    /// runs in wave 1). A member whose `j` validated no base issues the
+    /// base itself. Wave 2 is empty when every member binds the query.
+    /// Returns every member's share tagged with its index, in registration
+    /// order.
     fn answer_in_waves<F>(
         &self,
         query: &SelectQuery,
@@ -1711,6 +1700,11 @@ impl AutonomousSource for HedgedSource<'_> {
         self.primary.allows_null_binding()
     }
 
+    // Metering is the primary's too: every hook lands on its meter.
+    fn wrapped(&self) -> Option<&dyn AutonomousSource> {
+        Some(self.primary)
+    }
+
     fn has_query_budget(&self) -> bool {
         // Either budget makes issue order significant: serve sequentially.
         self.primary.has_query_budget() || self.fallback.has_query_budget()
@@ -1750,74 +1744,6 @@ impl AutonomousSource for HedgedSource<'_> {
             },
             Err(e) => Err(e),
         }
-    }
-
-    fn meter(&self) -> SourceMeter {
-        self.primary.meter()
-    }
-
-    fn reset_meter(&self) {
-        self.primary.reset_meter();
-    }
-
-    fn note_retries(&self, n: usize) {
-        self.primary.note_retries(n);
-    }
-
-    fn note_failure(&self) {
-        self.primary.note_failure();
-    }
-
-    fn note_degraded(&self) {
-        self.primary.note_degraded();
-    }
-
-    fn note_quarantined(&self, n: usize) {
-        self.primary.note_quarantined(n);
-    }
-
-    fn note_hedge(&self) {
-        self.primary.note_hedge();
-    }
-
-    fn note_breaker_skip(&self) {
-        self.primary.note_breaker_skip();
-    }
-
-    fn note_shed(&self, n: usize) {
-        self.primary.note_shed(n);
-    }
-
-    fn note_deadline_refused(&self) {
-        self.primary.note_deadline_refused();
-    }
-
-    fn note_knowledge_unavailable(&self) {
-        self.primary.note_knowledge_unavailable();
-    }
-
-    fn note_plan_cache_hit(&self) {
-        self.primary.note_plan_cache_hit();
-    }
-
-    fn note_plan_cache_miss(&self) {
-        self.primary.note_plan_cache_miss();
-    }
-
-    fn note_drift(&self) {
-        self.primary.note_drift();
-    }
-
-    fn note_refresh(&self) {
-        self.primary.note_refresh();
-    }
-
-    fn note_refresh_failure(&self) {
-        self.primary.note_refresh_failure();
-    }
-
-    fn note_latency(&self, d: std::time::Duration) {
-        self.primary.note_latency(d);
     }
 }
 
@@ -1992,6 +1918,64 @@ mod tests {
             Afd::new(vec![a0], a2, 0.4),
         ]);
         assert_eq!(min_afd_confidence(&afds, &[a1, a2]), Some(0.4));
+    }
+
+    #[test]
+    fn a_hedged_source_meters_every_hook_on_its_primary() {
+        let rows = CarsConfig::default().with_rows(40).generate(3);
+        let primary = WebSource::new("primary", rows.clone());
+        let fallback = WebSource::new("fallback", rows.clone());
+        let hedged = HedgedSource {
+            primary: &primary,
+            fallback: &fallback,
+        };
+        hedged.note_retries(2);
+        hedged.note_failure();
+        hedged.note_degraded();
+        hedged.note_quarantined(3);
+        hedged.note_hedge();
+        hedged.note_breaker_skip();
+        hedged.note_shed(5);
+        hedged.note_deadline_refused();
+        hedged.note_knowledge_unavailable();
+        hedged.note_drift();
+        hedged.note_refresh();
+        hedged.note_refresh_failure();
+        hedged.note_latency(std::time::Duration::from_nanos(7));
+        hedged.note_plan_cache_hit();
+        hedged.note_plan_cache_miss();
+        let expected = SourceMeter {
+            retries: 2,
+            failures: 1,
+            degraded: 1,
+            quarantined: 3,
+            hedges: 1,
+            breaker_skips: 1,
+            shed: 5,
+            deadline_refused: 1,
+            knowledge_unavailable: 1,
+            drift_events: 1,
+            refreshes: 1,
+            refresh_failures: 1,
+            latency_ns: 7,
+            plan_cache_hits: 1,
+            plan_cache_misses: 1,
+            ..SourceMeter::default()
+        };
+        assert_eq!(primary.meter(), expected);
+        assert_eq!(hedged.meter(), expected);
+        assert_eq!(fallback.meter(), SourceMeter::default());
+        hedged.reset_meter();
+        assert_eq!(primary.meter(), SourceMeter::default());
+
+        // Either source's budget makes the hedge budgeted.
+        assert!(!hedged.has_query_budget());
+        let limited = WebSource::new("limited", rows).with_query_limit(1);
+        let hedged = HedgedSource {
+            primary: &primary,
+            fallback: &limited,
+        };
+        assert!(hedged.has_query_budget());
     }
 
     #[test]

@@ -27,12 +27,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::error::SourceError;
 use crate::query::SelectQuery;
 use crate::schema::{AttrId, Schema};
-use crate::source::{AutonomousSource, SourceMeter};
+use crate::source::AutonomousSource;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -394,8 +393,8 @@ impl<S: AutonomousSource> AutonomousSource for ChaosSource<S> {
         self.inner.allows_null_binding()
     }
 
-    fn has_query_budget(&self) -> bool {
-        self.inner.has_query_budget()
+    fn wrapped(&self) -> Option<&dyn AutonomousSource> {
+        Some(&self.inner)
     }
 
     fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
@@ -422,74 +421,6 @@ impl<S: AutonomousSource> AutonomousSource for ChaosSource<S> {
             }
         }
         Ok(tuples)
-    }
-
-    fn meter(&self) -> SourceMeter {
-        self.inner.meter()
-    }
-
-    fn reset_meter(&self) {
-        self.inner.reset_meter();
-    }
-
-    fn note_retries(&self, n: usize) {
-        self.inner.note_retries(n);
-    }
-
-    fn note_failure(&self) {
-        self.inner.note_failure();
-    }
-
-    fn note_degraded(&self) {
-        self.inner.note_degraded();
-    }
-
-    fn note_quarantined(&self, n: usize) {
-        self.inner.note_quarantined(n);
-    }
-
-    fn note_hedge(&self) {
-        self.inner.note_hedge();
-    }
-
-    fn note_breaker_skip(&self) {
-        self.inner.note_breaker_skip();
-    }
-
-    fn note_shed(&self, n: usize) {
-        self.inner.note_shed(n);
-    }
-
-    fn note_deadline_refused(&self) {
-        self.inner.note_deadline_refused();
-    }
-
-    fn note_knowledge_unavailable(&self) {
-        self.inner.note_knowledge_unavailable();
-    }
-
-    fn note_drift(&self) {
-        self.inner.note_drift();
-    }
-
-    fn note_refresh(&self) {
-        self.inner.note_refresh();
-    }
-
-    fn note_refresh_failure(&self) {
-        self.inner.note_refresh_failure();
-    }
-
-    fn note_latency(&self, d: Duration) {
-        self.inner.note_latency(d);
-    }
-
-    fn note_plan_cache_hit(&self) {
-        self.inner.note_plan_cache_hit();
-    }
-
-    fn note_plan_cache_miss(&self) {
-        self.inner.note_plan_cache_miss();
     }
 }
 

@@ -28,7 +28,7 @@ use parking_lot::Mutex;
 use crate::error::SourceError;
 use crate::query::SelectQuery;
 use crate::schema::{AttrId, Schema};
-use crate::source::{AutonomousSource, SourceMeter};
+use crate::source::AutonomousSource;
 use crate::tuple::Tuple;
 
 /// SplitMix64: a tiny, high-quality bit mixer. All fault and jitter
@@ -206,8 +206,8 @@ impl<S: AutonomousSource> AutonomousSource for FaultInjector<S> {
         self.inner.allows_null_binding()
     }
 
-    fn has_query_budget(&self) -> bool {
-        self.inner.has_query_budget()
+    fn wrapped(&self) -> Option<&dyn AutonomousSource> {
+        Some(&self.inner)
     }
 
     fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
@@ -243,74 +243,10 @@ impl<S: AutonomousSource> AutonomousSource for FaultInjector<S> {
         self.inner.query(q)
     }
 
-    fn meter(&self) -> SourceMeter {
-        self.inner.meter()
-    }
-
     fn reset_meter(&self) {
         self.inner.reset_meter();
         self.attempts.lock().clear();
         *self.injected.lock() = 0;
-    }
-
-    fn note_retries(&self, n: usize) {
-        self.inner.note_retries(n);
-    }
-
-    fn note_failure(&self) {
-        self.inner.note_failure();
-    }
-
-    fn note_degraded(&self) {
-        self.inner.note_degraded();
-    }
-
-    fn note_quarantined(&self, n: usize) {
-        self.inner.note_quarantined(n);
-    }
-
-    fn note_hedge(&self) {
-        self.inner.note_hedge();
-    }
-
-    fn note_breaker_skip(&self) {
-        self.inner.note_breaker_skip();
-    }
-
-    fn note_shed(&self, n: usize) {
-        self.inner.note_shed(n);
-    }
-
-    fn note_deadline_refused(&self) {
-        self.inner.note_deadline_refused();
-    }
-
-    fn note_knowledge_unavailable(&self) {
-        self.inner.note_knowledge_unavailable();
-    }
-
-    fn note_drift(&self) {
-        self.inner.note_drift();
-    }
-
-    fn note_refresh(&self) {
-        self.inner.note_refresh();
-    }
-
-    fn note_refresh_failure(&self) {
-        self.inner.note_refresh_failure();
-    }
-
-    fn note_latency(&self, d: Duration) {
-        self.inner.note_latency(d);
-    }
-
-    fn note_plan_cache_hit(&self) {
-        self.inner.note_plan_cache_hit();
-    }
-
-    fn note_plan_cache_miss(&self) {
-        self.inner.note_plan_cache_miss();
     }
 }
 
@@ -405,8 +341,8 @@ impl<S: AutonomousSource> AutonomousSource for SkewInjector<S> {
         self.inner.allows_null_binding()
     }
 
-    fn has_query_budget(&self) -> bool {
-        self.inner.has_query_budget()
+    fn wrapped(&self) -> Option<&dyn AutonomousSource> {
+        Some(&self.inner)
     }
 
     fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
@@ -435,73 +371,9 @@ impl<S: AutonomousSource> AutonomousSource for SkewInjector<S> {
         Ok(tuples)
     }
 
-    fn meter(&self) -> SourceMeter {
-        self.inner.meter()
-    }
-
     fn reset_meter(&self) {
         self.inner.reset_meter();
         *self.skewed.lock() = 0;
-    }
-
-    fn note_retries(&self, n: usize) {
-        self.inner.note_retries(n);
-    }
-
-    fn note_failure(&self) {
-        self.inner.note_failure();
-    }
-
-    fn note_degraded(&self) {
-        self.inner.note_degraded();
-    }
-
-    fn note_quarantined(&self, n: usize) {
-        self.inner.note_quarantined(n);
-    }
-
-    fn note_hedge(&self) {
-        self.inner.note_hedge();
-    }
-
-    fn note_breaker_skip(&self) {
-        self.inner.note_breaker_skip();
-    }
-
-    fn note_shed(&self, n: usize) {
-        self.inner.note_shed(n);
-    }
-
-    fn note_deadline_refused(&self) {
-        self.inner.note_deadline_refused();
-    }
-
-    fn note_knowledge_unavailable(&self) {
-        self.inner.note_knowledge_unavailable();
-    }
-
-    fn note_drift(&self) {
-        self.inner.note_drift();
-    }
-
-    fn note_refresh(&self) {
-        self.inner.note_refresh();
-    }
-
-    fn note_refresh_failure(&self) {
-        self.inner.note_refresh_failure();
-    }
-
-    fn note_latency(&self, d: Duration) {
-        self.inner.note_latency(d);
-    }
-
-    fn note_plan_cache_hit(&self) {
-        self.inner.note_plan_cache_hit();
-    }
-
-    fn note_plan_cache_miss(&self) {
-        self.inner.note_plan_cache_miss();
     }
 }
 

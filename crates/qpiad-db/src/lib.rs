@@ -15,9 +15,9 @@
 //!   *certain-answer* evaluation semantics over incomplete tuples,
 //! * [`source`] — autonomous-source access layers: a [`source::WebSource`]
 //!   that models the restricted query interface of a web database (no null
-//!   binding, limited attribute support, metered access) and a
-//!   [`source::DirectSource`] that allows null binding (used only to
-//!   implement the paper's infeasible baselines),
+//!   binding, limited attribute support, metered access), whose
+//!   [`source::WebSource::direct`] constructor allows null binding (used
+//!   only to implement the paper's infeasible baselines),
 //! * [`catalog`] — the mediator-side global-schema catalog mapping global
 //!   attributes onto each source's local schema,
 //! * [`fault`] — the failure model: transient-error injection
@@ -88,7 +88,7 @@ pub use index::{AttrIndex, SelectionEngine};
 pub use query::{AggFunc, AggregateQuery, JoinQuery, PredOp, Predicate, SelectQuery};
 pub use relation::Relation;
 pub use schema::{AttrId, AttrType, Attribute, Schema};
-pub use source::{AutonomousSource, DirectSource, SourceMeter, WebSource};
+pub use source::{AutonomousSource, SourceMeter, WebSource};
 pub use tuple::{Tuple, TupleId};
 pub use validate::{query_validated, QuarantineReason, ResponseValidator, ValidationReport};
 pub use value::Value;

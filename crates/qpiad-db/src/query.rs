@@ -6,7 +6,7 @@
 //! (`BETWEEN`) over a single attribute. The special [`PredOp::IsNull`]
 //! predicate exists only so that the paper's infeasible baselines
 //! (AllReturned / AllRanked) can be expressed against a
-//! [`crate::source::DirectSource`]; web sources reject it.
+//! [`crate::source::WebSource::direct`] source; web forms reject it.
 
 use std::fmt;
 
@@ -23,7 +23,8 @@ pub enum PredOp {
     /// [`Value`]'s total order; in practice both bounds are integers.
     Between(Value, Value),
     /// `attr IS NULL` — *null binding*. Web databases do not support this
-    /// pattern (paper §1); only [`crate::source::DirectSource`] honors it.
+    /// pattern (paper §1); only a [`crate::source::WebSource::direct`]
+    /// source honors it.
     IsNull,
 }
 

@@ -12,9 +12,13 @@
 //!   the efficiency experiments (Figure 8) can report real costs,
 //! * **optional query budget** — sources may cap queries per session.
 //!
-//! [`DirectSource`] lifts the null-binding restriction; it exists only so
-//! the paper's infeasible baselines (AllReturned, AllRanked) can be
+//! [`WebSource::direct`] lifts the null-binding restriction; it exists only
+//! so the paper's infeasible baselines (AllReturned, AllRanked) can be
 //! evaluated against the same data.
+//!
+//! Wrappers around a source (fault injection, chaos, hedging) name the
+//! source they wrap through [`AutonomousSource::wrapped`], and every
+//! metering method delegates to it by default.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -126,84 +130,160 @@ pub trait AutonomousSource: Sync {
     /// (Definition 2), or rejects it.
     fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError>;
 
+    /// The source this one wraps, if it is a wrapper (fault injection,
+    /// chaos, hedging, test instrumentation).
+    ///
+    /// Metering delegates through it: [`has_query_budget`], [`meter`],
+    /// [`reset_meter`] and every `note_*` hook default to calling the same
+    /// method on the wrapped source, so a wrapper implements `wrapped` and
+    /// overrides only what it changes (a `reset_meter` that also clears its
+    /// own state, say). A source that wraps nothing keeps the default
+    /// `None`: its hooks do nothing, it has no budget, and its meter reads
+    /// [`SourceMeter::default`]. A source that meters (like [`WebSource`])
+    /// overrides all of them.
+    ///
+    /// [`has_query_budget`]: AutonomousSource::has_query_budget
+    /// [`meter`]: AutonomousSource::meter
+    /// [`reset_meter`]: AutonomousSource::reset_meter
+    fn wrapped(&self) -> Option<&dyn AutonomousSource> {
+        None
+    }
+
     /// `true` iff the source caps queries per session. A budgeted source
     /// must be queried strictly sequentially: which queries fit under the
     /// budget depends on issue order, so concurrent issuance would change
     /// observable behavior. Budget-free sources accept any interleaving.
     fn has_query_budget(&self) -> bool {
-        false
+        self.wrapped().is_some_and(|s| s.has_query_budget())
     }
 
     /// A snapshot of cumulative access costs.
-    fn meter(&self) -> SourceMeter;
+    fn meter(&self) -> SourceMeter {
+        self.wrapped().map(|s| s.meter()).unwrap_or_default()
+    }
 
     /// Resets the access meter (between experiments).
-    fn reset_meter(&self);
+    fn reset_meter(&self) {
+        if let Some(s) = self.wrapped() {
+            s.reset_meter();
+        }
+    }
 
     /// Records `n` mediator-side retries attributed to this source. Called
-    /// by the retry boundary ([`crate::fault::query_with_retry`]); sources
-    /// that do not meter may leave the default no-op.
+    /// by the retry boundary ([`crate::fault::query_with_retry`]).
     fn note_retries(&self, n: usize) {
-        let _ = n;
+        if let Some(s) = self.wrapped() {
+            s.note_retries(n);
+        }
     }
 
     /// Records one failed query attempt (unavailability, timeout, internal
     /// error) observed at the query-issue boundary.
-    fn note_failure(&self) {}
+    fn note_failure(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_failure();
+        }
+    }
 
     /// Records one mediation pass that degraded this source's contribution
     /// (dropped rewrites or a failed member).
-    fn note_degraded(&self) {}
+    fn note_degraded(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_degraded();
+        }
+    }
 
     /// Records `n` returned tuples quarantined by response validation.
     fn note_quarantined(&self, n: usize) {
-        let _ = n;
+        if let Some(s) = self.wrapped() {
+            s.note_quarantined(n);
+        }
     }
 
     /// Records one query this source failed but a hedged fallback served.
-    fn note_hedge(&self) {}
+    fn note_hedge(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_hedge();
+        }
+    }
 
     /// Records one query skipped because this source's breaker was open.
-    fn note_breaker_skip(&self) {}
+    fn note_breaker_skip(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_breaker_skip();
+        }
+    }
 
     /// Records `n` rewritten queries shed from this source's plan by the
     /// overload degradation ladder.
     fn note_shed(&self, n: usize) {
-        let _ = n;
+        if let Some(s) = self.wrapped() {
+            s.note_shed(n);
+        }
     }
 
     /// Records one query refused because the propagated deadline could no
     /// longer fund a single attempt against this source.
-    fn note_deadline_refused(&self) {}
+    fn note_deadline_refused(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_deadline_refused();
+        }
+    }
 
     /// Records one mediation pass served certain-answers-only because the
     /// source's persisted knowledge failed to load.
-    fn note_knowledge_unavailable(&self) {}
+    fn note_knowledge_unavailable(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_knowledge_unavailable();
+        }
+    }
 
     /// Records one drift verdict raised against this source.
-    fn note_drift(&self) {}
+    fn note_drift(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_drift();
+        }
+    }
 
     /// Records one completed knowledge refresh for this source (re-mined,
     /// persisted, published as a new epoch).
-    fn note_refresh(&self) {}
+    fn note_refresh(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_refresh();
+        }
+    }
 
     /// Records one failed knowledge refresh attempt for this source (the
     /// old epoch stayed in service).
-    fn note_refresh_failure(&self) {}
+    fn note_refresh_failure(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_refresh_failure();
+        }
+    }
 
     /// Records observed (or injected) latency for one query against this
     /// source. Feeds the hedging layer's slow-source detection.
     fn note_latency(&self, d: std::time::Duration) {
-        let _ = d;
+        if let Some(s) = self.wrapped() {
+            s.note_latency(d);
+        }
     }
 
     /// Records one mediation plan served from the plan cache for this
     /// source (candidate rewrites reused, no re-planning).
-    fn note_plan_cache_hit(&self) {}
+    fn note_plan_cache_hit(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_plan_cache_hit();
+        }
+    }
 
     /// Records one mediation plan planned from scratch because the plan
     /// cache held no entry for this source's (template, version) key.
-    fn note_plan_cache_miss(&self) {}
+    fn note_plan_cache_miss(&self) {
+        if let Some(s) = self.wrapped() {
+            s.note_plan_cache_miss();
+        }
+    }
 }
 
 fn validate(
@@ -302,9 +382,16 @@ impl MeterCells {
     }
 }
 
-/// Shared implementation for the two concrete sources.
+/// A web database behind a form interface: certain answers only, no null
+/// binding, optionally a query budget and a restricted set of queryable
+/// attributes.
+///
+/// [`WebSource::direct`] builds the one exception: a source that also
+/// accepts `attr IS NULL`. Real web databases do not offer that interface;
+/// it exists only so the paper's infeasible baselines (AllReturned,
+/// AllRanked) can be evaluated against the same data.
 #[derive(Debug)]
-struct SourceInner {
+pub struct WebSource {
     name: String,
     relation: Relation,
     engine: SelectionEngine,
@@ -317,20 +404,85 @@ struct SourceInner {
     meter: MeterCells,
 }
 
-impl SourceInner {
-    fn answer(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
-        let check = validate(
-            q,
-            &|a: AttrId| a.index() < self.queryable.len() && self.queryable[a.index()],
-            self.allow_null_binding,
-        );
+impl WebSource {
+    /// Wraps a relation as a web source where every attribute is queryable.
+    pub fn new(name: impl Into<String>, relation: Relation) -> Self {
+        let arity = relation.schema().arity();
+        WebSource {
+            name: name.into(),
+            relation,
+            engine: SelectionEngine::new(),
+            queryable: vec![true; arity],
+            allow_null_binding: false,
+            query_limit: None,
+            meter: MeterCells::default(),
+        }
+    }
+
+    /// Wraps a relation as a direct-access source that also accepts null
+    /// binding (the AllReturned / AllRanked baselines only).
+    pub fn direct(name: impl Into<String>, relation: Relation) -> Self {
+        WebSource {
+            allow_null_binding: true,
+            ..WebSource::new(name, relation)
+        }
+    }
+
+    /// Restricts the set of queryable attributes (local schemas that do not
+    /// support some global attributes, §4.3).
+    pub fn with_queryable(mut self, attrs: &[AttrId]) -> Self {
+        let arity = self.relation.schema().arity();
+        let mut queryable = vec![false; arity];
+        for a in attrs {
+            queryable[a.index()] = true;
+        }
+        self.queryable = queryable;
+        self
+    }
+
+    /// Caps the number of queries the source answers per session.
+    pub fn with_query_limit(mut self, limit: usize) -> Self {
+        self.query_limit = Some(limit);
+        self
+    }
+
+    /// Read access to the stored relation (the *evaluation harness* uses
+    /// this as ground truth; the mediator must not).
+    pub fn relation(&self) -> &Relation {
+        &self.relation
+    }
+}
+
+impl AutonomousSource for WebSource {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn schema(&self) -> &Arc<Schema> {
+        self.relation.schema()
+    }
+
+    fn supports(&self, attr: AttrId) -> bool {
+        attr.index() < self.queryable.len() && self.queryable[attr.index()]
+    }
+
+    fn allows_null_binding(&self) -> bool {
+        self.allow_null_binding
+    }
+
+    fn has_query_budget(&self) -> bool {
+        self.query_limit.is_some()
+    }
+
+    fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
+        let check = validate(q, &|a| self.supports(a), self.allow_null_binding);
         if let Err(e) = check {
             MeterCells::bump(&self.meter.rejected);
             return Err(e);
         }
         // Certain-answer semantics over the stored (incomplete) relation,
         // served through the lazily built posting-list indexes. For a
-        // DirectSource, IsNull predicates resolve to the null posting list.
+        // direct source, IsNull predicates resolve to the null posting list.
         if let Some(limit) = self.query_limit {
             // Budgeted: reserve a slot under the limit with a CAS before
             // answering, so the limit check and the query-count bump are
@@ -366,279 +518,74 @@ impl SourceInner {
             Ok(result)
         }
     }
-}
-
-/// A web database behind a form interface: certain answers only, no null
-/// binding, optionally a query budget and a restricted set of queryable
-/// attributes.
-#[derive(Debug)]
-pub struct WebSource {
-    inner: SourceInner,
-}
-
-impl WebSource {
-    /// Wraps a relation as a web source where every attribute is queryable.
-    pub fn new(name: impl Into<String>, relation: Relation) -> Self {
-        let arity = relation.schema().arity();
-        WebSource {
-            inner: SourceInner {
-                name: name.into(),
-                relation,
-                engine: SelectionEngine::new(),
-                queryable: vec![true; arity],
-                allow_null_binding: false,
-                query_limit: None,
-                meter: MeterCells::default(),
-            },
-        }
-    }
-
-    /// Restricts the set of queryable attributes (local schemas that do not
-    /// support some global attributes, §4.3).
-    pub fn with_queryable(mut self, attrs: &[AttrId]) -> Self {
-        let arity = self.inner.relation.schema().arity();
-        let mut queryable = vec![false; arity];
-        for a in attrs {
-            queryable[a.index()] = true;
-        }
-        self.inner.queryable = queryable;
-        self
-    }
-
-    /// Caps the number of queries the source answers per session.
-    pub fn with_query_limit(mut self, limit: usize) -> Self {
-        self.inner.query_limit = Some(limit);
-        self
-    }
-
-    /// Read access to the stored relation (the *evaluation harness* uses
-    /// this as ground truth; the mediator must not).
-    pub fn relation(&self) -> &Relation {
-        &self.inner.relation
-    }
-}
-
-impl AutonomousSource for WebSource {
-    fn name(&self) -> &str {
-        &self.inner.name
-    }
-
-    fn schema(&self) -> &Arc<Schema> {
-        self.inner.relation.schema()
-    }
-
-    fn supports(&self, attr: AttrId) -> bool {
-        attr.index() < self.inner.queryable.len() && self.inner.queryable[attr.index()]
-    }
-
-    fn allows_null_binding(&self) -> bool {
-        false
-    }
-
-    fn has_query_budget(&self) -> bool {
-        self.inner.query_limit.is_some()
-    }
-
-    fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
-        self.inner.answer(q)
-    }
 
     fn meter(&self) -> SourceMeter {
-        self.inner.meter.snapshot()
+        self.meter.snapshot()
     }
 
     fn reset_meter(&self) {
-        self.inner.meter.reset();
+        self.meter.reset();
     }
 
     fn note_retries(&self, n: usize) {
-        self.inner.meter.retries.fetch_add(n, Ordering::Relaxed);
+        self.meter.retries.fetch_add(n, Ordering::Relaxed);
     }
 
     fn note_failure(&self) {
-        MeterCells::bump(&self.inner.meter.failures);
+        MeterCells::bump(&self.meter.failures);
     }
 
     fn note_degraded(&self) {
-        MeterCells::bump(&self.inner.meter.degraded);
+        MeterCells::bump(&self.meter.degraded);
     }
 
     fn note_quarantined(&self, n: usize) {
-        self.inner.meter.quarantined.fetch_add(n, Ordering::Relaxed);
+        self.meter.quarantined.fetch_add(n, Ordering::Relaxed);
     }
 
     fn note_hedge(&self) {
-        MeterCells::bump(&self.inner.meter.hedges);
+        MeterCells::bump(&self.meter.hedges);
     }
 
     fn note_breaker_skip(&self) {
-        MeterCells::bump(&self.inner.meter.breaker_skips);
+        MeterCells::bump(&self.meter.breaker_skips);
     }
 
     fn note_shed(&self, n: usize) {
-        self.inner.meter.shed.fetch_add(n, Ordering::Relaxed);
+        self.meter.shed.fetch_add(n, Ordering::Relaxed);
     }
 
     fn note_deadline_refused(&self) {
-        MeterCells::bump(&self.inner.meter.deadline_refused);
+        MeterCells::bump(&self.meter.deadline_refused);
     }
 
     fn note_knowledge_unavailable(&self) {
-        MeterCells::bump(&self.inner.meter.knowledge_unavailable);
+        MeterCells::bump(&self.meter.knowledge_unavailable);
     }
 
     fn note_drift(&self) {
-        MeterCells::bump(&self.inner.meter.drift_events);
+        MeterCells::bump(&self.meter.drift_events);
     }
 
     fn note_refresh(&self) {
-        MeterCells::bump(&self.inner.meter.refreshes);
+        MeterCells::bump(&self.meter.refreshes);
     }
 
     fn note_refresh_failure(&self) {
-        MeterCells::bump(&self.inner.meter.refresh_failures);
+        MeterCells::bump(&self.meter.refresh_failures);
     }
 
     fn note_latency(&self, d: std::time::Duration) {
         let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.inner
-            .meter
-            .latency_ns
-            .fetch_add(nanos, Ordering::Relaxed);
+        self.meter.latency_ns.fetch_add(nanos, Ordering::Relaxed);
     }
 
     fn note_plan_cache_hit(&self) {
-        MeterCells::bump(&self.inner.meter.plan_cache_hits);
+        MeterCells::bump(&self.meter.plan_cache_hits);
     }
 
     fn note_plan_cache_miss(&self) {
-        MeterCells::bump(&self.inner.meter.plan_cache_misses);
-    }
-}
-
-/// A source with unrestricted access patterns, including null binding.
-///
-/// Real web databases do not offer this interface; it exists to implement
-/// the AllReturned / AllRanked baselines the paper compares against.
-#[derive(Debug)]
-pub struct DirectSource {
-    inner: SourceInner,
-}
-
-impl DirectSource {
-    /// Wraps a relation as a direct-access source.
-    pub fn new(name: impl Into<String>, relation: Relation) -> Self {
-        let arity = relation.schema().arity();
-        DirectSource {
-            inner: SourceInner {
-                name: name.into(),
-                relation,
-                engine: SelectionEngine::new(),
-                queryable: vec![true; arity],
-                allow_null_binding: true,
-                query_limit: None,
-                meter: MeterCells::default(),
-            },
-        }
-    }
-
-    /// Read access to the stored relation.
-    pub fn relation(&self) -> &Relation {
-        &self.inner.relation
-    }
-}
-
-impl AutonomousSource for DirectSource {
-    fn name(&self) -> &str {
-        &self.inner.name
-    }
-
-    fn schema(&self) -> &Arc<Schema> {
-        self.inner.relation.schema()
-    }
-
-    fn supports(&self, attr: AttrId) -> bool {
-        attr.index() < self.inner.queryable.len() && self.inner.queryable[attr.index()]
-    }
-
-    fn allows_null_binding(&self) -> bool {
-        true
-    }
-
-    fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
-        self.inner.answer(q)
-    }
-
-    fn meter(&self) -> SourceMeter {
-        self.inner.meter.snapshot()
-    }
-
-    fn reset_meter(&self) {
-        self.inner.meter.reset();
-    }
-
-    fn note_retries(&self, n: usize) {
-        self.inner.meter.retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn note_failure(&self) {
-        MeterCells::bump(&self.inner.meter.failures);
-    }
-
-    fn note_degraded(&self) {
-        MeterCells::bump(&self.inner.meter.degraded);
-    }
-
-    fn note_quarantined(&self, n: usize) {
-        self.inner.meter.quarantined.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn note_hedge(&self) {
-        MeterCells::bump(&self.inner.meter.hedges);
-    }
-
-    fn note_breaker_skip(&self) {
-        MeterCells::bump(&self.inner.meter.breaker_skips);
-    }
-
-    fn note_shed(&self, n: usize) {
-        self.inner.meter.shed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn note_deadline_refused(&self) {
-        MeterCells::bump(&self.inner.meter.deadline_refused);
-    }
-
-    fn note_knowledge_unavailable(&self) {
-        MeterCells::bump(&self.inner.meter.knowledge_unavailable);
-    }
-
-    fn note_drift(&self) {
-        MeterCells::bump(&self.inner.meter.drift_events);
-    }
-
-    fn note_refresh(&self) {
-        MeterCells::bump(&self.inner.meter.refreshes);
-    }
-
-    fn note_refresh_failure(&self) {
-        MeterCells::bump(&self.inner.meter.refresh_failures);
-    }
-
-    fn note_latency(&self, d: std::time::Duration) {
-        let nanos = d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.inner
-            .meter
-            .latency_ns
-            .fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    fn note_plan_cache_hit(&self) {
-        MeterCells::bump(&self.inner.meter.plan_cache_hits);
-    }
-
-    fn note_plan_cache_miss(&self) {
-        MeterCells::bump(&self.inner.meter.plan_cache_misses);
+        MeterCells::bump(&self.meter.plan_cache_misses);
     }
 }
 
@@ -741,13 +688,92 @@ mod tests {
 
     #[test]
     fn direct_source_allows_null_binding() {
-        let src = DirectSource::new("oracle", relation());
+        let src = WebSource::direct("oracle", relation());
         assert!(src.allows_null_binding());
         let body = src.schema().expect_attr("body");
         let q = SelectQuery::new(vec![Predicate::is_null(body)]);
         let res = src.query(&q).unwrap();
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].id(), TupleId(2));
+        // The same query is still rejected by a web form.
+        let web = WebSource::new("cars.com", relation());
+        assert!(!web.allows_null_binding());
+        assert_eq!(
+            web.query(&q),
+            Err(SourceError::NullBindingUnsupported { attr: body })
+        );
+    }
+
+    /// Calls every metering hook once, each counting hook with its own
+    /// argument, so a hook that lands on the wrong cell shows.
+    fn call_every_hook(src: &dyn AutonomousSource) {
+        src.note_retries(2);
+        src.note_failure();
+        src.note_degraded();
+        src.note_quarantined(3);
+        src.note_hedge();
+        src.note_breaker_skip();
+        src.note_shed(5);
+        src.note_deadline_refused();
+        src.note_knowledge_unavailable();
+        src.note_drift();
+        src.note_refresh();
+        src.note_refresh_failure();
+        src.note_latency(std::time::Duration::from_nanos(7));
+        src.note_plan_cache_hit();
+        src.note_plan_cache_miss();
+    }
+
+    #[test]
+    fn wrappers_delegate_every_hook_and_the_meter_to_the_leaf() {
+        use crate::chaos::{ChaosConfig, ChaosSchedule, ChaosSource, PassCell};
+        use crate::fault::{FaultInjector, FaultPlan, SkewInjector, SkewPlan};
+
+        let stack = |leaf: WebSource| {
+            let body = leaf.schema().expect_attr("body");
+            let schedule = Arc::new(ChaosSchedule::new(ChaosConfig::calm(1)));
+            let chaos = ChaosSource::new(leaf, 0, schedule, PassCell::new());
+            let skew = SkewInjector::new(chaos, SkewPlan::new(body, Value::str("Sedan"), 0.0, 1));
+            FaultInjector::new(skew, FaultPlan::healthy())
+        };
+        let outer = stack(WebSource::new("cars.com", relation()));
+        let leaf = outer.inner().inner().inner();
+        let body = leaf.schema().expect_attr("body");
+
+        assert_eq!(outer.query(&SelectQuery::all()).unwrap().len(), 4);
+        assert!(outer
+            .query(&SelectQuery::new(vec![Predicate::is_null(body)]))
+            .is_err());
+        call_every_hook(&outer);
+        let expected = SourceMeter {
+            queries: 1,
+            tuples_returned: 4,
+            rejected: 1,
+            failures: 1,
+            retries: 2,
+            degraded: 1,
+            quarantined: 3,
+            hedges: 1,
+            breaker_skips: 1,
+            shed: 5,
+            deadline_refused: 1,
+            knowledge_unavailable: 1,
+            drift_events: 1,
+            refreshes: 1,
+            refresh_failures: 1,
+            latency_ns: 7,
+            plan_cache_hits: 1,
+            plan_cache_misses: 1,
+        };
+        assert_eq!(leaf.meter(), expected);
+        assert_eq!(outer.meter(), expected);
+
+        assert!(!outer.has_query_budget());
+        let budgeted = stack(WebSource::new("limited", relation()).with_query_limit(1));
+        assert!(budgeted.has_query_budget());
+
+        outer.reset_meter();
+        assert_eq!(leaf.meter(), SourceMeter::default());
     }
 
     #[test]
@@ -777,7 +803,7 @@ mod tests {
 
     #[test]
     fn meters_accumulate_and_reset() {
-        let src = DirectSource::new("oracle", relation());
+        let src = WebSource::direct("oracle", relation());
         let q = SelectQuery::all();
         src.query(&q).unwrap();
         src.query(&q).unwrap();

@@ -9,7 +9,7 @@
 
 use qpiad_core::baselines::all_returned;
 use qpiad_core::mediator::QpiadConfig;
-use qpiad_db::{DirectSource, Predicate, SelectQuery, Tuple};
+use qpiad_db::{Predicate, SelectQuery, Tuple, WebSource};
 
 use crate::report::Report;
 
@@ -32,7 +32,7 @@ pub fn run(scale: &Scale) -> Report {
     );
 
     // AllReturned needs null binding: a direct source over the same ED.
-    let direct = DirectSource::new("cars-direct-access", world.ed.clone());
+    let direct = WebSource::direct("cars-direct-access", world.ed.clone());
     let returned = all_returned(&direct, &query).expect("direct source accepts null binding");
     let returned_refs: Vec<&Tuple> = returned.iter().collect();
 

@@ -4,7 +4,7 @@
 
 use qpiad_core::baselines::all_returned;
 use qpiad_core::mediator::QpiadConfig;
-use qpiad_db::{DirectSource, Predicate, SelectQuery, Tuple};
+use qpiad_db::{Predicate, SelectQuery, Tuple, WebSource};
 
 use crate::report::Report;
 
@@ -24,7 +24,7 @@ pub fn run(scale: &Scale) -> Report {
         QpiadConfig::default().with_k(120).with_alpha(1.0),
     );
 
-    let direct = DirectSource::new("census-direct-access", world.ed.clone());
+    let direct = WebSource::direct("census-direct-access", world.ed.clone());
     let returned = all_returned(&direct, &query).expect("direct source accepts null binding");
     let returned_refs: Vec<&Tuple> = returned.iter().collect();
 

@@ -9,7 +9,7 @@
 
 use qpiad_core::baselines::all_returned;
 use qpiad_core::mediator::QpiadConfig;
-use qpiad_db::{DirectSource, Predicate, SelectQuery, Tuple, Value};
+use qpiad_db::{Predicate, SelectQuery, Tuple, Value, WebSource};
 
 use crate::metrics::{accumulated_precision, average_curves, downsample};
 use crate::report::{Report, Series};
@@ -66,7 +66,7 @@ pub fn accumulated_report(
             .collect();
         qpiad_curves.push(accumulated_precision(&labels, max_k));
 
-        let direct = DirectSource::new("direct", world.ed.clone());
+        let direct = WebSource::direct("direct", world.ed.clone());
         let returned = all_returned(&direct, query).expect("null binding allowed");
         let labels: Vec<bool> = returned
             .iter()

@@ -6,7 +6,7 @@ use qpiad::core::mediator::{flatten_answers, Qpiad, QpiadConfig};
 use qpiad::data::cars::CarsConfig;
 use qpiad::data::corrupt::{corrupt, CorruptionConfig};
 use qpiad::data::sample::uniform_sample;
-use qpiad::db::{DirectSource, Predicate, Relation, SelectQuery, TupleId, Value, WebSource};
+use qpiad::db::{Predicate, Relation, SelectQuery, TupleId, Value, WebSource};
 use qpiad::eval::Oracle;
 use qpiad::learn::knowledge::{MiningConfig, SourceStats};
 
@@ -60,7 +60,7 @@ fn answer_sets_partition_cleanly() {
 fn qpiad_beats_all_returned_on_precision() {
     let f = fixture(2);
     let source = WebSource::new("cars", f.ed.clone());
-    let direct = DirectSource::new("oracle-access", f.ed.clone());
+    let direct = WebSource::direct("oracle-access", f.ed.clone());
     let q = convt_query(&f.ed);
     let oracle = Oracle::new(&f.ground, &f.ed);
     let relevant = oracle.relevant_possible(&q);
@@ -94,7 +94,7 @@ fn qpiad_beats_all_returned_on_precision() {
 fn qpiad_matches_all_ranked_quality_at_lower_cost() {
     let f = fixture(3);
     let source = WebSource::new("cars", f.ed.clone());
-    let direct = DirectSource::new("oracle-access", f.ed.clone());
+    let direct = WebSource::direct("oracle-access", f.ed.clone());
     let q = convt_query(&f.ed);
     let oracle = Oracle::new(&f.ground, &f.ed);
     let relevant = oracle.relevant_possible(&q);

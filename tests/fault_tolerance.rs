@@ -38,7 +38,7 @@ use qpiad::data::sample::uniform_sample;
 use qpiad::db::{
     health, AttrId, AutonomousSource, BreakerConfig, BreakerState, FaultInjector, FaultPlan,
     HealthRegistry, Predicate, QueryBudget, Relation, RetryPolicy, Schema, SelectQuery,
-    SourceError, SourceMeter, Tuple, WebSource,
+    SourceError, Tuple, WebSource,
 };
 use qpiad::learn::knowledge::{MiningConfig, SourceStats};
 use qpiad::learn::persist::StatsSnapshot;
@@ -672,30 +672,14 @@ impl AutonomousSource for DriftSource {
         self.inner.allows_null_binding()
     }
 
+    fn wrapped(&self) -> Option<&dyn AutonomousSource> {
+        Some(&self.inner)
+    }
+
     fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
         let mut tuples = self.inner.query(q)?;
         tuples.extend(self.noise.iter().cloned());
         Ok(tuples)
-    }
-
-    fn meter(&self) -> SourceMeter {
-        self.inner.meter()
-    }
-
-    fn reset_meter(&self) {
-        self.inner.reset_meter();
-    }
-
-    fn note_quarantined(&self, n: usize) {
-        self.inner.note_quarantined(n);
-    }
-
-    fn note_breaker_skip(&self) {
-        self.inner.note_breaker_skip();
-    }
-
-    fn note_degraded(&self) {
-        self.inner.note_degraded();
     }
 }
 

@@ -25,7 +25,7 @@ use qpiad::data::corrupt::{corrupt, CorruptionConfig};
 use qpiad::data::sample::uniform_sample;
 use qpiad::db::{
     AttrId, AutonomousSource, Predicate, PressureLevel, QueryBudget, Relation, Schema, SelectQuery,
-    SourceError, SourceMeter, Tuple, Value, WebSource,
+    SourceError, Tuple, Value, WebSource,
 };
 use qpiad::learn::knowledge::{MiningConfig, SourceStats};
 use qpiad::serve::{QpiadServer, ServeConfig, ServeError, Tenant};
@@ -92,59 +92,14 @@ impl<S: AutonomousSource> AutonomousSource for GateSource<S> {
     fn allows_null_binding(&self) -> bool {
         self.inner.allows_null_binding()
     }
-    fn has_query_budget(&self) -> bool {
-        self.inner.has_query_budget()
+    fn wrapped(&self) -> Option<&dyn AutonomousSource> {
+        Some(&self.inner)
     }
     fn query(&self, q: &SelectQuery) -> Result<Vec<Tuple>, SourceError> {
         if self.is_gated(q) {
             self.wait_open();
         }
         self.inner.query(q)
-    }
-    fn meter(&self) -> SourceMeter {
-        self.inner.meter()
-    }
-    fn reset_meter(&self) {
-        self.inner.reset_meter()
-    }
-    fn note_retries(&self, n: usize) {
-        self.inner.note_retries(n)
-    }
-    fn note_failure(&self) {
-        self.inner.note_failure()
-    }
-    fn note_degraded(&self) {
-        self.inner.note_degraded()
-    }
-    fn note_quarantined(&self, n: usize) {
-        self.inner.note_quarantined(n)
-    }
-    fn note_hedge(&self) {
-        self.inner.note_hedge()
-    }
-    fn note_breaker_skip(&self) {
-        self.inner.note_breaker_skip()
-    }
-    fn note_shed(&self, n: usize) {
-        self.inner.note_shed(n)
-    }
-    fn note_deadline_refused(&self) {
-        self.inner.note_deadline_refused()
-    }
-    fn note_knowledge_unavailable(&self) {
-        self.inner.note_knowledge_unavailable()
-    }
-    fn note_drift(&self) {
-        self.inner.note_drift()
-    }
-    fn note_latency(&self, d: Duration) {
-        self.inner.note_latency(d)
-    }
-    fn note_plan_cache_hit(&self) {
-        self.inner.note_plan_cache_hit()
-    }
-    fn note_plan_cache_miss(&self) {
-        self.inner.note_plan_cache_miss()
     }
 }
 
