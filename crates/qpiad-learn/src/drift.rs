@@ -90,7 +90,7 @@ use parking_lot::Mutex;
 use qpiad_db::version::KnowledgeVersionClock;
 use qpiad_db::{AttrId, ColumnarRelation, SelectQuery, Tuple, ValueId};
 
-use crate::counts::{IdGroupCounts, ValueCounts, ValueIds};
+use crate::counts::{table, tables_over, GroupTable, ValueCounts, ValueIds};
 use crate::knowledge::SourceStats;
 use crate::stream::{SampleStream, StreamStats};
 
@@ -161,64 +161,65 @@ pub struct DriftVerdict {
     pub observed: u64,
 }
 
-/// One side of the paired comparison: per-attribute value counts plus
-/// AFD evidence (each tracked attribute's non-null values counted per
-/// determining-set group), all over interned ids.
+/// One side of the paired comparison, over interned ids: one table per
+/// distinct set. The empty set's one group counts every attribute's values;
+/// each tracked determining set's groups count the attributes it is the
+/// best AFD's set for, the AFD evidence.
 #[derive(Debug, Clone, Default)]
 struct SideCounts {
-    values: Vec<ValueCounts>,
-    /// Per attribute, AFD evidence for its tracked set (empty if untracked).
-    afds: Vec<IdGroupCounts>,
+    /// Sorted by set.
+    tables: Vec<GroupTable>,
     rows: u64,
 }
 
 impl SideCounts {
     fn shaped(tracked: &[Option<Vec<AttrId>>]) -> Self {
+        let values = (0..tracked.len()).map(|a| (&[][..], Some(AttrId(a))));
+        let afds = tracked
+            .iter()
+            .enumerate()
+            .filter_map(|(a, lhs)| lhs.as_deref().map(|lhs| (lhs, Some(AttrId(a)))));
         SideCounts {
-            values: vec![ValueCounts::default(); tracked.len()],
-            afds: tracked
-                .iter()
-                .map(|lhs| IdGroupCounts::over(lhs.as_deref().unwrap_or(&[])))
-                .collect(),
+            tables: tables_over(values.chain(afds)),
             rows: 0,
         }
     }
 
     /// Counts one row, given as its ids in attribute order.
-    fn add_row(&mut self, tracked: &[Option<Vec<AttrId>>], row: &[ValueId]) {
+    fn add_row(&mut self, row: &[ValueId]) {
         self.rows += 1;
-        for (counts, id) in self.values.iter_mut().zip(row) {
-            counts.add(*id);
-        }
-        for ((groups, lhs), rhs) in self.afds.iter_mut().zip(tracked).zip(row) {
-            let Some(lhs) = lhs else { continue };
-            if !rhs.is_null() {
-                groups.add(lhs, row, *rhs);
-            }
+        for table in &mut self.tables {
+            table.add_row(row);
         }
     }
 
     /// Adds `src`'s counts to these, its ids renamed by `rename`.
     fn merge(&mut self, src: SideCounts, rename: impl Fn(ValueId) -> ValueId + Copy) {
         self.rows += src.rows;
-        for (dst, src) in self.values.iter_mut().zip(src.values) {
-            dst.merge_mapped(src, rename);
-        }
-        for (dst, src) in self.afds.iter_mut().zip(src.afds) {
+        for (dst, src) in self.tables.iter_mut().zip(src.tables) {
             dst.merge_renamed(src, rename);
         }
     }
-}
 
-/// Support-weighted confidence of a tracked determining set over one
-/// side's AFD evidence, or `None` without evidence.
-fn afd_confidence(groups: &IdGroupCounts) -> Option<f64> {
-    let total: u64 = groups.groups().map(ValueCounts::non_null).sum();
-    if total == 0 {
-        return None;
+    /// Attribute `a`'s value counts (`None` before any row).
+    fn values(&self, a: AttrId) -> Option<&ValueCounts> {
+        table(&self.tables, &[])
+            .column(a)
+            .next()
+            .map(|(_, counts)| counts)
     }
-    let agree: u64 = groups.groups().map(ValueCounts::majority).sum();
-    Some(agree as f64 / total as f64)
+
+    /// Support-weighted confidence of `lhs` determining `rhs`, a tracked
+    /// AFD, over this side's evidence, or `None` without evidence. Rows
+    /// with a null `rhs` are no evidence: they add nothing to a group's
+    /// non-null rows or its majority.
+    fn afd_confidence(&self, lhs: &[AttrId], rhs: AttrId) -> Option<f64> {
+        let groups = table(&self.tables, lhs).column(rhs);
+        let (total, agree) = groups.fold((0, 0), |(total, agree), (_, g)| {
+            (total + g.non_null(), agree + g.majority())
+        });
+        (total > 0).then(|| agree as f64 / total as f64)
+    }
 }
 
 /// A pass-local accumulator of **paired** observations: validated live
@@ -322,7 +323,7 @@ impl DriftProbe {
             if counting {
                 self.row.clear();
                 self.ids.intern_row(t, &mut self.row);
-                self.live.add_row(&self.tracked, &self.row);
+                self.live.add_row(&self.row);
             } else {
                 self.live.rows += 1;
             }
@@ -331,11 +332,11 @@ impl DriftProbe {
             }
         }
         if counting {
-            let (reference, tracked, row) = (&mut self.reference, &self.tracked, &mut self.row);
+            let (reference, row) = (&mut self.reference, &mut self.row);
             selectivity.for_each_sample_match(query, |r| {
                 row.clear();
                 row.extend((0..arity).map(|a| sample.vid_at(r as usize, AttrId(a))));
-                reference.add_row(tracked, row);
+                reference.add_row(row);
             });
         }
     }
@@ -487,14 +488,19 @@ impl DriftDetector {
         let live = &self.accumulated.live;
 
         let mut value_divergence = 0.0;
-        for (ref_counts, live_counts) in reference.values.iter().zip(&live.values) {
-            value_divergence = value_shift(ref_counts, live_counts).max(value_divergence);
-        }
-
-        // Untracked attributes have no AFD evidence on either side.
         let mut afd_divergence = 0.0;
-        for (ref_groups, live_groups) in reference.afds.iter().zip(&live.afds) {
-            if let (Some(r), Some(l)) = (afd_confidence(ref_groups), afd_confidence(live_groups)) {
+        for (a, lhs) in self.accumulated.tracked.iter().enumerate() {
+            let a = AttrId(a);
+            if let (Some(r), Some(l)) = (reference.values(a), live.values(a)) {
+                value_divergence = value_shift(r, l).max(value_divergence);
+            }
+            // Untracked attributes have no AFD evidence on either side.
+            let Some(lhs) = lhs else { continue };
+            let evidence = (
+                reference.afd_confidence(lhs, a),
+                live.afd_confidence(lhs, a),
+            );
+            if let (Some(r), Some(l)) = evidence {
                 afd_divergence = (r - l).abs().max(afd_divergence);
             }
         }
@@ -1400,8 +1406,7 @@ mod tests {
         detector.reset(&remined);
         stale.observe(&remined, &SelectQuery::all(), &skewed(&ed, 100));
         assert_eq!(stale.reference.rows, 0);
-        assert!(stale.live.values.iter().all(|c| c.rows() == 0));
-        assert!(stale.live.afds.iter().all(|g| g.groups().next().is_none()));
+        assert_eq!(stale.live.tables, SideCounts::shaped(&stale.tracked).tables);
         // Its rows are still tallied and kept for the sample stream.
         assert_eq!(stale.observed_rows(), 100);
         assert_eq!(stale.live_rows.len(), 100);
